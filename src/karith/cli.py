@@ -179,6 +179,19 @@ def cmd_primes(args) -> int:
 
 # ------------------------------------------------------------------ orbit
 
+def _int_at_least(minimum: int):
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+        return value
+
+    return parse
+
+
 def _parse_scan(text: str) -> list[int]:
     head, _, step_text = text.partition(":")
     lo_text, sep, hi_text = head.partition("..")
@@ -191,7 +204,10 @@ def _parse_scan(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"bad scan range {text!r}") from None
     if step < 1:
         raise argparse.ArgumentTypeError("scan step must be positive")
-    return list(range(lo, hi + 1, step))
+    ks = list(range(lo, hi + 1, step))
+    if not ks:
+        raise argparse.ArgumentTypeError(f"scan range {text!r} is empty")
+    return ks
 
 
 def _orbit_summary(outcome) -> str:
@@ -397,8 +413,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int)
     p.add_argument("--scan", type=_parse_scan, help="k range, e.g. 2..100:2")
-    p.add_argument("--bound", type=int, default=DEFAULT_MAGNITUDE_BOUND)
-    p.add_argument("--steps", type=int, default=DEFAULT_STEP_LIMIT)
+    p.add_argument("--bound", type=_int_at_least(1), default=DEFAULT_MAGNITUDE_BOUND)
+    p.add_argument("--steps", type=_int_at_least(0), default=DEFAULT_STEP_LIMIT)
     p.add_argument("--format", choices=("plain", "csv", "json"), default="plain")
     p.add_argument("--out")
     p.set_defaults(handler=cmd_orbit)

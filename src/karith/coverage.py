@@ -135,11 +135,11 @@ def seq_residual_set(
         primes = k_primes_below(prime_limit, g.k)
     else:
         primes = seq_primes_below(prime_limit, g, bound_factor=bound_factor)
-    sums = g.prefix_sums()
+    sums = g.prefix_sums().weighted_upto(max(primes, default=0))
     witnesses: dict[int, tuple[int, int]] = {}
     for p in primes:
         # product(n, p) = p*n + p*(1 - p) + W(p): linear in the start value
-        offset = p * (1 - p) + sums.weighted(p)
+        offset = p * (1 - p) + sums[p]
         _mark_progression(witnesses, p, offset, window_half)
     residual = tuple(
         x for x in range(-window_half, window_half + 1) if x not in witnesses

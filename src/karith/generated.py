@@ -8,6 +8,13 @@ which reduces to the k-arithmetic when the sequence is constant.  Divisor
 enumeration has no closed characterization here, so it scans term counts up
 to a bound: 6a by default for arithmetic-progression generators (the only
 family with an asserted bound), caller-supplied for everything else.
+
+Every scan reads W(1..bound) with one bulk prefix-sum read and then tests
+(a - W(d)) mod d per term count d: O(bound) for one divisor report.  The
+divisor-count censuses (primes, numbers with exactly c divisors below a
+limit) invert the scan into a sieve: each term count d marks the subjects
+congruent to W(d) modulo d, O(limit log limit + factor * limit) in all,
+where a scan per subject would take O(factor * limit**2).
 """
 
 from __future__ import annotations
@@ -54,31 +61,30 @@ def seq_divisors(a: int, g: Generator, search_bound: int | None = None) -> Divis
         search_bound = default_search_bound(a, g)
     if search_bound < 1:
         raise DomainError(f"search bound must be positive, got {search_bound}")
-    divisors = []
+    sums = g.prefix_sums().weighted_upto(search_bound)
     witnesses = []
     for d in range(1, search_bound + 1):
-        c = seq_quotient(a, d, g)
-        if isinstance(c, int):
-            divisors.append(d)
-            witnesses.append((d, c))
+        q, r = divmod(a - sums[d], d)
+        if r == 0:
+            witnesses.append((d, q + d - 1))
     return DivisorReport(
         subject=a,
-        divisors=tuple(divisors),
+        divisors=tuple(d for d, _ in witnesses),
         witnesses=tuple(witnesses),
         search_bound=search_bound,
     )
 
 
-def _divisor_count_capped(a: int, g: Generator, bound: int, cap: int) -> int:
-    """Number of divisors of a up to the bound, stopping early past cap."""
-    count = 0
-    sums = g.prefix_sums()
-    for d in range(1, bound + 1):
-        if (a - sums.weighted(d)) % d == 0:
-            count += 1
-            if count > cap:
-                break
-    return count
+def _readable_sums(g: Generator, bound: int) -> list[int]:
+    """[0, W(1), ..., W(D)] for the largest D <= bound that g's prefix allows.
+
+    W(D) reads the first D - 1 terms, so a prefix of L terms allows L + 1.
+    A scan that stops early, once a subject has too many divisors, may
+    succeed on a prefix that a full read up to the bound would exhaust.
+    """
+    if g.prefix_length is not None:
+        bound = min(bound, g.prefix_length + 1)
+    return g.prefix_sums().weighted_upto(max(bound, 0))
 
 
 def seq_is_prime(p: int, g: Generator, search_bound: int | None = None) -> bool:
@@ -87,7 +93,39 @@ def seq_is_prime(p: int, g: Generator, search_bound: int | None = None) -> bool:
         return False
     if search_bound is None:
         search_bound = default_search_bound(p, g)
-    return _divisor_count_capped(p, g, search_bound, cap=2) == 2
+    sums = _readable_sums(g, search_bound)
+    hits = sum((p - sums[d]) % d == 0 for d in range(1, len(sums)))
+    if hits <= 2 and len(sums) - 1 < search_bound:
+        # a scan with at most two divisors so far reads on past the prefix
+        g.prefix_sums().weighted_upto(search_bound)
+    return hits == 2
+
+
+def _divisor_counts(limit: int, g: Generator, factor: int, cap: int) -> list[int]:
+    """counts[n] = number of divisors d <= factor * n of n, for 2 <= n < limit.
+
+    Inverted sieve: term count d divides exactly the subjects n congruent to
+    W(d) modulo d, and it is in n's scan range when n >= d / factor.  When
+    g's prefix ends before factor * (limit - 1), the prefix's error is raised
+    if some subject whose range reaches past the prefix has at most ``cap``
+    divisors within it, since a per-subject scan capped at ``cap`` would have
+    read on; otherwise the counts it has are complete up to ``cap``.
+    """
+    counts = [0] * max(limit, 2)
+    if limit <= 2:
+        return counts
+    bound = factor * (limit - 1)
+    sums = _readable_sums(g, bound)
+    readable = len(sums) - 1
+    for d in range(1, readable + 1):
+        lo = max(2, -(-d // factor))
+        for n in range(lo + (sums[d] - lo) % d, limit, d):
+            counts[n] += 1
+    if readable < bound:
+        cut_short = range(max(2, readable // factor + 1), limit)
+        if any(counts[n] <= cap for n in cut_short):
+            g.prefix_sums().weighted_upto(bound)  # raises the prefix's error
+    return counts
 
 
 def seq_primes_below(n: int, g: Generator, bound_factor: int | None = None) -> list[int]:
@@ -97,7 +135,8 @@ def seq_primes_below(n: int, g: Generator, bound_factor: int | None = None) -> l
     for arithmetic-progression generators and must be given otherwise.
     """
     factor = _resolve_factor(g, bound_factor)
-    return [p for p in range(2, n) if seq_is_prime(p, g, search_bound=factor * p)]
+    counts = _divisor_counts(n, g, factor, cap=2)
+    return [p for p in range(2, n) if counts[p] == 2]
 
 
 def exact_divisor_count_numbers(
@@ -109,11 +148,8 @@ def exact_divisor_count_numbers(
     if limit < 2:
         raise DomainError(f"limit must be at least 2, got {limit}")
     factor = _resolve_factor(g, bound_factor)
-    out = []
-    for n in range(2, limit):
-        if _divisor_count_capped(n, g, factor * n, cap=count) == count:
-            out.append(n)
-    return out
+    counts = _divisor_counts(limit, g, factor, cap=count)
+    return [n for n in range(2, limit) if counts[n] == count]
 
 
 def _resolve_factor(g: Generator, bound_factor: int | None) -> int:

@@ -33,6 +33,8 @@ class Generator:
 
     #: degree of the polynomial giving a_i in i, or None when there is none
     polynomial_degree: int | None = None
+    #: number of terms a finite prefix holds, or None for an endless sequence
+    prefix_length: int | None = None
 
     def term(self, i: int) -> int:
         raise NotImplementedError
@@ -46,7 +48,9 @@ class Generator:
 
     def prefix_sums(self) -> "PrefixSums":
         # One memo per generator instance; created lazily, guarded by the
-        # memo's own lock once built.
+        # memo's own lock once built.  Generators are immutable, so the memo
+        # never goes stale; it is stored through __dict__ because frozen
+        # dataclasses refuse attribute assignment.
         sums = self.__dict__.get("_sums")
         if sums is None:
             sums = PrefixSums(self)
@@ -84,11 +88,26 @@ class PrefixSums:
         if n < 1:
             raise DomainError(f"weighted sum needs a positive term count, got {n}")
         with self._lock:
-            while len(self._weighted) <= n:
-                m = len(self._weighted) - 1
-                self._extend_plain(m)
-                self._weighted.append(self._weighted[m] + self._plain[m])
+            self._extend_weighted(n)
             return self._weighted[n]
+
+    def weighted_upto(self, n: int) -> list[int]:
+        """[0, W(1), ..., W(n)] for n >= 0, read under one lock acquisition.
+
+        The memo grows exactly as repeated weighted() calls would grow it, so
+        a finite prefix fails with the same error at the same index.
+        """
+        if n < 0:
+            raise DomainError(f"prefix length must be >= 0, got {n}")
+        with self._lock:
+            self._extend_weighted(n)
+            return self._weighted[: n + 1]
+
+    def _extend_weighted(self, upto: int) -> None:
+        while len(self._weighted) <= upto:
+            m = len(self._weighted) - 1
+            self._extend_plain(m)
+            self._weighted.append(self._weighted[m] + self._plain[m])
 
     def _extend_plain(self, upto: int) -> None:
         while len(self._plain) <= upto:
@@ -96,7 +115,7 @@ class PrefixSums:
             self._plain.append(self._plain[j - 1] + self.generator.term(j))
 
 
-@dataclass(eq=True)
+@dataclass(frozen=True)
 class Constant(Generator):
     k: int
     polynomial_degree = 0
@@ -108,7 +127,7 @@ class Constant(Generator):
         return f"const:{self.k}"
 
 
-@dataclass(eq=True)
+@dataclass(frozen=True)
 class ArithProg(Generator):
     a1: int
     d: int
@@ -121,7 +140,7 @@ class ArithProg(Generator):
         return f"ap:{self.a1},{self.d}"
 
 
-@dataclass(eq=True)
+@dataclass(frozen=True)
 class GeomProg(Generator):
     a1: int
     r: int
@@ -133,7 +152,7 @@ class GeomProg(Generator):
         return f"gp:{self.a1},{self.r}"
 
 
-@dataclass(eq=True)
+@dataclass(frozen=True)
 class Polynomial(Generator):
     """Terms p(0), p(1), p(2), ... of the polynomial with the given
     coefficients (constant term first)."""
@@ -141,8 +160,8 @@ class Polynomial(Generator):
     coeffs: tuple[int, ...]
 
     def __post_init__(self):
-        self.coeffs = tuple(self.coeffs)
-        self.polynomial_degree = max(len(self.coeffs) - 1, 0)
+        object.__setattr__(self, "coeffs", tuple(self.coeffs))
+        object.__setattr__(self, "polynomial_degree", max(len(self.coeffs) - 1, 0))
 
     def term(self, i: int) -> int:
         x = i - 1
@@ -169,25 +188,36 @@ def nth_prime(i: int) -> int:
         return _PRIME_CACHE[i - 1]
 
 
-class UsualPrimes(Generator):
+class _Parameterless(Generator):
+    """A generator without parameters: all its instances are equal."""
+
+    def __eq__(self, other):
+        return isinstance(other, type(self))
+
+    def __hash__(self):
+        return hash(type(self))
+
+
+class UsualPrimes(_Parameterless):
     def term(self, i: int) -> int:
         return nth_prime(i)
 
     def spec(self) -> str:
         return "primes"
 
-    def __eq__(self, other):
-        return isinstance(other, UsualPrimes)
 
-
-@dataclass(eq=True)
+@dataclass(frozen=True)
 class Explicit(Generator):
     """Finite prefix given verbatim; reading past it is an error."""
 
     terms: tuple[int, ...]
 
     def __post_init__(self):
-        self.terms = tuple(self.terms)
+        object.__setattr__(self, "terms", tuple(self.terms))
+
+    @property
+    def prefix_length(self) -> int:
+        return len(self.terms)
 
     def term(self, i: int) -> int:
         if i < 1:
@@ -202,7 +232,7 @@ class Explicit(Generator):
         return "explicit:[" + ",".join(str(t) for t in self.terms) + "]"
 
 
-class AlternatingOnes(Generator):
+class AlternatingOnes(_Parameterless):
     """1, -1, 1, -1, ..."""
 
     def term(self, i: int) -> int:
@@ -211,11 +241,8 @@ class AlternatingOnes(Generator):
     def spec(self) -> str:
         return "alt"
 
-    def __eq__(self, other):
-        return isinstance(other, AlternatingOnes)
 
-
-class ZeroOne(Generator):
+class ZeroOne(_Parameterless):
     """0, 1, 0, 1, ..."""
 
     def term(self, i: int) -> int:
@@ -224,11 +251,8 @@ class ZeroOne(Generator):
     def spec(self) -> str:
         return "zeroone"
 
-    def __eq__(self, other):
-        return isinstance(other, ZeroOne)
 
-
-class FurstPattern(Generator):
+class FurstPattern(_Parameterless):
     """Blocks (1, -1, 0...0) whose zero runs have lengths 1, 3, 7, 15, ...
 
     Block b has total length 2**b + 1, so the blocks start at positions
@@ -254,9 +278,6 @@ class FurstPattern(Generator):
 
     def spec(self) -> str:
         return "fpattern"
-
-    def __eq__(self, other):
-        return isinstance(other, FurstPattern)
 
 
 def weighted_sum(g: Generator, n: int) -> int:

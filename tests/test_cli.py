@@ -142,6 +142,20 @@ class TestExitCodes:
         assert err.value.code == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize("flag,message", [
+        ("--k 2 --steps -1", "argument --steps: must be at least 0, got -1"),
+        ("--k 2 --bound 0", "argument --bound: must be at least 1, got 0"),
+        ("--scan 5..1", "argument --scan: scan range '5..1' is empty"),
+    ], ids=["negative_steps", "zero_bound", "empty_scan"])
+    def test_orbit_rejects_out_of_range_options(self, flag, message, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(shlex.split(f"orbit --n 17 {flag}"))
+        captured = capsys.readouterr()
+        assert err.value.code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("usage: karith orbit")
+        assert captured.err.endswith(f"error: {message}\n")
+
     def test_not_divisible_still_exits_0(self, capsys):
         code, out = run_cli(shlex.split("quotient 40 6 --arith const:3"), capsys)
         assert code == 0

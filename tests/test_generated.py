@@ -1,5 +1,8 @@
 """Sequence-generated arithmetics: products, divisors, primes, squares, cubes."""
 
+import dataclasses
+import itertools
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -73,6 +76,41 @@ class TestGenerators:
         sums = g.prefix_sums()
         for n in range(1, 501):
             assert sums.weighted(n + 1) - sums.weighted(n) == sums.plain(n)
+
+    @pytest.mark.parametrize("g", ALL_GENERATORS, ids=lambda g: g.spec())
+    def test_bulk_read_matches_single_reads(self, g):
+        bulk = g.prefix_sums().weighted_upto(300)
+        assert bulk[1:] == [g.prefix_sums().weighted(n) for n in range(1, 301)]
+        assert g.prefix_sums().weighted_upto(0) == [0]
+
+    def test_bulk_read_fails_like_single_reads(self):
+        with pytest.raises(PrefixExhaustedError) as single:
+            Explicit((1, 2)).prefix_sums().weighted(9)
+        with pytest.raises(PrefixExhaustedError) as bulk:
+            Explicit((1, 2)).prefix_sums().weighted_upto(9)
+        assert str(bulk.value) == str(single.value)
+        with pytest.raises(DomainError):
+            Constant(3).prefix_sums().weighted_upto(-1)
+
+    def test_generators_are_immutable(self):
+        # a mutable generator would keep serving its old prefix-sum memo
+        g = Constant(3)
+        assert seq_product(4, 3, g) == 15
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            g.k = 5
+        assert seq_product(4, 3, Constant(5)) == 21
+        for g in (ArithProg(1, 2), GeomProg(1, 2), Polynomial((1, 0, 5)),
+                  Explicit((1, 2))):
+            field = dataclasses.fields(g)[0].name
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(g, field, 0)
+
+    @pytest.mark.parametrize("g", ALL_GENERATORS, ids=lambda g: g.spec())
+    def test_equal_generators_hash_equal(self, g):
+        twin = parse_generator(g.spec())
+        twin.prefix_sums().weighted(20)  # a warm memo changes neither
+        assert twin == g and hash(twin) == hash(g)
+        assert len({g, twin}) == 1
 
     def test_spec_roundtrip(self):
         for g in ALL_GENERATORS:
@@ -336,6 +374,128 @@ class TestExactDivisorCounts:
             exact_divisor_count_numbers(0, 50, ArithProg(1, 2))
         with pytest.raises(DomainError):
             exact_divisor_count_numbers(3, 1, ArithProg(1, 2))
+
+
+def _oracle_weighted(g):
+    """W(1), W(2), ... straight from the terms, reading term d for W(d + 1)."""
+    w, plain = 0, 0
+    for i in itertools.count(1):
+        yield w
+        plain += g.term(i)
+        w += plain
+
+
+def _oracle_divisor_count(a, g, bound, cap):
+    """Per-subject scan of term counts 1..bound, stopping past cap divisors."""
+    count = 0
+    for d, w in zip(range(1, bound + 1), _oracle_weighted(g)):
+        if (a - w) % d == 0:
+            count += 1
+            if count > cap:
+                break
+    return count
+
+
+def _oracle_divisors(a, g, bound):
+    return tuple(
+        (d, (a - w) // d + d - 1)
+        for d, w in zip(range(1, bound + 1), _oracle_weighted(g))
+        if (a - w) % d == 0
+    )
+
+
+def _oracle_census(count, limit, g, factor):
+    return [n for n in range(2, limit)
+            if _oracle_divisor_count(n, g, factor * n, count) == count]
+
+
+def _outcome(fn, *args):
+    """The result, or the exception's type and message."""
+    try:
+        return fn(*args)
+    except Exception as exc:  # compared, never swallowed
+        return type(exc), str(exc)
+
+
+ORACLE_GENERATORS = [
+    ArithProg(1, 2), ArithProg(2, 1), ArithProg(-3, 5), Polynomial((0, 3)),
+    Polynomial((1, 0, 1)), GeomProg(1, 2), GeomProg(-2, 3), AlternatingOnes(),
+    ZeroOne(), FurstPattern(), UsualPrimes(),
+]
+SHORT_PREFIXES = [
+    Explicit(terms)
+    for length in range(4)
+    for terms in itertools.product((-1, 0, 1, 2), repeat=length)
+] + [Explicit((3, -2, 0, 5, 1, -4)), Explicit(tuple(range(1, 16)))]
+
+
+class TestScansAgainstPerSubjectOracle:
+    """The bulk read and the inverted sieve against the per-subject scan."""
+
+    def test_short_prefix_that_the_capped_scan_never_exhausts(self):
+        # n = 3 has two divisors by d = 2, so its capped scan stops before
+        # reading past the single term
+        assert exact_divisor_count_numbers(1, 4, Explicit((-1,)), 1) == [2]
+
+    @pytest.mark.parametrize("g", ORACLE_GENERATORS, ids=lambda g: g.spec())
+    def test_infinite_generators(self, g):
+        for factor in (1, 2, 6):
+            for count in (1, 2, 3, 4):
+                assert exact_divisor_count_numbers(count, 60, g, factor) \
+                    == _oracle_census(count, 60, g, factor), (count, factor)
+            assert seq_primes_below(60, g, factor) == _oracle_census(2, 60, g, factor)
+        for a in range(1, 40):
+            report = seq_divisors(a, g, 6 * a)
+            assert report.witnesses == _oracle_divisors(a, g, 6 * a), a
+            assert report.divisors == tuple(d for d, _ in report.witnesses)
+
+    def test_short_explicit_prefixes(self):
+        for g in SHORT_PREFIXES:
+            for factor in (1, 2, 6):
+                for limit in range(2, 9):
+                    for count in (1, 2, 3, 4):
+                        got = _outcome(exact_divisor_count_numbers, count, limit, g, factor)
+                        want = _outcome(_oracle_census, count, limit, g, factor)
+                        assert got == want, (g.spec(), count, limit, factor)
+                    got = _outcome(seq_primes_below, limit, g, factor)
+                    assert got == _outcome(_oracle_census, 2, limit, g, factor)
+            for a in range(1, 8):
+                for bound in range(1, 9):
+                    got = _outcome(lambda: seq_divisors(a, g, bound).witnesses)
+                    assert got == _outcome(_oracle_divisors, a, g, bound)
+                    got = _outcome(seq_is_prime, a, g, bound)
+                    want = _outcome(lambda: a > 1 and _oracle_divisor_count(a, g, bound, 2) == 2)
+                    assert got == want, (g.spec(), a, bound)
+
+    def test_concurrent_bulk_reads_of_one_memo(self):
+        import sys
+        import threading
+
+        want = [_oracle_census(3, 40 + 10 * i, ZeroOne(), 2) for i in range(6)]
+        g = ZeroOne()  # one cold memo grown by every thread at once
+        results = [None] * 6
+
+        def worker(slot):
+            results[slot] = exact_divisor_count_numbers(3, 40 + 10 * slot, g, 2)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(i,)) for i in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert results == want
+
+    def test_primes_below_small_limits_still_check_the_factor(self):
+        for n in (-5, 0, 2):
+            assert seq_primes_below(n, ArithProg(1, 2)) == []
+            with pytest.raises(DomainError):
+                seq_primes_below(n, GeomProg(1, 2))
 
 
 SQUARE_CASES = [
