@@ -46,6 +46,7 @@ from .core import (
 )
 from .coverage import (
     CoverageReport,
+    default_prime_limit,
     locate_power_of_two_cover,
     progression_window,
     residual_set,
@@ -54,7 +55,9 @@ from .coverage import (
 )
 from .generated import (
     cubes_sequence,
+    divisors,
     exact_divisor_count_numbers,
+    primes_below,
     seq_divisors,
     seq_is_prime,
     seq_primes_below,

@@ -20,26 +20,19 @@ from .collatz import (
     orbit,
     orbit_length_scan,
 )
-from .core import (
-    DomainError,
-    NotDivisible,
-    k_divisors,
-    k_primes_below,
-    k_product,
-    k_quotient,
-)
-from .coverage import residual_set, seq_residual_set
+from .core import DomainError, NotDivisible
+from .coverage import default_prime_limit, seq_residual_set
 from .generated import (
+    DEFAULT_BOUND_FACTOR,
     cubes_sequence,
+    divisors,
     exact_divisor_count_numbers,
-    seq_divisors,
-    seq_primes_below,
+    primes_below,
     seq_product,
     seq_quotient,
     squares_sequence,
 )
 from .generators import (
-    Constant,
     Generator,
     GeneratorSpecError,
     parse_generator,
@@ -64,117 +57,92 @@ def _arith(text: str) -> Generator:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-def _emit(args, text: str) -> None:
+def _render(args, record: dict, csv_lines: list[str] | None, plain: str) -> int:
+    """Write the rendering args.format selects (plain when no csv form
+    exists) to --out or stdout, newline-terminated unless empty."""
+    if args.format == "json":
+        text = canon_json(record)
+    elif args.format == "csv" and csv_lines is not None:
+        text = "\n".join(csv_lines)
+    else:
+        text = plain
     payload = text if text.endswith("\n") or text == "" else text + "\n"
-    if getattr(args, "out", None):
+    if args.out:
         with open(args.out, "w") as fh:
             fh.write(payload)
     else:
         sys.stdout.write(payload)
+    return EXIT_OK
 
 
-def _warn(message: str) -> None:
-    print(f"warning: {message}", file=sys.stderr)
+def _bound_factor(g: Generator, given: int | None) -> tuple[int | None, bool]:
+    """The caller's bound or factor, and False; for a generator without an
+    asserted bound and none given, a warning, the default factor and True."""
+    if given is not None or supports_default_divisor_bound(g):
+        return given, False
+    print(f"warning: no divisor bound is known for {g.spec()}; "
+          f"defaulting to {DEFAULT_BOUND_FACTOR}*a scans", file=sys.stderr)
+    return DEFAULT_BOUND_FACTOR, True
 
 
 # ---------------------------------------------------------------- product
 
 def cmd_product(args) -> int:
     g = args.arith
-    if isinstance(g, Constant):
-        result = k_product(args.m, args.n, g.k)
-    else:
-        result = seq_product(args.m, args.n, g)
-    if args.format == "json":
-        _emit(args, canon_json({
-            "arith": g.spec(), "command": "product",
-            "m": args.m, "n": args.n, "result": result,
-        }))
-    elif args.format == "csv":
-        _emit(args, f"m,n,result\n{args.m},{args.n},{result}")
-    else:
-        _emit(args, str(result))
-    return EXIT_OK
+    result = seq_product(args.m, args.n, g)
+    return _render(
+        args,
+        {"arith": g.spec(), "command": "product", "m": args.m, "n": args.n, "result": result},
+        ["m,n,result", f"{args.m},{args.n},{result}"],
+        str(result),
+    )
 
 
 def cmd_quotient(args) -> int:
     g = args.arith
-    if isinstance(g, Constant):
-        result = k_quotient(args.a, args.b, g.k)
-    else:
-        result = seq_quotient(args.a, args.b, g)
+    result = seq_quotient(args.a, args.b, g)
     if isinstance(result, NotDivisible):
-        status, value = "not_divisible", str(result.ratio)
+        status, key, value = "not_divisible", "ratio", str(result.ratio)
     else:
-        status, value = "ok", result
-    if args.format == "json":
-        _emit(args, canon_json({
-            "a": args.a, "arith": g.spec(), "b": args.b,
-            "command": "quotient", "status": status,
-            "ratio" if status == "not_divisible" else "result": value,
-        }))
-    elif args.format == "csv":
-        _emit(args, f"a,b,status,value\n{args.a},{args.b},{status},{value}")
-    else:
-        _emit(args, str(result) if status == "ok" else f"NotDivisible {value}")
-    return EXIT_OK
+        status, key, value = "ok", "result", result
+    return _render(
+        args,
+        {"a": args.a, "arith": g.spec(), "b": args.b, "command": "quotient",
+         "status": status, key: value},
+        ["a,b,status,value", f"{args.a},{args.b},{status},{value}"],
+        str(result),
+    )
 
 
 # --------------------------------------------------------------- divisors
 
-def _divisor_report(g: Generator, subject: int, bound: int | None):
-    """Report plus whether the scan bound had to be defaulted without a lemma."""
-    if isinstance(g, Constant):
-        return k_divisors(subject, g.k), False
-    if bound is None and not supports_default_divisor_bound(g):
-        bound = 6 * abs(subject)
-        _warn(f"no divisor bound is known for {g.spec()}; defaulting to 6*|a| = {bound}")
-        return seq_divisors(subject, g, search_bound=bound), True
-    return seq_divisors(subject, g, search_bound=bound), False
-
-
 def cmd_divisors(args) -> int:
     g = args.arith
-    report, defaulted = _divisor_report(g, args.a, args.bound)
-    if args.format == "json":
-        _emit(args, canon_json({
-            "arith": g.spec(), "bound_defaulted": defaulted,
-            "command": "divisors", "divisors": list(report.divisors),
-            "search_bound": report.search_bound, "subject": report.subject,
-            "witnesses": [list(w) for w in report.witnesses],
-        }))
-    elif args.format == "csv":
-        rows = "\n".join(f"{d},{b}" for d, b in report.witnesses)
-        _emit(args, "divisor,witness\n" + rows)
-    else:
-        _emit(args, " ".join(str(d) for d in report.divisors))
-    return EXIT_OK
-
-
-def _resolve_bound_factor(g: Generator, factor: int | None) -> tuple[int | None, bool]:
-    if factor is not None or isinstance(g, Constant) or supports_default_divisor_bound(g):
-        return factor, False
-    _warn(f"no divisor bound is known for {g.spec()}; defaulting to 6*a scans")
-    return 6, True
+    bound, defaulted = _bound_factor(g, args.bound)
+    if defaulted:
+        bound *= abs(args.a)
+    report = divisors(args.a, g, search_bound=bound)
+    return _render(
+        args,
+        {"arith": g.spec(), "bound_defaulted": defaulted, "command": "divisors",
+         "divisors": list(report.divisors), "search_bound": report.search_bound,
+         "subject": report.subject, "witnesses": [list(w) for w in report.witnesses]},
+        ["divisor,witness", *(f"{d},{b}" for d, b in report.witnesses)],
+        " ".join(str(d) for d in report.divisors),
+    )
 
 
 def cmd_primes(args) -> int:
     g = args.arith
-    factor, defaulted = _resolve_bound_factor(g, args.bound_factor)
-    if isinstance(g, Constant):
-        primes = k_primes_below(args.limit, g.k)
-    else:
-        primes = seq_primes_below(args.limit, g, bound_factor=factor)
-    if args.format == "json":
-        _emit(args, canon_json({
-            "arith": g.spec(), "bound_defaulted": defaulted, "command": "primes",
-            "limit": args.limit, "primes": primes,
-        }))
-    elif args.format == "csv":
-        _emit(args, "prime\n" + "\n".join(str(p) for p in primes))
-    else:
-        _emit(args, " ".join(str(p) for p in primes))
-    return EXIT_OK
+    factor, defaulted = _bound_factor(g, args.bound_factor)
+    primes = primes_below(args.limit, g, bound_factor=factor)
+    return _render(
+        args,
+        {"arith": g.spec(), "bound_defaulted": defaulted, "command": "primes",
+         "limit": args.limit, "primes": primes},
+        ["prime", *map(str, primes)],
+        " ".join(map(str, primes)),
+    )
 
 
 # ------------------------------------------------------------------ orbit
@@ -233,61 +201,39 @@ def cmd_orbit(args) -> int:
         raise argparse.ArgumentTypeError("give exactly one of --k or --scan")
     if args.scan is not None:
         rows = orbit_length_scan(args.n, args.scan, args.bound, args.steps)
-        if args.format == "json":
-            _emit(args, canon_json({
-                "command": "orbit_scan", "n": args.n,
-                "rows": [{"k": k, "kind": kind, "ns": ns} for k, ns, kind in rows],
-            }))
-        elif args.format == "csv":
-            lines = ["k,ns,kind"]
-            lines += [f"{k},{'' if ns is None else ns},{kind}" for k, ns, kind in rows]
-            _emit(args, "\n".join(lines))
-        else:
-            _emit(args, "\n".join(
-                f"k={k} ns={'-' if ns is None else ns} kind={kind}" for k, ns, kind in rows
-            ))
-        return EXIT_OK
+        return _render(
+            args,
+            {"command": "orbit_scan", "n": args.n,
+             "rows": [{"k": k, "kind": kind, "ns": ns} for k, ns, kind in rows]},
+            ["k,ns,kind", *(f"{k},{'' if ns is None else ns},{kind}" for k, ns, kind in rows)],
+            "\n".join(f"k={k} ns={'-' if ns is None else ns} kind={kind}"
+                      for k, ns, kind in rows),
+        )
     outcome = orbit(args.n, args.k, args.bound, args.steps)
-    if args.format == "json":
-        _emit(args, canon_json({
-            "command": "orbit", "k": args.k, "kind": outcome.kind.value,
-            "n": args.n, "ns": outcome.ns,
-            "trajectory": list(outcome.trajectory),
-        }))
-    elif args.format == "csv":
-        lines = ["step,value"]
-        lines += [f"{i},{v}" for i, v in enumerate(outcome.trajectory)]
-        _emit(args, "\n".join(lines))
-    else:
-        _emit(args, " ".join(str(v) for v in outcome.trajectory) + "\n"
-              + _orbit_summary(outcome))
-    return EXIT_OK
+    return _render(
+        args,
+        {"command": "orbit", "k": args.k, "kind": outcome.kind.value, "n": args.n,
+         "ns": outcome.ns, "trajectory": list(outcome.trajectory)},
+        ["step,value", *(f"{i},{v}" for i, v in enumerate(outcome.trajectory))],
+        " ".join(str(v) for v in outcome.trajectory) + "\n" + _orbit_summary(outcome),
+    )
 
 
 # --------------------------------------------------------------- coverage
 
 def cmd_coverage(args) -> int:
     g = args.arith
-    prime_limit = args.prime_limit
-    defaulted = False
-    if isinstance(g, Constant):
-        report = residual_set(g.k, args.window)
-    else:
-        if prime_limit is None:
-            prime_limit = 2 * args.window
-            defaulted = True
-        factor, _ = _resolve_bound_factor(g, args.bound_factor)
-        report = seq_residual_set(g, args.window, prime_limit, bound_factor=factor)
-    if args.format == "json":
-        payload = report.to_json_dict()
-        payload["command"] = "coverage"
-        payload["prime_limit_defaulted"] = defaulted
-        _emit(args, canon_json(payload))
-    elif args.format == "csv":
-        _emit(args, "residual\n" + "\n".join(str(x) for x in report.residual))
-    else:
-        _emit(args, report.to_bracket_row())
-    return EXIT_OK
+    prime_limit, defaulted = args.prime_limit, False
+    if prime_limit is None:
+        prime_limit, defaulted = default_prime_limit(g, args.window)
+    factor, _ = _bound_factor(g, args.bound_factor)
+    report = seq_residual_set(g, args.window, prime_limit, bound_factor=factor)
+    return _render(
+        args,
+        {**report.to_json_dict(), "command": "coverage", "prime_limit_defaulted": defaulted},
+        ["residual", *map(str, report.residual)],
+        report.to_bracket_row(),
+    )
 
 
 # --------------------------------------------------------------- sequence
@@ -301,43 +247,35 @@ def _sequence_terms(args) -> list[int]:
         return fn(args.count, g)
     if args.limit is None:
         raise argparse.ArgumentTypeError(f"--limit is required for --kind {args.kind}")
-    factor, _ = _resolve_bound_factor(g, getattr(args, "bound_factor", None))
+    factor, _ = _bound_factor(g, args.bound_factor)
     if args.kind == "primes":
-        if isinstance(g, Constant):
-            return k_primes_below(args.limit, g.k)
-        return seq_primes_below(args.limit, g, bound_factor=factor)
+        return primes_below(args.limit, g, bound_factor=factor)
     return exact_divisor_count_numbers(3, args.limit, g, bound_factor=factor)
 
 
 def cmd_sequence(args) -> int:
     terms = _sequence_terms(args)
-    if args.format == "json":
-        _emit(args, canon_json({
-            "arith": args.arith.spec(), "command": "sequence",
-            "kind": args.kind, "terms": terms,
-        }))
-    elif args.format == "csv":
-        lines = ["index,value"]
-        lines += [f"{i},{v}" for i, v in enumerate(terms, start=1)]
-        _emit(args, "\n".join(lines))
-    else:
-        _emit(args, " ".join(str(v) for v in terms))
-    return EXIT_OK
+    return _render(
+        args,
+        {"arith": args.arith.spec(), "command": "sequence", "kind": args.kind, "terms": terms},
+        ["index,value", *(f"{i},{v}" for i, v in enumerate(terms, start=1))],
+        " ".join(map(str, terms)),
+    )
 
 
 def cmd_oeis_check(args) -> int:
     terms = _sequence_terms(args)
     fixture = parse_bfile(args.bfile)
     result = compare_prefix(terms, fixture, offset=args.offset)
-    if args.format == "json":
-        _emit(args, canon_json({
-            "arith": args.arith.spec(), "bfile": fixture.sequence_id,
-            "command": "oeis_check", "compared": result.compared,
-            "detail": result.detail, "kind": args.kind,
-            "matched": result.matched, "offset": args.offset,
-        }))
-    else:
-        _emit(args, result.detail)
+    _render(
+        args,
+        {"arith": args.arith.spec(), "bfile": fixture.sequence_id,
+         "command": "oeis_check", "compared": result.compared,
+         "detail": result.detail, "kind": args.kind,
+         "matched": result.matched, "offset": args.offset},
+        None,
+        result.detail,
+    )
     return EXIT_OK if result.matched else EXIT_MISMATCH
 
 
@@ -345,26 +283,19 @@ def cmd_oeis_check(args) -> int:
 
 def cmd_goldbach(args) -> int:
     report = goldbach_scan(args.k, args.limit, record_witnesses=args.witness)
-    if args.format == "json":
-        payload = {
-            "command": "goldbach", "counterexamples": list(report.counterexamples),
-            "k": report.k, "limit": report.limit,
-        }
-        if report.decompositions is not None:
-            payload["decompositions"] = [
-                [h, p1, p2] for h, (p1, p2) in sorted(report.decompositions.items())
-            ]
-        _emit(args, canon_json(payload))
-    elif args.format == "csv":
-        _emit(args, "counterexample\n" + "\n".join(str(h) for h in report.counterexamples))
-    else:
-        lines = [" ".join(str(h) for h in report.counterexamples)]
-        if report.decompositions is not None:
-            lines += [
-                f"{h} = {p1} + {p2}" for h, (p1, p2) in sorted(report.decompositions.items())
-            ]
-        _emit(args, "\n".join(lines))
-    return EXIT_OK
+    record = {"command": "goldbach", "counterexamples": list(report.counterexamples),
+              "k": report.k, "limit": report.limit}
+    plain = [" ".join(map(str, report.counterexamples))]
+    if report.decompositions is not None:
+        pairs = sorted(report.decompositions.items())
+        record["decompositions"] = [[h, p1, p2] for h, (p1, p2) in pairs]
+        plain += [f"{h} = {p1} + {p2}" for h, (p1, p2) in pairs]
+    return _render(
+        args,
+        record,
+        ["counterexample", *map(str, report.counterexamples)],
+        "\n".join(plain),
+    )
 
 
 # ------------------------------------------------------------------ wiring
@@ -406,7 +337,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("limit", type=int)
     common(p)
     p.add_argument("--bound-factor", type=int,
-                   help="per-candidate divisor scan bound factor (default 6)")
+                   help="per-candidate divisor scan bound factor "
+                        f"(default {DEFAULT_BOUND_FACTOR})")
     p.set_defaults(handler=cmd_primes)
 
     p = sub.add_parser("orbit", help="Collatz-style orbit or orbit-length scan")

@@ -11,9 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import DomainError, k_primes_below, k_product
-from .generated import seq_primes_below, seq_product
-from .generators import Constant, Generator
+from .core import DomainError, k_product
+from .generated import primes_below, seq_product
+from .generators import Constant, Generator, parse_generator
 
 
 @dataclass(frozen=True)
@@ -66,29 +66,22 @@ def _mark_progression(
         witnesses.setdefault(p * n + offset, (p, n))
 
 
-def residual_set(k: int, window_half: int) -> CoverageReport:
-    """Cover [-N, N] by all k-prime multiple sets and report the leftovers.
+def default_prime_limit(g: Generator, window_half: int) -> tuple[int, bool]:
+    """Prime limit for covering [-N, N], and whether it is a guess.
 
-    Primes up to 2N suffice: any value of magnitude >= 2 in the window has a
-    k-prime divisor at most twice its magnitude.
+    In a k-arithmetic primes up to 2N suffice: any value of magnitude >= 2
+    in the window has a k-prime divisor at most twice its magnitude.  No such
+    lemma exists for generated primes, so for them 2N is only a default.
     """
-    if window_half < 2:
-        raise DomainError(f"window half-width must be at least 2, got {window_half}")
-    primes = k_primes_below(2 * window_half + 1, k)
-    witnesses: dict[int, tuple[int, int]] = {}
-    for p in primes:
-        offset = (p * (p - 1) // 2) * (k - 2)
-        _mark_progression(witnesses, p, offset, window_half)
-    residual = tuple(
-        x for x in range(-window_half, window_half + 1) if x not in witnesses
-    )
-    return CoverageReport(
-        window_half=window_half,
-        arithmetic=f"const:{k}",
-        primes_used=tuple(primes),
-        witnesses=witnesses,
-        residual=residual,
-    )
+    if isinstance(g, Constant):
+        return 2 * window_half + 1, False
+    return 2 * window_half, True
+
+
+def residual_set(k: int, window_half: int) -> CoverageReport:
+    """Cover [-N, N] by all k-prime multiple sets and report the leftovers."""
+    g = Constant(k)
+    return seq_residual_set(g, window_half, default_prime_limit(g, window_half)[0])
 
 
 def locate_power_of_two_cover(h: int, k: int) -> tuple[int, int]:
@@ -123,24 +116,19 @@ def seq_residual_set(
 ) -> CoverageReport:
     """Residual of [-N, N] under the generated arithmetic's prime multiples.
 
-    No sufficiency lemma exists for generated primes, so the prime limit is
-    caller-supplied and recorded in the report.  An empty prime set leaves
+    The prime limit is caller-supplied (see default_prime_limit) and the
+    primes below it are recorded in the report.  An empty prime set leaves
     the whole window residual.
     """
     if window_half < 2:
         raise DomainError(f"window half-width must be at least 2, got {window_half}")
     if prime_limit < 2:
         raise DomainError(f"prime limit must be at least 2, got {prime_limit}")
-    if isinstance(g, Constant):
-        primes = k_primes_below(prime_limit, g.k)
-    else:
-        primes = seq_primes_below(prime_limit, g, bound_factor=bound_factor)
-    sums = g.prefix_sums().weighted_upto(max(primes, default=0))
+    primes = primes_below(prime_limit, g, bound_factor)
     witnesses: dict[int, tuple[int, int]] = {}
     for p in primes:
-        # product(n, p) = p*n + p*(1 - p) + W(p): linear in the start value
-        offset = p * (1 - p) + sums[p]
-        _mark_progression(witnesses, p, offset, window_half)
+        # product(n, p) = p*n + product(0, p): linear in the start value
+        _mark_progression(witnesses, p, seq_product(0, p, g), window_half)
     residual = tuple(
         x for x in range(-window_half, window_half + 1) if x not in witnesses
     )
@@ -154,15 +142,10 @@ def seq_residual_set(
 
 
 def verify_witnesses(report: CoverageReport, g: Generator | None = None) -> bool:
-    """Check every stored witness by evaluating its product."""
+    """Check every stored witness by evaluating its product; g defaults to
+    the report's own arithmetic."""
     if g is None:
-        if not report.arithmetic.startswith("const:"):
-            raise DomainError("generator required to verify a generated-arithmetic report")
-        k = int(report.arithmetic.split(":", 1)[1])
-        return all(
-            k_product(n, p, k) == value
-            for value, (p, n) in report.witnesses.items()
-        )
+        g = parse_generator(report.arithmetic)
     return all(
         seq_product(n, p, g) == value for value, (p, n) in report.witnesses.items()
     )

@@ -6,8 +6,10 @@ The product of m by n in the arithmetic generated by (a_i) is
 
 which reduces to the k-arithmetic when the sequence is constant.  Divisor
 enumeration has no closed characterization here, so it scans term counts up
-to a bound: 6a by default for arithmetic-progression generators (the only
-family with an asserted bound), caller-supplied for everything else.
+to a bound: DEFAULT_BOUND_FACTOR * a by default for arithmetic-progression
+generators (the only family with an asserted bound), caller-supplied for
+everything else.  ``divisors`` and ``primes_below`` are the entries that
+take the k-arithmetic's closed characterizations for constant generators.
 
 Every scan reads W(1..bound) with one bulk prefix-sum read and then tests
 (a - W(d)) mod d per term count d: O(bound) for one divisor report.  The
@@ -21,8 +23,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .core import DivisorReport, DomainError, NotDivisible
-from .generators import Generator, supports_default_divisor_bound, weighted_sum
+from .core import DivisorReport, DomainError, NotDivisible, k_divisors, k_primes_below
+from .generators import Constant, Generator, supports_default_divisor_bound, weighted_sum
+
+#: divisors of a lie in 1..6a for arithmetic-progression generators
+DEFAULT_BOUND_FACTOR = 6
 
 
 def seq_product(m: int, n: int, g: Generator) -> int:
@@ -35,22 +40,17 @@ def seq_product(m: int, n: int, g: Generator) -> int:
 
 
 def seq_quotient(a: int, b: int, g: Generator) -> int | NotDivisible:
-    """Start value c with seq_product(c, b, g) == a, or NotDivisible."""
-    if b < 1:
-        raise DomainError(f"quotient needs a positive term count, got {b}")
-    num = a - g.prefix_sums().weighted(b)
+    """Start value c with seq_product(c, b, g) == a, or NotDivisible.
+
+    Term counts below 1 follow seq_product; b = 0 is a domain error.
+    """
+    if b == 0:
+        raise DomainError("quotient by zero term count")
+    num = a - weighted_sum(g, b)
     q, r = divmod(num, b)
     if r == 0:
         return q + b - 1
     return NotDivisible(Fraction(num, b) + (b - 1))
-
-
-def default_search_bound(a: int, g: Generator) -> int:
-    if not supports_default_divisor_bound(g):
-        raise DomainError(
-            f"no divisor bound is known for {g.spec()}; pass search_bound explicitly"
-        )
-    return 6 * a
 
 
 def seq_divisors(a: int, g: Generator, search_bound: int | None = None) -> DivisorReport:
@@ -58,7 +58,7 @@ def seq_divisors(a: int, g: Generator, search_bound: int | None = None) -> Divis
     if a < 1:
         raise DomainError(f"divisor report needs a positive subject, got {a}")
     if search_bound is None:
-        search_bound = default_search_bound(a, g)
+        search_bound = _scan_factor(g) * a
     if search_bound < 1:
         raise DomainError(f"search bound must be positive, got {search_bound}")
     sums = g.prefix_sums().weighted_upto(search_bound)
@@ -92,7 +92,7 @@ def seq_is_prime(p: int, g: Generator, search_bound: int | None = None) -> bool:
     if p <= 1:
         return False
     if search_bound is None:
-        search_bound = default_search_bound(p, g)
+        search_bound = _scan_factor(g) * p
     sums = _readable_sums(g, search_bound)
     hits = sum((p - sums[d]) % d == 0 for d in range(1, len(sums)))
     if hits <= 2 and len(sums) - 1 < search_bound:
@@ -131,11 +131,9 @@ def _divisor_counts(limit: int, g: Generator, factor: int, cap: int) -> list[int
 def seq_primes_below(n: int, g: Generator, bound_factor: int | None = None) -> list[int]:
     """Ascending primes p with 1 < p < n in the generated arithmetic.
 
-    Per-candidate scan bound is bound_factor * p; the factor defaults to 6
-    for arithmetic-progression generators and must be given otherwise.
+    Per-candidate scan bound is bound_factor * p; see ``_scan_factor``.
     """
-    factor = _resolve_factor(g, bound_factor)
-    counts = _divisor_counts(n, g, factor, cap=2)
+    counts = _divisor_counts(n, g, _scan_factor(g, bound_factor), cap=2)
     return [p for p in range(2, n) if counts[p] == 2]
 
 
@@ -147,21 +145,42 @@ def exact_divisor_count_numbers(
         raise DomainError(f"divisor count must be positive, got {count}")
     if limit < 2:
         raise DomainError(f"limit must be at least 2, got {limit}")
-    factor = _resolve_factor(g, bound_factor)
-    counts = _divisor_counts(limit, g, factor, cap=count)
+    counts = _divisor_counts(limit, g, _scan_factor(g, bound_factor), cap=count)
     return [n for n in range(2, limit) if counts[n] == count]
 
 
-def _resolve_factor(g: Generator, bound_factor: int | None) -> int:
+def _scan_factor(g: Generator, bound_factor: int | None = None) -> int:
+    """The scan bound factor: bound_factor when given, else the default,
+    which only arithmetic-progression generators have."""
     if bound_factor is not None:
         if bound_factor < 1:
             raise DomainError(f"bound factor must be positive, got {bound_factor}")
         return bound_factor
     if not supports_default_divisor_bound(g):
-        raise DomainError(
-            f"no divisor bound is known for {g.spec()}; pass bound_factor explicitly"
-        )
-    return 6
+        raise DomainError(f"no divisor bound is known for {g.spec()}; pass a bound explicitly")
+    return DEFAULT_BOUND_FACTOR
+
+
+def divisors(a: int, g: Generator, search_bound: int | None = None) -> DivisorReport:
+    """Divisor report of a in the arithmetic g generates.
+
+    Constants take the k-arithmetic's closed characterization, which accepts
+    any a != 0 and needs no bound; other generators scan (seq_divisors).
+    """
+    if isinstance(g, Constant):
+        return k_divisors(a, g.k)
+    return seq_divisors(a, g, search_bound)
+
+
+def primes_below(n: int, g: Generator, bound_factor: int | None = None) -> list[int]:
+    """Primes below n in the arithmetic g generates.
+
+    Constants take the k-arithmetic's census, which needs no bound; other
+    generators sieve (seq_primes_below).
+    """
+    if isinstance(g, Constant):
+        return k_primes_below(n, g.k)
+    return seq_primes_below(n, g, bound_factor)
 
 
 def squares_sequence(count: int, g: Generator) -> list[int]:

@@ -57,6 +57,12 @@ class Generator:
             self.__dict__["_sums"] = sums
         return sums
 
+    def __getstate__(self):
+        # the memo holds a lock; copies and unpickled generators rebuild it
+        state = dict(self.__dict__)
+        state.pop("_sums", None)
+        return state
+
     def __str__(self) -> str:
         return self.spec()
 
@@ -283,10 +289,11 @@ class FurstPattern(_Parameterless):
 def weighted_sum(g: Generator, n: int) -> int:
     """W(n) for any integer n.
 
-    Positive term counts use the cached prefix sums; other n require a
+    Constants use their O(1) formula at every n.  Other generators read
+    positive term counts from the cached prefix sums; smaller n require a
     polynomial closed form and are evaluated through it.
     """
-    if n >= 1:
+    if n >= 1 and not isinstance(g, Constant):
         return g.prefix_sums().weighted(n)
     return weighted_sum_closed(g, n)
 

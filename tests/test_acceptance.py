@@ -276,7 +276,8 @@ def criterion_11_three_divisor_numbers():
 
 def criterion_12_closed_form_and_reduction():
     """Cubic closed form equals the weighted sum on the stated grid, and the
-    constant generator agrees with the k-arithmetic everywhere they meet."""
+    constant generator agrees with the k-arithmetic and with its own literal
+    prefix sums everywhere they meet."""
     for a in range(-5, 6):
         for b in range(-5, 6):
             g = ArithProg(a, b)
@@ -294,7 +295,8 @@ def criterion_12_closed_form_and_reduction():
         g = Constant(k)
         for m in range(-15, 16, 5):
             for n in range(1, 25):
-                assert seq_product(m, n, g) == k_product(m, n, k)
+                literal = (m - n + 1) * n + g.prefix_sums().weighted(n)
+                assert seq_product(m, n, g) == k_product(m, n, k) == literal
         for a in range(1, 60):
             assert list(seq_divisors(a, g).divisors) == list(k_divisors(a, k).divisors)
             for d in range(1, 2 * a + 1):

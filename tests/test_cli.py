@@ -10,6 +10,15 @@ import pytest
 
 from conftest import FIXTURES
 
+from karith import (
+    Constant,
+    NotDivisible,
+    k_divisors,
+    k_primes_below,
+    k_quotient,
+    residual_set,
+    seq_primes_below,
+)
 from karith.cli import main
 
 OEIS = FIXTURES / "oeis"
@@ -165,6 +174,46 @@ class TestExitCodes:
         code, out = run_cli(shlex.split("goldbach --k 2 --limit 100"), capsys)
         assert code == 0
         assert out == ""
+
+
+def run_json(command, capsys):
+    code, out = run_cli(shlex.split(command + " --format json"), capsys)
+    assert code == 0, command
+    return json.loads(out)
+
+
+@pytest.mark.parametrize("k", range(-3, 6))
+def test_constants_take_the_closed_routes(k, capsys):
+    spec = f"const:{k}"
+    for a in (20, -15, 1, 97):
+        report = k_divisors(a, k)
+        assert run_json(f"divisors {a} --arith {spec}", capsys) == {
+            "arith": spec, "bound_defaulted": False, "command": "divisors",
+            "divisors": list(report.divisors), "search_bound": None, "subject": a,
+            "witnesses": [list(w) for w in report.witnesses],
+        }
+    flags = [""]
+    if k % 2:
+        # the sieve at factor 1 misses some odd-k primes, so only the closed
+        # census passes the check below
+        assert seq_primes_below(40, Constant(k), bound_factor=1) != k_primes_below(40, k)
+        flags.append(" --bound-factor 1")
+    for flag in flags:
+        assert run_json(f"primes 40 --arith {spec}{flag}", capsys) == {
+            "arith": spec, "bound_defaulted": False, "command": "primes",
+            "limit": 40, "primes": k_primes_below(40, k),
+        }
+    assert run_json(f"coverage --arith {spec} --window 12", capsys) == {
+        **residual_set(k, 12).to_json_dict(),
+        "command": "coverage", "prime_limit_defaulted": False,
+    }
+    for a, b in ((81, 6), (40, 6), (17, -3), (-7, 2), (10, -1)):
+        q = k_quotient(a, b, k)
+        expected = ({"status": "not_divisible", "ratio": str(q.ratio)}
+                    if isinstance(q, NotDivisible) else {"status": "ok", "result": q})
+        assert run_json(f"quotient {a} {b} --arith {spec}", capsys) == {
+            "a": a, "arith": spec, "b": b, "command": "quotient", **expected,
+        }
 
 
 class TestOeisCheck:

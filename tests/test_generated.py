@@ -1,7 +1,9 @@
 """Sequence-generated arithmetics: products, divisors, primes, squares, cubes."""
 
+import copy
 import dataclasses
 import itertools
+import pickle
 
 import pytest
 from hypothesis import given
@@ -112,6 +114,16 @@ class TestGenerators:
         assert twin == g and hash(twin) == hash(g)
         assert len({g, twin}) == 1
 
+    @pytest.mark.parametrize("g", ALL_GENERATORS, ids=lambda g: g.spec())
+    def test_warm_generators_pickle_and_copy(self, g):
+        # the memo holds a lock, which neither pickle nor deepcopy can take
+        seq_product(3, 4, g)
+        twin = pickle.loads(pickle.dumps(g))
+        assert twin == g and hash(twin) == hash(g)
+        assert copy.deepcopy(g) == g
+        assert copy.copy(g).prefix_sums() is not g.prefix_sums()
+        assert twin.prefix_sums().weighted_upto(30) == g.prefix_sums().weighted_upto(30)
+
     def test_spec_roundtrip(self):
         for g in ALL_GENERATORS:
             assert parse_generator(g.spec()) == g
@@ -132,11 +144,14 @@ class TestSeqProduct:
             assert seq_product(m, 1, g) == m
 
     def test_constant_reduces_to_k_product(self):
+        # seq_product answers constants by formula; the prefix sums are the
+        # literal route it must agree with
         for k in range(-10, 11):
             g = Constant(k)
             for m in range(-20, 21, 3):
                 for n in range(1, 30):
-                    assert seq_product(m, n, g) == k_product(m, n, k)
+                    literal = (m - n + 1) * n + g.prefix_sums().weighted(n)
+                    assert seq_product(m, n, g) == k_product(m, n, k) == literal
 
     def test_closed_form_matches_weighted_sum(self):
         # arithmetic progressions: cubic closed form against the literal sum
@@ -245,6 +260,18 @@ class TestSeqQuotient:
     def test_domain(self):
         with pytest.raises(DomainError):
             seq_quotient(10, 0, ArithProg(1, 2))
+
+    def test_negative_term_counts_invert_the_product(self):
+        for g in (Constant(3), ArithProg(1, 2), Polynomial((1, 0, 5))):
+            for b in range(-9, 0):
+                for c in range(-12, 13, 4):
+                    a = seq_product(c, b, g)
+                    assert seq_quotient(a, b, g) == c, (g.spec(), b, c)
+                    assert seq_product(seq_quotient(a, b, g), b, g) == a
+        for g in (GeomProg(1, 2), UsualPrimes(), Explicit((1, 2, 3))):
+            for b in range(-9, 0):
+                with pytest.raises(DomainError):
+                    seq_quotient(10, b, g)
 
     @given(
         a=st.integers(min_value=-300, max_value=300),
