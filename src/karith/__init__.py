@@ -39,6 +39,7 @@ from .core import (
     k_product,
     k_product_by_summation,
     k_quotient,
+    nth_prime,
     polygonal,
     representations,
     t_peano_product,
@@ -79,7 +80,6 @@ from .generators import (
     PrefixSums,
     UsualPrimes,
     ZeroOne,
-    nth_prime,
     parse_generator,
 )
 from .oeis import (

@@ -10,9 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from math import isqrt
 
-from .core import DomainError, k_product, k_quotient
+from .core import DomainError, k_primes_below, k_product, k_quotient
 
 DEFAULT_MAGNITUDE_BOUND = 500_000
 DEFAULT_STEP_LIMIT = 1_000_000
@@ -197,29 +196,12 @@ class GoldbachReport:
 def goldbach_scan(k: int, limit: int, record_witnesses: bool = False) -> GoldbachReport:
     """Search every even target 6..limit for a sum of two k-primes.
 
-    Uses the closed characterization of k-primality (usual primes for even
-    k, powers of two for odd k) for speed; the definitional route is
-    exercised against it elsewhere.
+    A target's witness is its decomposition with the least first k-prime.
     """
     if limit < 6:
         raise DomainError(f"targets start at 6, got limit {limit}")
-    if k % 2 == 0:
-        sieve = _prime_sieve(limit)
-        candidates = [p for p in range(2, limit // 2 + 1) if sieve[p]]
-
-        def is_prime(x: int) -> bool:
-            return sieve[x]
-
-    else:
-        candidates = []
-        p = 2
-        while p <= limit // 2:
-            candidates.append(p)
-            p *= 2
-
-        def is_prime(x: int) -> bool:
-            return x >= 2 and x & (x - 1) == 0
-
+    candidates = k_primes_below(limit + 1, k)
+    members = set(candidates)
     counterexamples = []
     decompositions: dict[int, tuple[int, int]] = {}
     for h in range(6, limit + 1, 2):
@@ -227,7 +209,7 @@ def goldbach_scan(k: int, limit: int, record_witnesses: bool = False) -> Goldbac
         for p1 in candidates:
             if 2 * p1 > h:
                 break
-            if is_prime(h - p1):
+            if h - p1 in members:
                 found = (p1, h - p1)
                 break
         if found is None:
@@ -240,15 +222,6 @@ def goldbach_scan(k: int, limit: int, record_witnesses: bool = False) -> Goldbac
         counterexamples=tuple(counterexamples),
         decompositions=decompositions if record_witnesses else None,
     )
-
-
-def _prime_sieve(n: int) -> list[bool]:
-    sieve = [True] * (n + 1)
-    sieve[0] = sieve[1] = False
-    for p in range(2, isqrt(n) + 1):
-        if sieve[p]:
-            sieve[p * p :: p] = [False] * len(sieve[p * p :: p])
-    return sieve
 
 
 def product_parity_set(k: int, a_values) -> set[int]:

@@ -12,8 +12,11 @@ precision: no floats anywhere, failed quotients carry their exact rational.
 
 from __future__ import annotations
 
+import threading
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress, takewhile
 from math import isqrt
 
 
@@ -165,6 +168,39 @@ def representations(a: int, k: int) -> list[Representation]:
     return reps
 
 
+# The usual primes up to _sieve_limit: one process-wide sieve, empty until
+# the first query.  A rebuild binds a new list; a list handed out never changes.
+_sieve_limit = 1
+_sieve_primes: list[int] = []
+_sieve_lock = threading.Lock()
+
+
+def _sieved(upto: int = 0, count: int = 0) -> list[int]:
+    """The shared ascending list of usual primes, rebuilt at least twice as
+    large until it holds every prime <= upto and at least ``count`` primes.
+    Callers read it and never mutate it."""
+    global _sieve_limit, _sieve_primes
+    with _sieve_lock:
+        limit, primes = _sieve_limit, _sieve_primes
+        while limit < upto or len(primes) < count:
+            limit = max(upto, 2 * limit)
+            sieve = bytearray([1]) * (limit + 1)
+            sieve[:2] = b"\0\0"
+            for p in range(2, isqrt(limit) + 1):
+                if sieve[p]:
+                    sieve[p * p :: p] = bytes(len(range(p * p, limit + 1, p)))
+            primes = list(compress(range(limit + 1), sieve))
+        _sieve_limit, _sieve_primes = limit, primes
+        return primes
+
+
+def nth_prime(i: int) -> int:
+    """i-th usual prime, 1-based."""
+    if i < 1:
+        raise DomainError(f"prime index must be positive, got {i}")
+    return _sieved(count=i)[i - 1]
+
+
 def is_k_prime(p: int, k: int) -> bool:
     """True when p > 1 has exactly two divisors in the k-arithmetic."""
     if p <= 1:
@@ -173,20 +209,23 @@ def is_k_prime(p: int, k: int) -> bool:
 
 
 def k_primes_below(n: int, k: int) -> list[int]:
-    """Ascending k-primes p with 1 < p < n; empty when n < 2."""
-    return [p for p in range(2, n) if is_k_prime(p, k)]
+    """Ascending k-primes p with 1 < p < n, by the closed characterization:
+    usual primes for even k, powers of two for odd k.  Empty when n < 2."""
+    if k % 2:
+        return [1 << j for j in range(1, max(n - 1, 0).bit_length())]
+    primes = _sieved(n - 1)
+    return primes[: bisect_left(primes, n)]
 
 
 def is_k_prime_by_characterization(p: int, k: int) -> bool:
-    """Closed characterization of k-primality: usual primes for even k,
-    powers of two for odd k.  Companion route for fast sweeps; k_divisors
-    stays the definitional one."""
+    """Closed characterization of k-primality: usual primes for even k (trial
+    division by the sieved primes up to isqrt(p)), powers of two for odd k.
+    k_divisors stays the definitional route."""
     if p <= 1:
         return False
     if k % 2 == 0:
-        if p % 2 == 0:
-            return p == 2
-        return all(p % f for f in range(3, isqrt(p) + 1, 2))
+        root = isqrt(p)
+        return all(p % f for f in takewhile(lambda f: f <= root, _sieved(root)))
     return p & (p - 1) == 0
 
 

@@ -165,9 +165,12 @@ def divisors(a: int, g: Generator, search_bound: int | None = None) -> DivisorRe
     """Divisor report of a in the arithmetic g generates.
 
     Constants take the k-arithmetic's closed characterization, which accepts
-    any a != 0 and needs no bound; other generators scan (seq_divisors).
+    any a != 0 and needs no bound (a given one must still be positive); other
+    generators scan (seq_divisors).
     """
     if isinstance(g, Constant):
+        if search_bound is not None and search_bound < 1:
+            raise DomainError(f"search bound must be positive, got {search_bound}")
         return k_divisors(a, g.k)
     return seq_divisors(a, g, search_bound)
 
@@ -175,12 +178,13 @@ def divisors(a: int, g: Generator, search_bound: int | None = None) -> DivisorRe
 def primes_below(n: int, g: Generator, bound_factor: int | None = None) -> list[int]:
     """Primes below n in the arithmetic g generates.
 
-    Constants take the k-arithmetic's census, which needs no bound; other
-    generators sieve (seq_primes_below).
+    Constants take the k-arithmetic's census, which needs no bound (a given
+    factor must still be positive); other generators sieve (seq_primes_below).
     """
+    factor = _scan_factor(g, bound_factor)
     if isinstance(g, Constant):
         return k_primes_below(n, g.k)
-    return seq_primes_below(n, g, bound_factor)
+    return seq_primes_below(n, g, factor)
 
 
 def squares_sequence(count: int, g: Generator) -> list[int]:

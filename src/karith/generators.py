@@ -17,7 +17,7 @@ import threading
 from dataclasses import dataclass
 from math import comb
 
-from .core import DomainError
+from .core import DomainError, nth_prime
 
 
 class PrefixExhaustedError(DomainError):
@@ -175,23 +175,6 @@ class Polynomial(Generator):
 
     def spec(self) -> str:
         return "poly:" + ",".join(str(c) for c in self.coeffs)
-
-
-_PRIME_CACHE = [2, 3, 5, 7, 11, 13]
-_PRIME_LOCK = threading.Lock()
-
-
-def nth_prime(i: int) -> int:
-    """i-th usual prime, 1-based."""
-    if i < 1:
-        raise DomainError(f"prime index must be positive, got {i}")
-    with _PRIME_LOCK:
-        candidate = _PRIME_CACHE[-1]
-        while len(_PRIME_CACHE) < i:
-            candidate += 2
-            if all(candidate % p for p in _PRIME_CACHE if p * p <= candidate):
-                _PRIME_CACHE.append(candidate)
-        return _PRIME_CACHE[i - 1]
 
 
 class _Parameterless(Generator):

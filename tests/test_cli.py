@@ -132,7 +132,14 @@ class TestExitCodes:
         assert main(shlex.split("divisors 0 --arith const:3")) == 3
         assert main(shlex.split("quotient 10 0 --arith const:3")) == 3
         assert main(shlex.split("divisors 20 --arith gp:1,2 --bound 0")) == 3
-        capsys.readouterr()
+        # a given bound below 1 fails for constants too, though they need none
+        assert main(shlex.split("divisors 20 --arith const:2 --bound 0")) == 3
+        assert main(shlex.split("divisors 20 --arith const:2 --bound -3")) == 3
+        assert main(shlex.split("primes 30 --arith const:3 --bound-factor 0")) == 3
+        assert main(shlex.split("coverage --arith const:2 --window 5 --bound-factor -1")) == 3
+        assert main(shlex.split(
+            "sequence --kind primes --arith const:2 --limit 30 --bound-factor 0")) == 3
+        assert "bound factor must be positive, got 0" in capsys.readouterr().err
 
     def test_usage_error_is_2(self):
         with pytest.raises(SystemExit) as err:

@@ -9,6 +9,7 @@ from karith import (
     collatz_step,
     fixed_points,
     goldbach_scan,
+    is_k_prime,
     k_product,
     odd_k_classification,
     orbit,
@@ -263,6 +264,23 @@ class TestGoldbach:
     def test_domain(self):
         with pytest.raises(DomainError):
             goldbach_scan(2, 4)
+
+    @pytest.mark.parametrize("k", range(-6, 7))
+    def test_scan_matches_definitional_brute_force(self, k):
+        # a target's witness is its first decomposition in ascending p1,
+        # whatever the limit, so one brute force serves every limit
+        primes = {p for p in range(2, 151) if is_k_prime(p, k)}
+        witness = {
+            h: next(((p, h - p) for p in range(2, h // 2 + 1)
+                     if p in primes and h - p in primes), None)
+            for h in range(6, 151, 2)
+        }
+        for limit in range(6, 151):
+            report = goldbach_scan(k, limit, record_witnesses=True)
+            targets = range(6, limit + 1, 2)
+            assert report.counterexamples == tuple(h for h in targets if witness[h] is None)
+            assert report.decompositions == {
+                h: witness[h] for h in targets if witness[h] is not None}
 
 
 class TestParitySets:

@@ -1,6 +1,10 @@
 """Core k-arithmetic: products, quotients, divisors, primes, identities."""
 
+import random
+import sys
+import threading
 from fractions import Fraction
+from itertools import takewhile
 
 import pytest
 from hypothesis import given
@@ -9,6 +13,7 @@ from hypothesis import strategies as st
 from karith import (
     DomainError,
     NotDivisible,
+    goldbach_scan,
     identity_suite,
     is_k_prime,
     is_k_prime_by_characterization,
@@ -19,11 +24,13 @@ from karith import (
     k_product,
     k_product_by_summation,
     k_quotient,
+    nth_prime,
     polygonal,
     representations,
     t_peano_product,
     usual_divisors,
 )
+from karith import core
 
 ints = st.integers(min_value=-200, max_value=200)
 small_k = st.integers(min_value=-10, max_value=10)
@@ -220,6 +227,78 @@ class TestPrimes:
         for p in range(2, 301):
             for k in range(-9, 11):
                 assert is_k_prime(p, k) == is_k_prime_by_characterization(p, k)
+
+    @pytest.mark.parametrize("k", range(-9, 11))
+    def test_census_matches_definitional_census(self, k):
+        definitional = [p for p in range(2, 400) if is_k_prime(p, k)]
+        for n in range(-3, 401):
+            assert k_primes_below(n, k) == [p for p in definitional if p < n]
+
+    def test_nth_prime_matches_trial_division(self):
+        primes = []
+        candidate = 2
+        while len(primes) < 2000:
+            if all(candidate % p for p in takewhile(lambda p: p * p <= candidate, primes)):
+                primes.append(candidate)
+            candidate += 1
+        assert [nth_prime(i) for i in range(1, 2001)] == primes
+        assert nth_prime(30000) == 350377
+        with pytest.raises(DomainError):
+            nth_prime(0)
+
+    def test_census_is_a_copy(self):
+        primes = k_primes_below(100, 2)
+        primes.append(1)
+        assert k_primes_below(100, 2)[-1] == 97
+
+
+class TestSharedSieve:
+    """The process-wide prime sieve is a memo: its state, and threads that
+    grow it concurrently, cannot change any answer."""
+
+    QUERIES = [
+        (nth_prime, 1), (nth_prime, 2000), (nth_prime, 30000),
+        (k_primes_below, 3, 2), (k_primes_below, 5000, 2), (k_primes_below, 100_000, 2),
+        (goldbach_scan, 2, 600, True), (goldbach_scan, 4, 20_000),
+        (is_k_prime_by_characterization, 97, 2),
+        (is_k_prime_by_characterization, 10**12 + 39, 2),
+        (is_k_prime_by_characterization, 999983**2, 4),
+        (is_k_prime_by_characterization, 2**40, 0),
+        (is_k_prime_by_characterization, 2**40, 1),
+    ]
+
+    def test_cold_concurrent_answers_equal_warm_answers(self, monkeypatch):
+        warm = [fn(*args) for fn, *args in self.QUERIES]
+        assert warm[2] == 350377 and warm[8:] == [True, True, False, False, True]
+        orders = [random.Random(seed).sample(range(len(warm)), len(warm)) for seed in range(6)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for round_orders in (orders[:3], orders[3:], [list(range(len(warm)))] * 4):
+                monkeypatch.setattr(core, "_sieve_limit", 1)
+                monkeypatch.setattr(core, "_sieve_primes", [])
+                results = [dict() for _ in round_orders]
+                start = threading.Barrier(len(round_orders))
+
+                def run(order, out):
+                    start.wait()
+                    for i in order:
+                        fn, *args = self.QUERIES[i]
+                        out[i] = fn(*args)
+
+                threads = [threading.Thread(target=run, args=pair)
+                           for pair in zip(round_orders, results)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=60)
+                    assert not t.is_alive()
+                for out in results:
+                    assert [out[i] for i in range(len(warm))] == warm
+                # the sieve only grows: a lost update would leave a smaller one
+                assert core._sieve_limit >= 10**6 and len(core._sieve_primes) >= 30000
+        finally:
+            sys.setswitchinterval(interval)
 
 
 class TestPolygonal:
