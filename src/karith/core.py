@@ -16,7 +16,7 @@ import threading
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress, takewhile
+from itertools import compress
 from math import isqrt
 
 
@@ -219,13 +219,13 @@ def k_primes_below(n: int, k: int) -> list[int]:
 
 def is_k_prime_by_characterization(p: int, k: int) -> bool:
     """Closed characterization of k-primality: usual primes for even k (trial
-    division by the sieved primes up to isqrt(p)), powers of two for odd k.
-    k_divisors stays the definitional route."""
+    division by 2 and the odd numbers up to isqrt(p), leaving the shared
+    sieve untouched), powers of two for odd k.  k_divisors stays the
+    definitional route."""
     if p <= 1:
         return False
     if k % 2 == 0:
-        root = isqrt(p)
-        return all(p % f for f in takewhile(lambda f: f <= root, _sieved(root)))
+        return p == 2 or (p % 2 == 1 and all(p % f for f in range(3, isqrt(p) + 1, 2)))
     return p & (p - 1) == 0
 
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .core import DivisorReport, DomainError, NotDivisible, k_divisors, k_primes_below
-from .generators import Constant, Generator, supports_default_divisor_bound, weighted_sum
+from .generators import Constant, Generator, supports_default_divisor_bound
 
 #: divisors of a lie in 1..6a for arithmetic-progression generators
 DEFAULT_BOUND_FACTOR = 6
@@ -36,7 +36,7 @@ def seq_product(m: int, n: int, g: Generator) -> int:
     Term counts below 1 are accepted only for generators with a polynomial
     closed form (constants, arithmetic progressions, polynomial sequences).
     """
-    return (m - n + 1) * n + weighted_sum(g, n)
+    return (m - n + 1) * n + g.weighted(n)
 
 
 def seq_quotient(a: int, b: int, g: Generator) -> int | NotDivisible:
@@ -46,7 +46,7 @@ def seq_quotient(a: int, b: int, g: Generator) -> int | NotDivisible:
     """
     if b == 0:
         raise DomainError("quotient by zero term count")
-    num = a - weighted_sum(g, b)
+    num = a - g.weighted(b)
     q, r = divmod(num, b)
     if r == 0:
         return q + b - 1

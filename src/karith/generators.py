@@ -1,9 +1,11 @@
 """Integer sequences that generate arithmetics.
 
 Every generator yields terms a_1, a_2, ... and induces a product through the
-weighted partial sum W(n) = sum over i < n of (n - i) * a_i.  Generators with
-a polynomial closed form for W (constants, arithmetic progressions,
-polynomial sequences) extend the product to term counts below 1.
+weighted partial sum W(n) = sum over i < n of (n - i) * a_i, which each
+generator answers itself (``Generator.weighted``).  By default W is read from
+a per-generator memo of prefix sums and is undefined below 1.  Constants and
+arithmetic progressions answer by their closed formulas at every n, and
+polynomial sequences extend their memo below 1 through Newton differences.
 
 Canonical textual forms, used by the CLI and config files:
 
@@ -42,9 +44,14 @@ class Generator:
     def spec(self) -> str:
         raise NotImplementedError
 
-    @property
-    def has_closed_form(self) -> bool:
-        return self.polynomial_degree is not None
+    def weighted(self, n: int) -> int:
+        """W(n), read from the prefix-sum memo; term counts below 1 need a
+        closed form, which this generator does not have."""
+        if n < 1:
+            raise DomainError(
+                f"generator {self.spec()} has no closed form; term counts below 1 are undefined"
+            )
+        return self.prefix_sums().weighted(n)
 
     def prefix_sums(self) -> "PrefixSums":
         # One memo per generator instance; created lazily, guarded by the
@@ -71,30 +78,23 @@ class PrefixSums:
     """Cached weighted partial sums W(n) for one generator.
 
     W(1) = 0 and W(n+1) - W(n) equals the plain prefix sum of the first n
-    terms, so the cache grows in O(1) per new index.  Extension is guarded
-    by a lock; results never depend on the cache state.
+    terms, so the cache grows in O(1) per new index from one running plain
+    sum.  Extension is guarded by a lock; results never depend on the cache
+    state.
     """
 
     def __init__(self, generator: Generator):
         self.generator = generator
-        self._plain = [0]       # _plain[j] = a_1 + ... + a_j
         self._weighted = [0, 0]  # _weighted[n] = W(n); index 0 unused
+        self._plain = 0  # a_1 + ... + a_m for m = len(_weighted) - 2
         self._lock = threading.Lock()
-
-    def plain(self, n: int) -> int:
-        """Sum of the first n terms, n >= 0."""
-        if n < 0:
-            raise DomainError(f"prefix length must be >= 0, got {n}")
-        with self._lock:
-            self._extend_plain(n)
-            return self._plain[n]
 
     def weighted(self, n: int) -> int:
         """W(n) for n >= 1."""
         if n < 1:
             raise DomainError(f"weighted sum needs a positive term count, got {n}")
         with self._lock:
-            self._extend_weighted(n)
+            self._extend(n)
             return self._weighted[n]
 
     def weighted_upto(self, n: int) -> list[int]:
@@ -106,19 +106,14 @@ class PrefixSums:
         if n < 0:
             raise DomainError(f"prefix length must be >= 0, got {n}")
         with self._lock:
-            self._extend_weighted(n)
+            self._extend(n)
             return self._weighted[: n + 1]
 
-    def _extend_weighted(self, upto: int) -> None:
+    def _extend(self, upto: int) -> None:
         while len(self._weighted) <= upto:
             m = len(self._weighted) - 1
-            self._extend_plain(m)
-            self._weighted.append(self._weighted[m] + self._plain[m])
-
-    def _extend_plain(self, upto: int) -> None:
-        while len(self._plain) <= upto:
-            j = len(self._plain)
-            self._plain.append(self._plain[j - 1] + self.generator.term(j))
+            self._plain += self.generator.term(m)
+            self._weighted.append(self._weighted[m] + self._plain)
 
 
 @dataclass(frozen=True)
@@ -128,6 +123,9 @@ class Constant(Generator):
 
     def term(self, i: int) -> int:
         return self.k
+
+    def weighted(self, n: int) -> int:
+        return (n * (n - 1) // 2) * self.k
 
     def spec(self) -> str:
         return f"const:{self.k}"
@@ -141,6 +139,9 @@ class ArithProg(Generator):
 
     def term(self, i: int) -> int:
         return self.a1 + (i - 1) * self.d
+
+    def weighted(self, n: int) -> int:
+        return (n * (n - 1) // 2) * self.a1 + (n * (n - 1) * (n - 2) // 6) * self.d
 
     def spec(self) -> str:
         return f"ap:{self.a1},{self.d}"
@@ -173,6 +174,20 @@ class Polynomial(Generator):
         x = i - 1
         return sum(c * x**j for j, c in enumerate(self.coeffs))
 
+    def weighted(self, n: int) -> int:
+        """W(n) from the memo for n >= 1.  Below 1, W is the polynomial of
+        degree d + 2 through W(1), ..., W(d + 3), evaluated by Newton forward
+        differences in the basis C(n - 1, j) = (-1)**j * C(j - n, j), which
+        keeps it in exact integers."""
+        if n >= 1:
+            return self.prefix_sums().weighted(n)
+        row = self.prefix_sums().weighted_upto(self.polynomial_degree + 3)[1:]
+        total = 0
+        for j in range(len(row)):
+            total += row[0] * (-1) ** j * comb(j - n, j)
+            row = [b - a for a, b in zip(row, row[1:])]
+        return total
+
     def spec(self) -> str:
         return "poly:" + ",".join(str(c) for c in self.coeffs)
 
@@ -181,7 +196,7 @@ class _Parameterless(Generator):
     """A generator without parameters: all its instances are equal."""
 
     def __eq__(self, other):
-        return isinstance(other, type(self))
+        return type(other) is type(self)
 
     def __hash__(self):
         return hash(type(self))
@@ -269,74 +284,10 @@ class FurstPattern(_Parameterless):
         return "fpattern"
 
 
-def weighted_sum(g: Generator, n: int) -> int:
-    """W(n) for any integer n.
-
-    Constants use their O(1) formula at every n.  Other generators read
-    positive term counts from the cached prefix sums; smaller n require a
-    polynomial closed form and are evaluated through it.
-    """
-    if n >= 1 and not isinstance(g, Constant):
-        return g.prefix_sums().weighted(n)
-    return weighted_sum_closed(g, n)
-
-
-def weighted_sum_closed(g: Generator, n: int) -> int:
-    """Polynomial closed form of W at any integer n.
-
-    Constants and arithmetic progressions use their explicit formulas; a
-    general polynomial generator goes through Newton forward differences on
-    sampled values, which stays in exact integers because the binomial basis
-    is integer-valued on all of Z.
-    """
-    if isinstance(g, Constant):
-        return (n * (n - 1) // 2) * g.k
-    if isinstance(g, ArithProg):
-        return (n * (n - 1) // 2) * g.a1 + (n * (n - 1) * (n - 2) // 6) * g.d
-    if isinstance(g, Polynomial):
-        degree = g.polynomial_degree + 2
-        samples = [g.prefix_sums().weighted(j) for j in range(1, degree + 2)]
-        diffs = _forward_differences(samples)
-        return sum(d * _binomial_int(n - 1, j) for j, d in enumerate(diffs))
-    raise DomainError(
-        f"generator {g.spec()} has no closed form; term counts below 1 are undefined"
-    )
-
-
-def _forward_differences(values: list[int]) -> list[int]:
-    diffs = []
-    row = list(values)
-    while row:
-        diffs.append(row[0])
-        row = [row[i + 1] - row[i] for i in range(len(row) - 1)]
-    return diffs
-
-
-def _binomial_int(top: int, j: int) -> int:
-    """Binomial coefficient with integer (possibly negative) upper index."""
-    if j == 0:
-        return 1
-    if top >= 0:
-        return comb(top, j)
-    num = 1
-    for t in range(j):
-        num *= top - t
-    # product of j consecutive integers is divisible by j!
-    fact = 1
-    for t in range(2, j + 1):
-        fact *= t
-    return num // fact
-
-
 def supports_default_divisor_bound(g: Generator) -> bool:
-    """Generators for which the 6a divisor scan bound is taken as default.
-
-    The bound is asserted for arithmetic progressions (constants and linear
-    polynomial generators included); everything else needs a caller bound.
-    """
-    if isinstance(g, (Constant, ArithProg)):
-        return True
-    return isinstance(g, Polynomial) and g.polynomial_degree <= 1
+    """Generators for which the 6a divisor scan bound is taken as default:
+    arithmetic progressions, i.e. constants and polynomials of degree <= 1."""
+    return g.polynomial_degree in (0, 1)
 
 
 def parse_generator(text: str) -> Generator:

@@ -120,6 +120,12 @@ class TestFormats:
         # (5 - 3 + 1) * 3 + 2*2 + 1*7 = 9 + 11
         assert out == "20\n"
 
+    def test_progression_product_at_a_million_terms(self, capsys):
+        # the cubic closed form answers at once, with no million-entry memo
+        code, out = run_cli(shlex.split("product 3 1000000 --arith ap:1,2"), capsys)
+        assert code == 0
+        assert out == "333331833337500000\n"
+
     def test_explicit_prefix_exhaustion_is_domain_error(self, capsys):
         code = main(shlex.split("product 5 9 --arith explicit:[2,7]"))
         captured = capsys.readouterr()

@@ -296,9 +296,18 @@ class TestSharedSieve:
                 for out in results:
                     assert [out[i] for i in range(len(warm))] == warm
                 # the sieve only grows: a lost update would leave a smaller one
-                assert core._sieve_limit >= 10**6 and len(core._sieve_primes) >= 30000
+                # than nth_prime(30000), the largest query here, needs
+                assert core._sieve_limit >= 350377 and len(core._sieve_primes) >= 30000
         finally:
             sys.setswitchinterval(interval)
+
+    def test_characterization_leaves_the_sieve_empty(self, monkeypatch):
+        # a sieve up to isqrt(p) would stay resident for the process's life
+        monkeypatch.setattr(core, "_sieve_limit", 1)
+        monkeypatch.setattr(core, "_sieve_primes", [])
+        assert is_k_prime_by_characterization(10**12 + 39, 2)
+        assert not is_k_prime_by_characterization(999983**2, 4)
+        assert core._sieve_limit == 1 and core._sieve_primes == []
 
 
 class TestPolygonal:

@@ -77,7 +77,35 @@ class TestGenerators:
     def test_prefix_sum_recurrence(self, g):
         sums = g.prefix_sums()
         for n in range(1, 501):
-            assert sums.weighted(n + 1) - sums.weighted(n) == sums.plain(n)
+            plain = sum(g.term(i) for i in range(1, n + 1))
+            assert sums.weighted(n + 1) - sums.weighted(n) == plain
+
+    @pytest.mark.parametrize("g", ALL_GENERATORS, ids=lambda g: g.spec())
+    def test_weighted_matches_the_memo(self, g):
+        # closed formulas and memo reads answer W alike wherever both exist
+        assert [g.weighted(n) for n in range(1, 151)] == [
+            g.prefix_sums().weighted(n) for n in range(1, 151)
+        ]
+
+    @pytest.mark.parametrize("g", [Constant(-4), Constant(3), ArithProg(2, 5), ArithProg(-3, -2),
+                                   Polynomial((1, 0, 5)), Polynomial((7,)), Polynomial((2, 3))],
+                             ids=lambda g: g.spec())
+    def test_weighted_below_1_follows_the_recurrence(self, g):
+        # W(n + 1) - W(n) = S(n) and S(n) - S(n - 1) = a_n hold for every
+        # integer n once a_n is the closed term formula: step down from W(1)
+        w, plain = 0, 0  # W(1), S(0)
+        for n in range(0, -61, -1):
+            w -= plain  # W(n) = W(n + 1) - S(n)
+            assert g.weighted(n) == w, n
+            plain -= g.term(n)  # S(n - 1) = S(n) - a_n
+
+    def test_closed_forms_build_no_memo(self):
+        g = ArithProg(1, 2)
+        assert seq_product(3, 10**6, g) == 333331833337500000
+        assert "_sums" not in g.__dict__
+        g = Constant(3)
+        assert seq_quotient(7, 10**6, g) == k_quotient(7, 10**6, 3)
+        assert "_sums" not in g.__dict__
 
     @pytest.mark.parametrize("g", ALL_GENERATORS, ids=lambda g: g.spec())
     def test_bulk_read_matches_single_reads(self, g):
@@ -154,7 +182,8 @@ class TestSeqProduct:
                     assert seq_product(m, n, g) == k_product(m, n, k) == literal
 
     def test_closed_form_matches_weighted_sum(self):
-        # arithmetic progressions: cubic closed form against the literal sum
+        # arithmetic progressions: seq_product answers by the cubic formula,
+        # which must agree with the written-out formula and the literal sums
         for a in range(-5, 6):
             for b in range(-5, 6):
                 g = ArithProg(a, b)
@@ -164,7 +193,8 @@ class TestSeqProduct:
                         + (n * (n - 1) // 2) * a
                         + (n * (n - 1) * (n - 2) // 6) * b
                     )
-                    assert seq_product(0, n, g) == closed
+                    literal = (0 - n + 1) * n + g.prefix_sums().weighted(n)
+                    assert seq_product(0, n, g) == closed == literal
 
     def test_negative_counts_via_closed_forms(self):
         for n in range(-20, 1):
