@@ -47,7 +47,6 @@ from .core import (
 )
 from .coverage import (
     CoverageReport,
-    default_prime_limit,
     locate_power_of_two_cover,
     progression_window,
     residual_set,

@@ -3,8 +3,8 @@
 Output formats: plain (space-separated values and bracketed rows), csv, and
 json (canonical: sorted keys, no whitespace, no floating point, so parse +
 re-render is byte identical).  Exit codes: 0 success (including inexact
-quotients and empty results), 2 usage error, 3 domain error, 4 fixture
-mismatch.
+quotients and empty results), 2 usage error (a --bfile or --out that cannot
+be opened included), 3 domain error or malformed b-file, 4 fixture mismatch.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from .collatz import (
     orbit_length_scan,
 )
 from .core import DomainError, NotDivisible
-from .coverage import default_prime_limit, seq_residual_set
+from .coverage import seq_residual_set
 from .generated import (
     DEFAULT_BOUND_FACTOR,
     cubes_sequence,
@@ -225,7 +225,7 @@ def cmd_coverage(args) -> int:
     g = args.arith
     prime_limit, defaulted = args.prime_limit, False
     if prime_limit is None:
-        prime_limit, defaulted = default_prime_limit(g, args.window)
+        prime_limit, defaulted = g.prime_limit(args.window)
     factor, _ = _bound_factor(g, args.bound_factor)
     report = seq_residual_set(g, args.window, prime_limit, bound_factor=factor)
     return _render(
@@ -397,12 +397,16 @@ def main(argv=None) -> int:
         return args.handler(args)
     except argparse.ArgumentTypeError as exc:
         parser.exit(EXIT_USAGE, f"usage error: {exc}\n")
-    except BFileParseError as exc:
+    except (BFileParseError, UnicodeDecodeError) as exc:
         print(f"b-file parse error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
     except DomainError as exc:
         print(f"domain error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
+    except OSError as exc:
+        if exc.filename is None:  # not a --bfile or --out path that cannot be opened
+            raise
+        parser.exit(EXIT_USAGE, f"usage error: {exc}\n")
 
 
 if __name__ == "__main__":

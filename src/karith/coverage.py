@@ -2,9 +2,9 @@
 
 For a fixed arithmetic, the multiples of a prime p form the progression
 { product(n, p) : n in Z }, which is linear in n with common difference p.
-Unioning these progressions over every prime and subtracting from a window
-[-N, N] leaves the residual set: {-1, 1} for even k, {0} for odd k, and
-richer sets in sequence-generated arithmetics.
+Unioning them over the primes below ``Generator.prime_limit(N)`` and
+subtracting from a window [-N, N] leaves the residual set: {-1, 1} for even
+k, {0} for odd k, and richer sets in sequence-generated arithmetics.
 """
 
 from __future__ import annotations
@@ -66,22 +66,10 @@ def _mark_progression(
         witnesses.setdefault(p * n + offset, (p, n))
 
 
-def default_prime_limit(g: Generator, window_half: int) -> tuple[int, bool]:
-    """Prime limit for covering [-N, N], and whether it is a guess.
-
-    In a k-arithmetic primes up to 2N suffice: any value of magnitude >= 2
-    in the window has a k-prime divisor at most twice its magnitude.  No such
-    lemma exists for generated primes, so for them 2N is only a default.
-    """
-    if isinstance(g, Constant):
-        return 2 * window_half + 1, False
-    return 2 * window_half, True
-
-
 def residual_set(k: int, window_half: int) -> CoverageReport:
     """Cover [-N, N] by all k-prime multiple sets and report the leftovers."""
     g = Constant(k)
-    return seq_residual_set(g, window_half, default_prime_limit(g, window_half)[0])
+    return seq_residual_set(g, window_half, g.prime_limit(window_half)[0])
 
 
 def locate_power_of_two_cover(h: int, k: int) -> tuple[int, int]:
@@ -116,7 +104,7 @@ def seq_residual_set(
 ) -> CoverageReport:
     """Residual of [-N, N] under the generated arithmetic's prime multiples.
 
-    The prime limit is caller-supplied (see default_prime_limit) and the
+    The prime limit is caller-supplied (see Generator.prime_limit) and the
     primes below it are recorded in the report.  An empty prime set leaves
     the whole window residual.
     """

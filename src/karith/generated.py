@@ -8,8 +8,8 @@ which reduces to the k-arithmetic when the sequence is constant.  Divisor
 enumeration has no closed characterization here, so it scans term counts up
 to a bound: DEFAULT_BOUND_FACTOR * a by default for arithmetic-progression
 generators (the only family with an asserted bound), caller-supplied for
-everything else.  ``divisors`` and ``primes_below`` are the entries that
-take the k-arithmetic's closed characterizations for constant generators.
+everything else.  ``divisors`` and ``primes_below`` take instead a generator's
+closed routes, ``closed_divisors`` and ``closed_primes_below``, if it has them.
 
 Every scan reads W(1..bound) with one bulk prefix-sum read and then tests
 (a - W(d)) mod d per term count d: O(bound) for one divisor report.  The
@@ -23,8 +23,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .core import DivisorReport, DomainError, NotDivisible, k_divisors, k_primes_below
-from .generators import Constant, Generator, supports_default_divisor_bound
+from .core import DivisorReport, DomainError, NotDivisible
+from .generators import Generator, supports_default_divisor_bound
 
 #: divisors of a lie in 1..6a for arithmetic-progression generators
 DEFAULT_BOUND_FACTOR = 6
@@ -162,29 +162,20 @@ def _scan_factor(g: Generator, bound_factor: int | None = None) -> int:
 
 
 def divisors(a: int, g: Generator, search_bound: int | None = None) -> DivisorReport:
-    """Divisor report of a in the arithmetic g generates.
-
-    Constants take the k-arithmetic's closed characterization, which accepts
-    any a != 0 and needs no bound (a given one must still be positive); other
-    generators scan (seq_divisors).
-    """
-    if isinstance(g, Constant):
-        if search_bound is not None and search_bound < 1:
-            raise DomainError(f"search bound must be positive, got {search_bound}")
-        return k_divisors(a, g.k)
-    return seq_divisors(a, g, search_bound)
+    """Divisor report of a in the arithmetic g generates: g's closed route
+    when it has one (Generator.closed_divisors), else seq_divisors."""
+    if g.closed_divisors is None:
+        return seq_divisors(a, g, search_bound)
+    return g.closed_divisors(a, search_bound)
 
 
 def primes_below(n: int, g: Generator, bound_factor: int | None = None) -> list[int]:
-    """Primes below n in the arithmetic g generates.
-
-    Constants take the k-arithmetic's census, which needs no bound (a given
-    factor must still be positive); other generators sieve (seq_primes_below).
-    """
+    """Primes below n in the arithmetic g generates: g's closed census when it
+    has one, else seq_primes_below.  A given factor must be positive."""
     factor = _scan_factor(g, bound_factor)
-    if isinstance(g, Constant):
-        return k_primes_below(n, g.k)
-    return seq_primes_below(n, g, factor)
+    if g.closed_primes_below is None:
+        return seq_primes_below(n, g, factor)
+    return g.closed_primes_below(n)
 
 
 def squares_sequence(count: int, g: Generator) -> list[int]:

@@ -19,7 +19,7 @@ import threading
 from dataclasses import dataclass
 from math import comb
 
-from .core import DomainError, nth_prime
+from .core import DivisorReport, DomainError, k_divisors, k_primes_below, nth_prime
 
 
 class PrefixExhaustedError(DomainError):
@@ -37,6 +37,8 @@ class Generator:
     polynomial_degree: int | None = None
     #: number of terms a finite prefix holds, or None for an endless sequence
     prefix_length: int | None = None
+    #: closed divisor report and prime census, or None when they are scanned
+    closed_divisors = closed_primes_below = None
 
     def term(self, i: int) -> int:
         raise NotImplementedError
@@ -52,6 +54,11 @@ class Generator:
                 f"generator {self.spec()} has no closed form; term counts below 1 are undefined"
             )
         return self.prefix_sums().weighted(n)
+
+    def prime_limit(self, window_half: int) -> tuple[int, bool]:
+        """Prime limit for covering [-N, N], and whether it is a guess (no
+        lemma bounds generated primes, so 2N is only a default)."""
+        return 2 * window_half, True
 
     def prefix_sums(self) -> "PrefixSums":
         # One memo per generator instance; created lazily, guarded by the
@@ -127,6 +134,20 @@ class Constant(Generator):
     def weighted(self, n: int) -> int:
         return (n * (n - 1) // 2) * self.k
 
+    def closed_divisors(self, a: int, search_bound: int | None = None) -> DivisorReport:
+        # k_divisors takes any a != 0 and no bound; a given one must be positive
+        if search_bound is not None and search_bound < 1:
+            raise DomainError(f"search bound must be positive, got {search_bound}")
+        return k_divisors(a, self.k)
+
+    def closed_primes_below(self, n: int) -> list[int]:
+        return k_primes_below(n, self.k)
+
+    def prime_limit(self, window_half: int) -> tuple[int, bool]:
+        """Primes up to 2N suffice: any value of magnitude >= 2 in the window
+        has a k-prime divisor at most twice its magnitude."""
+        return 2 * window_half + 1, False
+
     def spec(self) -> str:
         return f"const:{self.k}"
 
@@ -168,7 +189,8 @@ class Polynomial(Generator):
 
     def __post_init__(self):
         object.__setattr__(self, "coeffs", tuple(self.coeffs))
-        object.__setattr__(self, "polynomial_degree", max(len(self.coeffs) - 1, 0))
+        degree = max((j for j, c in enumerate(self.coeffs) if c), default=0)
+        object.__setattr__(self, "polynomial_degree", degree)
 
     def term(self, i: int) -> int:
         x = i - 1

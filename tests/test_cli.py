@@ -178,6 +178,42 @@ class TestExitCodes:
         assert captured.err.startswith("usage: karith orbit")
         assert captured.err.endswith(f"error: {message}\n")
 
+    @pytest.mark.parametrize("command", [
+        "oeis-check --kind squares --count 3 --bfile {tmp}/missing/b1.txt",
+        "oeis-check --kind squares --count 3 --bfile {tmp}",
+        "product 2 3 --out {tmp}",
+        "product 2 3 --out {tmp}/missing/out.txt",
+    ], ids=["missing_bfile", "directory_bfile", "directory_out", "missing_out_dir"])
+    def test_unopenable_file_is_usage_error(self, command, tmp_path, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(shlex.split(command.format(tmp=tmp_path)))
+        captured = capsys.readouterr()
+        assert err.value.code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("usage error: [Errno ")
+        assert captured.err.count("\n") == 1
+
+    def test_stdout_write_errors_are_not_usage_errors(self, monkeypatch):
+        # an OSError without a file name did not come from opening --bfile or --out
+        class BrokenStdout:
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        monkeypatch.setattr(sys, "stdout", BrokenStdout())
+        with pytest.raises(BrokenPipeError):
+            main(["product", "2", "3"])
+
+    def test_undecodable_bfile_is_parse_error(self, tmp_path, capsys):
+        bad = tmp_path / "b000290.txt"
+        bad.write_bytes(b"1 1\n2 \xff\xfe\n")
+        code = main(shlex.split(f"oeis-check --kind squares --count 2 --bfile {bad}"))
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err.startswith("b-file parse error: ")
+        assert "codec can't decode" in captured.err
+        assert captured.err.count("\n") == 1
+
     def test_not_divisible_still_exits_0(self, capsys):
         code, out = run_cli(shlex.split("quotient 40 6 --arith const:3"), capsys)
         assert code == 0
@@ -227,6 +263,16 @@ def test_constants_take_the_closed_routes(k, capsys):
         assert run_json(f"quotient {a} {b} --arith {spec}", capsys) == {
             "a": a, "arith": spec, "b": b, "command": "quotient", **expected,
         }
+
+
+def test_trailing_zero_coefficients_take_the_default_bound(capsys):
+    # poly:5,0,0 is poly:5,0's sequence, an arithmetic progression
+    assert main(shlex.split("divisors 20 --arith poly:5,0,0 --format json")) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    record = json.loads(captured.out)
+    assert record["bound_defaulted"] is False
+    assert record == {**run_json("divisors 20 --arith poly:5,0", capsys), "arith": "poly:5,0,0"}
 
 
 class TestOeisCheck:

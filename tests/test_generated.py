@@ -1,9 +1,11 @@
 """Sequence-generated arithmetics: products, divisors, primes, squares, cubes."""
 
+import ast
 import copy
 import dataclasses
 import itertools
 import pickle
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -23,13 +25,16 @@ from karith import (
     UsualPrimes,
     ZeroOne,
     cubes_sequence,
+    divisors,
     exact_divisor_count_numbers,
+    generators,
     k_divisors,
     k_primes_below,
     k_product,
     k_quotient,
     nth_prime,
     parse_generator,
+    primes_below,
     seq_divisors,
     seq_is_prime,
     seq_primes_below,
@@ -88,7 +93,8 @@ class TestGenerators:
         ]
 
     @pytest.mark.parametrize("g", [Constant(-4), Constant(3), ArithProg(2, 5), ArithProg(-3, -2),
-                                   Polynomial((1, 0, 5)), Polynomial((7,)), Polynomial((2, 3))],
+                                   Polynomial((1, 0, 5)), Polynomial((7,)), Polynomial((2, 3)),
+                                   Polynomial((5, 0, 0)), Polynomial((1, 2, 0, 0))],
                              ids=lambda g: g.spec())
     def test_weighted_below_1_follows_the_recurrence(self, g):
         # W(n + 1) - W(n) = S(n) and S(n) - S(n - 1) = a_n hold for every
@@ -353,6 +359,12 @@ class TestSeqDivisors:
         with pytest.raises(DomainError):
             seq_divisors(20, GeomProg(1, 2))
 
+    def test_trailing_zero_coefficients_keep_the_degree(self):
+        # poly:5,0,0 is the constant sequence 5, so it gets the 6a default
+        degrees = [Polynomial(c).polynomial_degree for c in ((5, 0, 0), (1, 2, 0, 0), (0, 0))]
+        assert degrees == [0, 1, 0]
+        assert seq_divisors(20, Polynomial((5, 0, 0))) == seq_divisors(20, Constant(5))
+
     def test_domain(self):
         with pytest.raises(DomainError):
             seq_divisors(0, ArithProg(1, 2))
@@ -365,6 +377,53 @@ class TestSeqDivisors:
                 fast = k_divisors(a, k).divisors
                 scanned = seq_divisors(a, Constant(k), 6 * a).divisors
                 assert fast == scanned, (a, k)
+
+
+class TestRoutes:
+    """``divisors``/``primes_below`` take a generator's closed routes when it
+    has them, and ``prime_limit`` gives the covering lemma's limit."""
+
+    @pytest.mark.parametrize("k", range(-3, 6))
+    def test_constants_answer_in_closed_form(self, k):
+        g = Constant(k)
+        for a in (20, -15, 1, 97):
+            for bound in (None, 1, 5):
+                assert divisors(a, g, bound) == k_divisors(a, k)
+        for factor in (None, 1, 6):
+            assert primes_below(60, g, factor) == k_primes_below(60, k)
+        for n in (2, 5, 30):
+            assert g.prime_limit(n) == (2 * n + 1, False)
+
+    @pytest.mark.parametrize("g", ALL_GENERATORS[1:], ids=lambda g: g.spec())
+    def test_other_generators_scan(self, g):
+        for a in (1, 20, 97):
+            assert divisors(a, g, 6 * a) == seq_divisors(a, g, 6 * a)
+        for factor in (1, 6):
+            assert primes_below(60, g, factor) == seq_primes_below(60, g, factor)
+        for n in (2, 5, 30):
+            assert g.prime_limit(n) == (2 * n, True)
+
+    def test_doubly_invalid_input_reports_the_first_check(self):
+        with pytest.raises(DomainError, match=r"^search bound must be positive, got 0$"):
+            divisors(0, Constant(2), 0)
+        with pytest.raises(DomainError, match=r"^divisor report needs a positive subject, got 0$"):
+            divisors(0, ArithProg(1, 2), 0)
+
+    def test_source_has_no_generator_class_tests(self):
+        classes = {name for name, obj in vars(generators).items()
+                   if isinstance(obj, type) and issubclass(obj, generators.Generator)}
+        found = []
+        for path in sorted(Path(generators.__file__).parent.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if not (isinstance(node, ast.Call) and len(node.args) == 2
+                        and getattr(node.func, "id", None) == "isinstance"):
+                    continue
+                arg = node.args[1]
+                named = {getattr(c, "id", getattr(c, "attr", None))
+                         for c in (arg.elts if isinstance(arg, ast.Tuple) else [arg])}
+                if named & classes:
+                    found.append(f"{path.name}:{node.lineno}")
+        assert found == []
 
 
 PRIME_CASES = [
