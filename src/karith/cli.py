@@ -32,12 +32,7 @@ from .generated import (
     seq_quotient,
     squares_sequence,
 )
-from .generators import (
-    Generator,
-    GeneratorSpecError,
-    parse_generator,
-    supports_default_divisor_bound,
-)
+from .generators import Generator, GeneratorSpecError, parse_generator
 from .oeis import BFileParseError, compare_prefix, parse_bfile
 
 EXIT_OK = 0
@@ -78,7 +73,7 @@ def _render(args, record: dict, csv_lines: list[str] | None, plain: str) -> int:
 def _bound_factor(g: Generator, given: int | None) -> tuple[int | None, bool]:
     """The caller's bound or factor, and False; for a generator without an
     asserted bound and none given, a warning, the default factor and True."""
-    if given is not None or supports_default_divisor_bound(g):
+    if given is not None or g.progression is not None:
         return given, False
     print(f"warning: no divisor bound is known for {g.spec()}; "
           f"defaulting to {DEFAULT_BOUND_FACTOR}*a scans", file=sys.stderr)

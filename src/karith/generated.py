@@ -6,10 +6,10 @@ The product of m by n in the arithmetic generated by (a_i) is
 
 which reduces to the k-arithmetic when the sequence is constant.  Divisor
 enumeration has no closed characterization here, so it scans term counts up
-to a bound: DEFAULT_BOUND_FACTOR * a by default for arithmetic-progression
-generators (the only family with an asserted bound), caller-supplied for
-everything else.  ``divisors`` and ``primes_below`` take instead a generator's
-closed routes, ``closed_divisors`` and ``closed_primes_below``, if it has them.
+to a bound: DEFAULT_BOUND_FACTOR * a by default for arithmetic progressions
+(``Generator.progression`` set: const, ap, poly of degree <= 1, gp:k,1 and
+gp:0,r), caller-supplied for everything else.  ``divisors`` and ``primes_below``
+take the k-arithmetic's closed routes instead when every term is k.
 
 Every scan reads W(1..bound) with one bulk prefix-sum read and then tests
 (a - W(d)) mod d per term count d: O(bound) for one divisor report.  The
@@ -24,7 +24,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .core import DivisorReport, DomainError, NotDivisible
-from .generators import Generator, supports_default_divisor_bound
+from .generators import Generator
 
 #: divisors of a lie in 1..6a for arithmetic-progression generators
 DEFAULT_BOUND_FACTOR = 6
@@ -33,8 +33,8 @@ DEFAULT_BOUND_FACTOR = 6
 def seq_product(m: int, n: int, g: Generator) -> int:
     """Product of m by n in the arithmetic generated by g.
 
-    Term counts below 1 are accepted only for generators with a polynomial
-    closed form (constants, arithmetic progressions, polynomial sequences).
+    Term counts below 1 are accepted only for arithmetic progressions
+    (g.progression set) and polynomial sequences.
     """
     return (m - n + 1) * n + g.weighted(n)
 
@@ -151,12 +151,12 @@ def exact_divisor_count_numbers(
 
 def _scan_factor(g: Generator, bound_factor: int | None = None) -> int:
     """The scan bound factor: bound_factor when given, else the default,
-    which only arithmetic-progression generators have."""
+    which only arithmetic progressions (g.progression set) have."""
     if bound_factor is not None:
         if bound_factor < 1:
             raise DomainError(f"bound factor must be positive, got {bound_factor}")
         return bound_factor
-    if not supports_default_divisor_bound(g):
+    if g.progression is None:
         raise DomainError(f"no divisor bound is known for {g.spec()}; pass a bound explicitly")
     return DEFAULT_BOUND_FACTOR
 
@@ -164,18 +164,16 @@ def _scan_factor(g: Generator, bound_factor: int | None = None) -> int:
 def divisors(a: int, g: Generator, search_bound: int | None = None) -> DivisorReport:
     """Divisor report of a in the arithmetic g generates: g's closed route
     when it has one (Generator.closed_divisors), else seq_divisors."""
-    if g.closed_divisors is None:
-        return seq_divisors(a, g, search_bound)
-    return g.closed_divisors(a, search_bound)
+    report = g.closed_divisors(a, search_bound)
+    return seq_divisors(a, g, search_bound) if report is None else report
 
 
 def primes_below(n: int, g: Generator, bound_factor: int | None = None) -> list[int]:
     """Primes below n in the arithmetic g generates: g's closed census when it
     has one, else seq_primes_below.  A given factor must be positive."""
     factor = _scan_factor(g, bound_factor)
-    if g.closed_primes_below is None:
-        return seq_primes_below(n, g, factor)
-    return g.closed_primes_below(n)
+    primes = g.closed_primes_below(n)
+    return seq_primes_below(n, g, factor) if primes is None else primes
 
 
 def squares_sequence(count: int, g: Generator) -> list[int]:

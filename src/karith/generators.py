@@ -1,11 +1,12 @@
 """Integer sequences that generate arithmetics.
 
 Every generator yields terms a_1, a_2, ... and induces a product through the
-weighted partial sum W(n) = sum over i < n of (n - i) * a_i, which each
-generator answers itself (``Generator.weighted``).  By default W is read from
-a per-generator memo of prefix sums and is undefined below 1.  Constants and
-arithmetic progressions answer by their closed formulas at every n, and
-polynomial sequences extend their memo below 1 through Newton differences.
+weighted partial sum W(n) = sum over i < n of (n - i) * a_i.  A generator
+whose terms are a_1 + (i - 1) * d sets ``progression = (a_1, d)`` and answers
+W by the progression formula at every n; the constant sequence k (const:k,
+ap:k,0, poly:k, gp:k,1, and gp:0,r for k = 0) also takes the k-arithmetic's
+closed routes.  Any other W is read from a per-generator memo of prefix sums,
+undefined below 1 except for polynomials, which use Newton differences.
 
 Canonical textual forms, used by the CLI and config files:
 
@@ -33,12 +34,10 @@ class GeneratorSpecError(DomainError):
 class Generator:
     """Base for sequence generators; term(i) is defined for all i >= 1."""
 
-    #: degree of the polynomial giving a_i in i, or None when there is none
-    polynomial_degree: int | None = None
+    #: (a_1, d) when the terms are a_1 + (i - 1) * d, or None otherwise
+    progression: tuple[int, int] | None = None
     #: number of terms a finite prefix holds, or None for an endless sequence
     prefix_length: int | None = None
-    #: closed divisor report and prime census, or None when they are scanned
-    closed_divisors = closed_primes_below = None
 
     def term(self, i: int) -> int:
         raise NotImplementedError
@@ -47,18 +46,39 @@ class Generator:
         raise NotImplementedError
 
     def weighted(self, n: int) -> int:
-        """W(n), read from the prefix-sum memo; term counts below 1 need a
-        closed form, which this generator does not have."""
+        """W(n): the progression formula at every n, else the memo from n = 1 on."""
+        p = self.progression
+        if p is not None:
+            a1, d = p
+            if d:
+                return (n * (n - 1) // 2) * a1 + (n * (n - 1) * (n - 2) // 6) * d
+            return (n * (n - 1) // 2) * a1
         if n < 1:
-            raise DomainError(
-                f"generator {self.spec()} has no closed form; term counts below 1 are undefined"
-            )
+            raise DomainError(f"generator {self.spec()} has no closed form; "
+                              "term counts below 1 are undefined")
         return self.prefix_sums().weighted(n)
 
+    def closed_divisors(self, a: int, search_bound: int | None = None) -> DivisorReport | None:
+        """k_divisors(a, k) when every term is k, else None: scan."""
+        if self.progression is None or self.progression[1]:
+            return None
+        # k_divisors takes any a != 0 and no bound; a given one must be positive
+        if search_bound is not None and search_bound < 1:
+            raise DomainError(f"search bound must be positive, got {search_bound}")
+        return k_divisors(a, self.progression[0])
+
+    def closed_primes_below(self, n: int) -> list[int] | None:
+        """k_primes_below(n, k) when every term is k, else None: scan."""
+        p = self.progression
+        return None if p is None or p[1] else k_primes_below(n, p[0])
+
     def prime_limit(self, window_half: int) -> tuple[int, bool]:
-        """Prime limit for covering [-N, N], and whether it is a guess (no
-        lemma bounds generated primes, so 2N is only a default)."""
-        return 2 * window_half, True
+        """Prime limit for covering [-N, N], and whether it is a guess: when
+        every term is k, primes up to 2N suffice (a value of magnitude >= 2 has
+        a k-prime divisor at most twice it); elsewhere 2N is only a default."""
+        if self.progression is None or self.progression[1]:
+            return 2 * window_half, True
+        return 2 * window_half + 1, False
 
     def prefix_sums(self) -> "PrefixSums":
         # One memo per generator instance; created lazily, guarded by the
@@ -126,27 +146,12 @@ class PrefixSums:
 @dataclass(frozen=True)
 class Constant(Generator):
     k: int
-    polynomial_degree = 0
+
+    def __post_init__(self):
+        object.__setattr__(self, "progression", (self.k, 0))
 
     def term(self, i: int) -> int:
         return self.k
-
-    def weighted(self, n: int) -> int:
-        return (n * (n - 1) // 2) * self.k
-
-    def closed_divisors(self, a: int, search_bound: int | None = None) -> DivisorReport:
-        # k_divisors takes any a != 0 and no bound; a given one must be positive
-        if search_bound is not None and search_bound < 1:
-            raise DomainError(f"search bound must be positive, got {search_bound}")
-        return k_divisors(a, self.k)
-
-    def closed_primes_below(self, n: int) -> list[int]:
-        return k_primes_below(n, self.k)
-
-    def prime_limit(self, window_half: int) -> tuple[int, bool]:
-        """Primes up to 2N suffice: any value of magnitude >= 2 in the window
-        has a k-prime divisor at most twice its magnitude."""
-        return 2 * window_half + 1, False
 
     def spec(self) -> str:
         return f"const:{self.k}"
@@ -156,13 +161,12 @@ class Constant(Generator):
 class ArithProg(Generator):
     a1: int
     d: int
-    polynomial_degree = 1
+
+    def __post_init__(self):
+        object.__setattr__(self, "progression", (self.a1, self.d))
 
     def term(self, i: int) -> int:
         return self.a1 + (i - 1) * self.d
-
-    def weighted(self, n: int) -> int:
-        return (n * (n - 1) // 2) * self.a1 + (n * (n - 1) * (n - 2) // 6) * self.d
 
     def spec(self) -> str:
         return f"ap:{self.a1},{self.d}"
@@ -172,6 +176,10 @@ class ArithProg(Generator):
 class GeomProg(Generator):
     a1: int
     r: int
+
+    def __post_init__(self):
+        if self.r == 1 or self.a1 == 0:
+            object.__setattr__(self, "progression", (self.a1, 0))
 
     def term(self, i: int) -> int:
         return self.a1 * self.r ** (i - 1)
@@ -191,16 +199,20 @@ class Polynomial(Generator):
         object.__setattr__(self, "coeffs", tuple(self.coeffs))
         degree = max((j for j, c in enumerate(self.coeffs) if c), default=0)
         object.__setattr__(self, "polynomial_degree", degree)
+        if degree <= 1:
+            object.__setattr__(self, "progression", (self.coeffs + (0, 0))[:2])
 
     def term(self, i: int) -> int:
         x = i - 1
         return sum(c * x**j for j, c in enumerate(self.coeffs))
 
     def weighted(self, n: int) -> int:
-        """W(n) from the memo for n >= 1.  Below 1, W is the polynomial of
-        degree d + 2 through W(1), ..., W(d + 3), evaluated by Newton forward
-        differences in the basis C(n - 1, j) = (-1)**j * C(j - n, j), which
-        keeps it in exact integers."""
+        """W(n): the progression formula for degree D <= 1, the memo for n >= 1,
+        and below 1 the polynomial of degree D + 2 through W(1), ..., W(D + 3),
+        by Newton forward differences in the basis C(n - 1, j) =
+        (-1)**j * C(j - n, j), which keeps it in exact integers."""
+        if self.progression is not None:
+            return Generator.weighted(self, n)
         if n >= 1:
             return self.prefix_sums().weighted(n)
         row = self.prefix_sums().weighted_upto(self.polynomial_degree + 3)[1:]
@@ -304,12 +316,6 @@ class FurstPattern(_Parameterless):
 
     def spec(self) -> str:
         return "fpattern"
-
-
-def supports_default_divisor_bound(g: Generator) -> bool:
-    """Generators for which the 6a divisor scan bound is taken as default:
-    arithmetic progressions, i.e. constants and polynomials of degree <= 1."""
-    return g.polynomial_degree in (0, 1)
 
 
 def parse_generator(text: str) -> Generator:

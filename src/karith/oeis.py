@@ -81,7 +81,9 @@ class PrefixComparison:
 def compare_prefix(
     values: Sequence[int], fixture: OeisFixture, offset: int = 1
 ) -> PrefixComparison:
-    """Compare values[j] against the fixture term at index offset + j."""
+    """Compare values[j] against the fixture term at index offset + j; no values, no match."""
+    if not values:
+        return PrefixComparison(matched=False, compared=0, detail="no generated terms to compare")
     index_map = dict(fixture.terms)
     for j, got in enumerate(values):
         index = offset + j

@@ -275,6 +275,31 @@ def test_trailing_zero_coefficients_take_the_default_bound(capsys):
     assert record == {**run_json("divisors 20 --arith poly:5,0", capsys), "arith": "poly:5,0,0"}
 
 
+@pytest.mark.parametrize("spec", ["ap:3,0", "poly:3", "poly:3,0,0", "gp:3,1"])
+def test_every_spelling_of_a_constant_takes_the_closed_routes(spec, capsys):
+    # the arithmetic of the sequence 3, 3, 3, ... whatever its spelling
+    assert run_cli(shlex.split(f"divisors -15 --arith {spec}"), capsys) == (
+        0, "1 2 3 5 6 10 15 30\n")
+    assert k_divisors(-15, 3).divisors == (1, 2, 3, 5, 6, 10, 15, 30)
+    assert run_cli(shlex.split(f"primes 30 --arith {spec} --bound-factor 1"), capsys) == (
+        0, "2 4 8 16\n")
+    assert k_primes_below(30, 3) == [2, 4, 8, 16]
+    assert run_json(f"coverage --window 6 --arith {spec}", capsys) == {
+        **run_json("coverage --window 6 --arith const:3", capsys), "arithmetic": spec}
+
+
+def test_the_constant_one_spelled_geometric_needs_no_bound(capsys):
+    assert main(shlex.split("divisors 7 --arith gp:1,1 --format json")) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    report = k_divisors(7, 1)
+    assert json.loads(captured.out) == {
+        "arith": "gp:1,1", "bound_defaulted": False, "command": "divisors",
+        "divisors": list(report.divisors), "search_bound": None, "subject": 7,
+        "witnesses": [list(w) for w in report.witnesses],
+    }
+
+
 class TestOeisCheck:
     def test_match(self, capsys):
         bfile = OEIS / "b000225.txt"
@@ -310,6 +335,20 @@ class TestOeisCheck:
             capsys,
         )
         assert code == 4
+
+    def test_empty_prefix_is_a_mismatch(self, capsys):
+        # no primes below 2: nothing was compared, so nothing matched
+        bfile = OEIS / "b000225.txt"
+        code, out = run_cli(
+            shlex.split(f"oeis-check --kind primes --limit 2 --bfile {bfile} --format json"),
+            capsys,
+        )
+        assert code == 4
+        assert json.loads(out) == {
+            "arith": "const:2", "bfile": "A000225", "command": "oeis_check", "compared": 0,
+            "detail": "no generated terms to compare", "kind": "primes", "matched": False,
+            "offset": 1,
+        }
 
     def test_malformed_bfile_reports_line(self, tmp_path, capsys):
         bad = tmp_path / "bad.txt"

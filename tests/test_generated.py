@@ -112,6 +112,10 @@ class TestGenerators:
         g = Constant(3)
         assert seq_quotient(7, 10**6, g) == k_quotient(7, 10**6, 3)
         assert "_sums" not in g.__dict__
+        g = Polynomial((0, 1))  # ap:0,1's sequence 0, 1, 2, ...
+        n = 10**6
+        assert seq_product(3, n, g) == (4 - n) * n + n * (n - 1) * (n - 2) // 6
+        assert "_sums" not in g.__dict__
 
     @pytest.mark.parametrize("g", ALL_GENERATORS, ids=lambda g: g.spec())
     def test_bulk_read_matches_single_reads(self, g):
@@ -157,6 +161,20 @@ class TestGenerators:
         assert copy.deepcopy(g) == g
         assert copy.copy(g).prefix_sums() is not g.prefix_sums()
         assert twin.prefix_sums().weighted_upto(30) == g.prefix_sums().weighted_upto(30)
+        assert twin.progression == g.progression
+
+    def test_progression_is_a_fact_not_a_field(self):
+        # ap:3,0 and gp:3,1 spell const:3's sequence yet stay distinct generators
+        g = GeomProg(3, 1)
+        assert g.progression == (3, 0)
+        assert repr(g) == "GeomProg(a1=3, r=1)" and g.spec() == "gp:3,1"
+        assert [f.name for f in dataclasses.fields(g)] == ["a1", "r"]
+        assert len({g, ArithProg(3, 0), Polynomial((3,)), Constant(3)}) == 4
+        assert [h.progression for h in (ArithProg(2, 5), Polynomial((1, 2, 0)), GeomProg(0, 7))] == [
+            (2, 5), (1, 2), (0, 0)]
+        for h in (GeomProg(1, 2), GeomProg(2, 0), Polynomial((1, 0, 5)), UsualPrimes(),
+                  Explicit((3, 3)), AlternatingOnes(), ZeroOne(), FurstPattern()):
+            assert h.progression is None, h.spec()
 
     def test_spec_roundtrip(self):
         for g in ALL_GENERATORS:
@@ -379,9 +397,34 @@ class TestSeqDivisors:
                 assert fast == scanned, (a, k)
 
 
+# Every spelling of the constant sequence k other than const:k, for k = -3..5
+CONSTANT_SPELLINGS = [
+    (k, spec) for k in range(-3, 6)
+    for spec in (f"ap:{k},0", f"poly:{k}", f"poly:{k},0,0", f"gp:{k},1")
+] + [(0, "gp:0,5")]
+
+
 class TestRoutes:
-    """``divisors``/``primes_below`` take a generator's closed routes when it
-    has them, and ``prime_limit`` gives the covering lemma's limit."""
+    """``divisors``/``primes_below`` take the k-arithmetic's closed routes
+    when every term is k, and ``prime_limit`` gives the covering lemma's
+    limit; any other generator scans."""
+
+    @pytest.mark.parametrize("k,spec", CONSTANT_SPELLINGS, ids=lambda v: str(v))
+    def test_every_spelling_of_a_constant_is_the_k_arithmetic(self, k, spec):
+        g = parse_generator(spec)
+        for a in (-15, 1, 20, 97):
+            for bound in (None, 1, 5):
+                assert divisors(a, g, bound) == k_divisors(a, k)
+        for factor in (None, 1, 6):
+            assert primes_below(60, g, factor) == k_primes_below(60, k)
+        for n in (2, 5, 30):
+            assert g.prime_limit(n) == (2 * n + 1, False)
+        for n in range(-20, 151):
+            assert seq_product(7, n, g) == k_product(7, n, k), n
+            if n:
+                for a in (-7, 40, 81):
+                    assert seq_quotient(a, n, g) == k_quotient(a, n, k), (a, n)
+        assert g.progression == (k, 0)
 
     @pytest.mark.parametrize("k", range(-3, 6))
     def test_constants_answer_in_closed_form(self, k):

@@ -9,6 +9,7 @@ from karith import (
     ArithProg,
     BFileParseError,
     GeomProg,
+    PrefixComparison,
     UsualPrimes,
     ZeroOne,
     compare_prefix,
@@ -80,6 +81,11 @@ class TestComparison:
         result = compare_prefix([1, 2, 3], fx, offset=1)
         assert not result.matched
         assert "no term at index 3" in result.detail
+
+    def test_no_values_is_no_match(self):
+        fx = parse_bfile_text("1 1\n2 2\n")
+        assert compare_prefix([], fx, offset=1) == PrefixComparison(
+            matched=False, compared=0, detail="no generated terms to compare")
 
 
 # Hand-frozen prefix literals, ground truth for the vendored b-files.
