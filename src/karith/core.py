@@ -8,6 +8,11 @@ progression with common difference k whose first term is m - n + 1:
 k = 2 recovers ordinary multiplication.  Other values of k induce their own
 notions of quotient, divisor and prime, computed here in exact arbitrary
 precision: no floats anywhere, failed quotients carry their exact rational.
+
+Divisor reports rest on usual factorization.  Strong-probable-prime tests on
+the bases 2, 3, ..., 41 are exact below psi_13 = 3317044064679887385961981
+(Sorenson & Webster 2015), with trial division confirming any probable prime
+above it, and Brent's rho splits proven composites.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
-from math import isqrt
+from math import gcd, isqrt
 
 
 class DomainError(ValueError):
@@ -109,18 +114,87 @@ def k_divides(d: int, a: int, k: int) -> bool:
     return d > 0 and isinstance(k_quotient(a, d, k), int)
 
 
+# Strong-probable-prime bases: together they make Miller-Rabin exact below
+# psi_13 (Sorenson & Webster 2015).  Twelve bases do not suffice there:
+# psi_12 = 399165290221 * 798330580441 passes every base up to 37.
+_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PROVEN_BELOW = 3_317_044_064_679_887_385_961_981
+
+
+def _is_prime(n: int) -> bool:
+    """Exact primality of n.  A composite verdict is a proof at any size; a
+    probable prime at or above _PROVEN_BELOW is confirmed by trial division."""
+    if n < 2:
+        return False
+    for p in _BASES:
+        if n % p == 0:
+            return n == p
+    s = ((n - 1) & (1 - n)).bit_length() - 1
+    d = (n - 1) >> s
+    for a in _BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return n < _PROVEN_BELOW or all(n % f for f in range(3, isqrt(n) + 1, 2))
+
+
+def _split(m: int) -> int:
+    """A proper factor of the odd composite m, by Brent's rho (Brent 1980) on
+    x*x + c for c = 1, 2, ... in turn, so no answer depends on random state."""
+    c = 0
+    while True:
+        c += 1
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % m
+            done = 0
+            while done < r and g == 1:
+                ys = y
+                for _ in range(min(128, r - done)):
+                    y = (y * y + c) % m
+                    q = q * (x - y) % m
+                g = gcd(q, m)
+                done += 128
+            r *= 2
+        if g == m:
+            # the batch overshot: retrace it one step at a time
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % m
+                g = gcd(x - ys, m)
+        if g != m:
+            return g
+
+
 def usual_divisors(n: int) -> list[int]:
-    """Ascending positive divisors of n >= 1 by trial division."""
+    """Ascending positive divisors of n >= 1, from its prime factorization."""
     if n < 1:
         raise DomainError(f"usual_divisors needs n >= 1, got {n}")
-    small: list[int] = []
-    large: list[int] = []
-    for d in range(1, isqrt(n) + 1):
-        if n % d == 0:
-            small.append(d)
-            if d != n // d:
-                large.append(n // d)
-    return small + large[::-1]
+    primes: list[int] = []
+    for p in _BASES:
+        while n % p == 0:
+            n //= p
+            primes.append(p)
+    rest = [n] if n > 1 else []
+    while rest:
+        m = rest.pop()
+        if _is_prime(m):
+            primes.append(m)
+        else:
+            f = _split(m)
+            rest += (f, m // f)
+    divs = [1]
+    for p in set(primes):
+        divs = [d * p**e for d in divs for e in range(primes.count(p) + 1)]
+    return sorted(divs)
 
 
 def k_divisors(a: int, k: int) -> DivisorReport:
@@ -218,15 +292,13 @@ def k_primes_below(n: int, k: int) -> list[int]:
 
 
 def is_k_prime_by_characterization(p: int, k: int) -> bool:
-    """Closed characterization of k-primality: usual primes for even k (trial
-    division by 2 and the odd numbers up to isqrt(p), leaving the shared
-    sieve untouched), powers of two for odd k.  k_divisors stays the
-    definitional route."""
-    if p <= 1:
-        return False
+    """Closed characterization of k-primality: usual primes for even k (the
+    Miller-Rabin kernel behind usual_divisors, which leaves the shared sieve
+    untouched), powers of two for odd k.  k_divisors stays the definitional
+    route."""
     if k % 2 == 0:
-        return p == 2 or (p % 2 == 1 and all(p % f for f in range(3, isqrt(p) + 1, 2)))
-    return p & (p - 1) == 0
+        return _is_prime(p)
+    return p > 1 and p & (p - 1) == 0
 
 
 def polygonal(n: int, sides: int) -> int:

@@ -9,3 +9,12 @@ settings.register_profile("suite", max_examples=100, deadline=None, derandomize=
 settings.load_profile("suite")
 
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
+
+
+def divisors_from_factors(primes):
+    """Ascending divisors of the product of ``primes`` (repeats allowed), built
+    from a literal factorization, independent of karith."""
+    divs = {1}
+    for p in primes:
+        divs |= {d * p for d in divs}
+    return sorted(divs)

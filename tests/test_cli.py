@@ -8,13 +8,14 @@ from pathlib import Path
 
 import pytest
 
-from conftest import FIXTURES
+from conftest import FIXTURES, divisors_from_factors
 
 from karith import (
     Constant,
     NotDivisible,
     k_divisors,
     k_primes_below,
+    k_product,
     k_quotient,
     residual_set,
     seq_primes_below,
@@ -273,6 +274,21 @@ def test_trailing_zero_coefficients_take_the_default_bound(capsys):
     record = json.loads(captured.out)
     assert record["bound_defaulted"] is False
     assert record == {**run_json("divisors 20 --arith poly:5,0", capsys), "arith": "poly:5,0,0"}
+
+
+@pytest.mark.parametrize("k,count", [(2, 128), (3, 256)])
+def test_divisors_of_a_subject_past_trial_division(k, count, capsys):
+    # 2**64 - 1 is odd, so for odd k every usual divisor of twice it counts
+    a = 2**64 - 1
+    factors = [3, 5, 17, 257, 641, 65537, 6700417]
+    expected = divisors_from_factors(factors + [2] * (k % 2))
+    assert len(expected) == count
+    assert run_cli(["divisors", str(a), "--arith", f"const:{k}"], capsys) == (
+        0, " ".join(map(str, expected)) + "\n")
+    record = run_json(f"divisors {a} --arith const:{k}", capsys)
+    assert record["divisors"] == expected
+    assert [d for d, _ in record["witnesses"]] == expected
+    assert all(k_product(b, d, k) == a for d, b in record["witnesses"])
 
 
 @pytest.mark.parametrize("spec", ["ap:3,0", "poly:3", "poly:3,0,0", "gp:3,1"])

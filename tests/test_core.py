@@ -1,5 +1,6 @@
 """Core k-arithmetic: products, quotients, divisors, primes, identities."""
 
+import math
 import random
 import sys
 import threading
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import divisors_from_factors
 from karith import (
     DomainError,
     NotDivisible,
@@ -227,6 +229,9 @@ class TestPrimes:
         for p in range(2, 301):
             for k in range(-9, 11):
                 assert is_k_prime(p, k) == is_k_prime_by_characterization(p, k)
+        for p in range(-5, 5000):
+            for k in range(-3, 5):
+                assert is_k_prime(p, k) == is_k_prime_by_characterization(p, k)
 
     @pytest.mark.parametrize("k", range(-9, 11))
     def test_census_matches_definitional_census(self, k):
@@ -360,6 +365,70 @@ class TestParityOfProductsByTwo:
     def test_odd_k_gives_odd_values(self):
         for k in (-3, 1, 3):
             assert all(k_product(a, 2, k) % 2 == 1 for a in range(-100, 101))
+
+
+def trial_divisors(n):
+    """Trial division up to the square root: the oracle for usual_divisors."""
+    small = [d for d in range(1, math.isqrt(n) + 1) if n % d == 0]
+    return small + [n // d for d in reversed(small) if d * d != n]
+
+
+def trial_factorization(n):
+    """Prime factors of n >= 1 with repeats, by trial division."""
+    primes, f = [], 2
+    while f * f <= n:
+        while n % f == 0:
+            primes.append(f)
+            n //= f
+        f += 1 if f == 2 else 2
+    return primes + [n] * (n > 1)
+
+
+# The least strong pseudoprimes to the first 1, 2, 3, 4, 9 and 12 prime bases
+# (psi_1 = 2047, ..., psi_12), plus 2**64 - 1.  psi_12 passes every base up to
+# 37, so Miller-Rabin needs base 41 as well.  The expected divisors come from
+# the literal factorizations.
+PSI_12 = 318665857834031151167461
+PSEUDOPRIMES = [
+    (2047, (23, 89)),
+    (1373653, (829, 1657)),
+    (25326001, (2251, 11251)),
+    (3215031751, (151, 751, 28351)),
+    (3825123056546413051, (149491, 747451, 34233211)),
+    (2**64 - 1, (3, 5, 17, 257, 641, 65537, 6700417)),
+    (PSI_12, (399165290221, 798330580441)),
+]
+
+
+class TestFactorizationKernel:
+    """usual_divisors and the even-k characterization factor with Miller-Rabin
+    and Brent's rho; trial division here is their oracle."""
+
+    def test_matches_trial_division(self):
+        for n in range(1, 30001):
+            assert usual_divisors(n) == trial_divisors(n), n
+        rng = random.Random(8)
+        for n in (rng.randint(1, 10**11) for _ in range(300)):
+            assert usual_divisors(n) == divisors_from_factors(trial_factorization(n)), n
+
+    @pytest.mark.parametrize("n", [2**40, 3**23, 47**2 * 53**3, 999983**2, 999983 * 999979])
+    def test_prime_powers_and_balanced_semiprimes(self, n):
+        assert usual_divisors(n) == trial_divisors(n)
+
+    @pytest.mark.parametrize("n,factors", PSEUDOPRIMES, ids=[str(n) for n, _ in PSEUDOPRIMES])
+    def test_strong_pseudoprimes_are_split(self, n, factors):
+        assert math.prod(factors) == n
+        assert usual_divisors(n) == divisors_from_factors(factors)
+        assert not is_k_prime_by_characterization(n, 2)
+
+    def test_unproven_probable_primes_fall_back_to_trial_division(self, monkeypatch):
+        # 2047 passes base 2; above the bound only trial division can refute it
+        monkeypatch.setattr(core, "_BASES", (2,))
+        monkeypatch.setattr(core, "_PROVEN_BELOW", 2047)
+        assert usual_divisors(2047) == [1, 23, 89, 2047]
+        assert not is_k_prime_by_characterization(2047, 2)
+        for n in range(1, 30001):
+            assert usual_divisors(n) == trial_divisors(n), n
 
 
 def test_usual_divisors_requires_positive():
