@@ -4,6 +4,15 @@ The map halves (in the k-arithmetic sense) whenever 2 divides the current
 value in that arithmetic, and otherwise applies the k-product by 3 and adds
 one.  For even k this is the usual Collatz shape; for odd k the parity of
 divisibility flips and almost every orbit diverges.
+
+Both branches have a closed form for any integer k.  The k-quotient of c
+by 2 is an integer exactly when d = c - (k - 2) is even, and then it is
+d / 2; the k-product of c by 3, plus one, is 3c + 3k - 5.  With
+m = c + k - 2 the map becomes m -> m / 2 for even m and m -> 3m + (k - 1)
+for odd m: the 3x + q family with q = k - 1.  For odd k, q is even, so an
+odd m stays odd under tripling and keeps growing; this is why almost every
+odd-k orbit diverges.  `collatz_step` keeps the definitional form and is
+the oracle for the closed form that `orbit` iterates.
 """
 
 from __future__ import annotations
@@ -80,46 +89,54 @@ def orbit(
 
     Values are recorded while their magnitude stays below the bound; the
     first repeated value is recorded too, closing the loop.  A loop of
-    length one is reported as a fixed point rather than a cycle.
+    length one is reported as a fixed point rather than a cycle.  The bound
+    must be at least 1 and the step limit at least 0.
+
+    Each step is the map's closed form, c -> (c - (k - 2)) / 2 when that is
+    an integer and c -> 3c + 3k - 5 otherwise, so no quotient is built.
     """
-    trajectory: list[int] = []
+    if magnitude_bound < 1:
+        raise DomainError(f"magnitude bound must be at least 1, got {magnitude_bound}")
+    if step_limit < 0:
+        raise DomainError(f"step limit must be at least 0, got {step_limit}")
+    halving_offset, tripling_offset = k - 2, 3 * k - 5
+    # Insertion order makes seen the trajectory; its values are the indices.
     seen: dict[int, int] = {}
     current = n
     applied = 0
     while True:
         if abs(current) >= magnitude_bound:
             return OrbitOutcome(
-                trajectory=tuple(trajectory),
+                trajectory=tuple(seen),
                 kind=OrbitKind.MAGNITUDE_EXCEEDED,
                 bound=magnitude_bound,
             )
-        trajectory.append(current)
-        if current in seen:
-            first = seen[current]
-            cycle_length = len(trajectory) - 1 - first
+        first = seen.setdefault(current, applied)
+        if first != applied:
+            cycle_length = applied - first
             if cycle_length == 1:
                 return OrbitOutcome(
-                    trajectory=tuple(trajectory),
+                    trajectory=(*seen, current),
                     kind=OrbitKind.FIXED_POINT,
                     pre_period=first,
                     cycle_length=1,
                     fixed_value=current,
                 )
             return OrbitOutcome(
-                trajectory=tuple(trajectory),
+                trajectory=(*seen, current),
                 kind=OrbitKind.CYCLE,
                 pre_period=first,
                 cycle_length=cycle_length,
                 cycle_entry=current,
             )
-        seen[current] = len(trajectory) - 1
         if applied >= step_limit:
             return OrbitOutcome(
-                trajectory=tuple(trajectory),
+                trajectory=tuple(seen),
                 kind=OrbitKind.STEP_LIMIT,
                 steps=applied,
             )
-        current = collatz_step(current, k)
+        d = current - halving_offset
+        current = 3 * current + tripling_offset if d & 1 else d >> 1
         applied += 1
 
 

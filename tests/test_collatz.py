@@ -6,6 +6,7 @@ from karith import (
     DomainError,
     OddOrbitFate,
     OrbitKind,
+    OrbitOutcome,
     collatz_step,
     fixed_points,
     goldbach_scan,
@@ -128,6 +129,70 @@ class TestOrbit:
         outcome = orbit(10**7, 2, 500_000, 10**6)
         assert outcome.kind == OrbitKind.MAGNITUDE_EXCEEDED
         assert outcome.trajectory == ()
+
+    def test_bound_below_one_refused(self):
+        # Not an empty MAGNITUDE_EXCEEDED outcome.
+        with pytest.raises(DomainError, match="magnitude bound"):
+            orbit(17, 2, 0)
+        with pytest.raises(DomainError, match="magnitude bound"):
+            orbit_length_scan(17, [2], -5)
+
+    def test_negative_step_limit_refused(self):
+        # Not a STEP_LIMIT outcome that contradicts its limit.
+        with pytest.raises(DomainError, match="step limit"):
+            orbit(17, 2, 100, -1)
+        with pytest.raises(DomainError, match="step limit"):
+            orbit_length_scan(17, [2], 100, -1)
+
+    def test_least_limits_accepted(self):
+        outcome = orbit(0, 2, 1, 0)
+        assert outcome.kind == OrbitKind.STEP_LIMIT
+        assert outcome.trajectory == (0,)
+        assert outcome.steps == 0
+
+
+def walk(n, k, bound, step_limit):
+    """The orbit by definition: iterate collatz_step, record, look back."""
+    trajectory = []
+    index = {}
+    current = n
+    while abs(current) < bound:
+        trajectory.append(current)
+        if current in index:
+            first = index[current]
+            period = len(trajectory) - 1 - first
+            if period == 1:
+                return OrbitOutcome(tuple(trajectory), OrbitKind.FIXED_POINT,
+                                    pre_period=first, cycle_length=1,
+                                    fixed_value=current)
+            return OrbitOutcome(tuple(trajectory), OrbitKind.CYCLE,
+                                pre_period=first, cycle_length=period,
+                                cycle_entry=current)
+        index[current] = len(trajectory) - 1
+        if len(trajectory) - 1 == step_limit:
+            return OrbitOutcome(tuple(trajectory), OrbitKind.STEP_LIMIT,
+                                steps=step_limit)
+        current = collatz_step(current, k)
+    return OrbitOutcome(tuple(trajectory), OrbitKind.MAGNITUDE_EXCEEDED,
+                        bound=bound)
+
+
+class TestOrbitAgainstStepOracle:
+    """orbit steps by the closed form; collatz_step by the definitions."""
+
+    def test_grid(self):
+        kinds = set()
+        for bound, steps in ((5_000_000, 10**6), (1000, 7), (50, 10**6)):
+            for k in range(-20, 21):
+                for n in range(-60, 61):
+                    outcome = orbit(n, k, bound, steps)
+                    assert outcome == walk(n, k, bound, steps), (n, k, bound, steps)
+                    kinds.add(outcome.kind)
+        assert kinds == set(OrbitKind)
+
+    def test_long_even_k_orbits(self):
+        for k in range(2, 2001, 2):
+            assert orbit(17, k, 5_000_000) == walk(17, k, 5_000_000, 10**6), k
 
 
 class TestOddKFixedPoints:
