@@ -228,6 +228,8 @@ def k_divisors_by_scan(a: int, k: int, bound: int) -> list[int]:
     """
     if a == 0:
         raise DomainError("every positive integer divides 0; report refused")
+    if bound < 1:
+        raise DomainError(f"search bound must be positive, got {bound}")
     return [d for d in range(1, bound + 1) if isinstance(k_quotient(a, d, k), int)]
 
 

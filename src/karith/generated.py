@@ -33,8 +33,8 @@ DEFAULT_BOUND_FACTOR = 6
 def seq_product(m: int, n: int, g: Generator) -> int:
     """Product of m by n in the arithmetic generated by g.
 
-    Term counts below 1 are accepted only for arithmetic progressions
-    (g.progression set) and polynomial sequences.
+    Term counts below 1 are accepted only for polynomial sequences
+    (g.differences set).
     """
     return (m - n + 1) * n + g.weighted(n)
 
@@ -84,7 +84,7 @@ def _readable_sums(g: Generator, bound: int) -> list[int]:
     """
     if g.prefix_length is not None:
         bound = min(bound, g.prefix_length + 1)
-    return g.prefix_sums().weighted_upto(max(bound, 0))
+    return g.prefix_sums().weighted_upto(bound)
 
 
 def seq_is_prime(p: int, g: Generator, search_bound: int | None = None) -> bool:
@@ -93,6 +93,8 @@ def seq_is_prime(p: int, g: Generator, search_bound: int | None = None) -> bool:
         return False
     if search_bound is None:
         search_bound = _scan_factor(g) * p
+    if search_bound < 1:
+        raise DomainError(f"search bound must be positive, got {search_bound}")
     sums = _readable_sums(g, search_bound)
     hits = sum((p - sums[d]) % d == 0 for d in range(1, len(sums)))
     if hits <= 2 and len(sums) - 1 < search_bound:

@@ -2,11 +2,12 @@
 
 Every generator yields terms a_1, a_2, ... and induces a product through the
 weighted partial sum W(n) = sum over i < n of (n - i) * a_i.  A generator
-whose terms are a_1 + (i - 1) * d sets ``progression = (a_1, d)`` and answers
-W by the progression formula at every n; the constant sequence k (const:k,
-ap:k,0, poly:k, gp:k,1, and gp:0,r for k = 0) also takes the k-arithmetic's
-closed routes.  Any other W is read from a per-generator memo of prefix sums,
-undefined below 1 except for polynomials, which use Newton differences.
+whose terms are a polynomial in i sets ``differences`` = (a_1, Δa_1, Δ²a_1,
+...) and answers W(n) = sum over m of Δᵐa_1 * C(n, m + 2) at every integer n
+(``Generator.weighted``).  At most two differences make a ``progression``
+(a_1, d); the constant sequence k (const:k, ap:k,0, poly:k, gp:k,1, and gp:0,r
+for k = 0) also takes the k-arithmetic's closed routes.  Any other W is read
+from a per-generator memo of prefix sums, undefined below 1.
 
 Canonical textual forms, used by the CLI and config files:
 
@@ -18,7 +19,6 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from math import comb
 
 from .core import DivisorReport, DomainError, k_divisors, k_primes_below, nth_prime
 
@@ -33,9 +33,9 @@ class GeneratorSpecError(DomainError):
 
 class Generator:
     """Base for sequence generators; term(i) is defined for all i >= 1."""
-
-    #: (a_1, d) when the terms are a_1 + (i - 1) * d, or None otherwise
-    progression: tuple[int, int] | None = None
+    #: (a_1, Δa_1, Δ²a_1, ...) for polynomial terms, trailing zeros after a_1 cut; else None
+    #: (a_1, Δa_1, Δ²a_1, ...) for polynomial terms, else None; no trailing zero but a_1
+    differences: tuple[int, ...] | None = None
     #: number of terms a finite prefix holds, or None for an endless sequence
     prefix_length: int | None = None
 
@@ -45,14 +45,28 @@ class Generator:
     def spec(self) -> str:
         raise NotImplementedError
 
+    @property
+    def progression(self) -> tuple[int, int] | None:
+        """(a_1, d) when the terms are a_1 + (i - 1) * d, or None otherwise."""
+        diffs = self.differences
+        return None if diffs is None or len(diffs) > 2 else (diffs + (0,))[:2]
+
     def weighted(self, n: int) -> int:
-        """W(n): the progression formula at every n, else the memo from n = 1 on."""
-        p = self.progression
-        if p is not None:
-            a1, d = p
-            if d:
-                return (n * (n - 1) // 2) * a1 + (n * (n - 1) * (n - 2) // 6) * d
-            return (n * (n - 1) // 2) * a1
+        """W(n) = sum of Δᵐa_1 * C(n, m + 2) for polynomial terms, else the memo
+        from n = 1 on.  Newton's a_i = sum of Δᵐa_1 * C(i - 1, m) and the identity
+        sum over t < N of (N - t) * C(t, m) = C(N + 1, m + 2) give it for n >= 1;
+        a polynomial in n, it is also W below 1.  C(n, j) is an integer at every
+        n, so C(n, j + 1) = C(n, j) * (n - j) / (j + 1) steps in exact integers."""
+        diffs = self.differences
+        if diffs is not None:
+            binom = n * (n - 1) // 2
+            total = diffs[0] * binom
+            j = 2  # a counter beats enumerate on the hot one- and two-term sums
+            for delta in diffs[1:]:
+                binom = binom * (n - j) // (j + 1)
+                total += delta * binom
+                j += 1
+            return total
         if n < 1:
             raise DomainError(f"generator {self.spec()} has no closed form; "
                               "term counts below 1 are undefined")
@@ -148,7 +162,7 @@ class Constant(Generator):
     k: int
 
     def __post_init__(self):
-        object.__setattr__(self, "progression", (self.k, 0))
+        object.__setattr__(self, "differences", (self.k,))
 
     def term(self, i: int) -> int:
         return self.k
@@ -163,7 +177,7 @@ class ArithProg(Generator):
     d: int
 
     def __post_init__(self):
-        object.__setattr__(self, "progression", (self.a1, self.d))
+        object.__setattr__(self, "differences", (self.a1, self.d) if self.d else (self.a1,))
 
     def term(self, i: int) -> int:
         return self.a1 + (i - 1) * self.d
@@ -179,7 +193,7 @@ class GeomProg(Generator):
 
     def __post_init__(self):
         if self.r == 1 or self.a1 == 0:
-            object.__setattr__(self, "progression", (self.a1, 0))
+            object.__setattr__(self, "differences", (self.a1,))
 
     def term(self, i: int) -> int:
         return self.a1 * self.r ** (i - 1)
@@ -197,46 +211,24 @@ class Polynomial(Generator):
 
     def __post_init__(self):
         object.__setattr__(self, "coeffs", tuple(self.coeffs))
-        degree = max((j for j, c in enumerate(self.coeffs) if c), default=0)
-        object.__setattr__(self, "polynomial_degree", degree)
-        if degree <= 1:
-            object.__setattr__(self, "progression", (self.coeffs + (0, 0))[:2])
+        row = [self.term(i) for i in range(1, len(self.coeffs) + 2)]
+        diffs = []
+        while row:
+            diffs.append(row[0])
+            row = [b - a for a, b in zip(row, row[1:])]
+        last = max((m for m, x in enumerate(diffs) if x), default=0)
+        object.__setattr__(self, "differences", tuple(diffs[: last + 1]))
 
     def term(self, i: int) -> int:
         x = i - 1
         return sum(c * x**j for j, c in enumerate(self.coeffs))
 
-    def weighted(self, n: int) -> int:
-        """W(n): the progression formula for degree D <= 1, the memo for n >= 1,
-        and below 1 the polynomial of degree D + 2 through W(1), ..., W(D + 3),
-        by Newton forward differences in the basis C(n - 1, j) =
-        (-1)**j * C(j - n, j), which keeps it in exact integers."""
-        if self.progression is not None:
-            return Generator.weighted(self, n)
-        if n >= 1:
-            return self.prefix_sums().weighted(n)
-        row = self.prefix_sums().weighted_upto(self.polynomial_degree + 3)[1:]
-        total = 0
-        for j in range(len(row)):
-            total += row[0] * (-1) ** j * comb(j - n, j)
-            row = [b - a for a, b in zip(row, row[1:])]
-        return total
-
     def spec(self) -> str:
         return "poly:" + ",".join(str(c) for c in self.coeffs)
 
 
-class _Parameterless(Generator):
-    """A generator without parameters: all its instances are equal."""
-
-    def __eq__(self, other):
-        return type(other) is type(self)
-
-    def __hash__(self):
-        return hash(type(self))
-
-
-class UsualPrimes(_Parameterless):
+@dataclass(frozen=True)
+class UsualPrimes(Generator):
     def term(self, i: int) -> int:
         return nth_prime(i)
 
@@ -270,7 +262,8 @@ class Explicit(Generator):
         return "explicit:[" + ",".join(str(t) for t in self.terms) + "]"
 
 
-class AlternatingOnes(_Parameterless):
+@dataclass(frozen=True)
+class AlternatingOnes(Generator):
     """1, -1, 1, -1, ..."""
 
     def term(self, i: int) -> int:
@@ -280,7 +273,8 @@ class AlternatingOnes(_Parameterless):
         return "alt"
 
 
-class ZeroOne(_Parameterless):
+@dataclass(frozen=True)
+class ZeroOne(Generator):
     """0, 1, 0, 1, ..."""
 
     def term(self, i: int) -> int:
@@ -290,7 +284,8 @@ class ZeroOne(_Parameterless):
         return "zeroone"
 
 
-class FurstPattern(_Parameterless):
+@dataclass(frozen=True)
+class FurstPattern(Generator):
     """Blocks (1, -1, 0...0) whose zero runs have lengths 1, 3, 7, 15, ...
 
     Block b has total length 2**b + 1, so the blocks start at positions

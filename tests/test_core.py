@@ -156,6 +156,13 @@ class TestDivisors:
         with pytest.raises(DomainError):
             k_divisors_by_scan(0, 3, 10)
 
+    def test_scan_refuses_a_bound_below_1(self):
+        for bound in (0, -1):
+            with pytest.raises(DomainError, match=f"search bound must be positive, got {bound}"):
+                k_divisors_by_scan(20, 3, bound)
+        with pytest.raises(DomainError, match="divides 0"):
+            k_divisors_by_scan(0, 3, 0)  # the zero subject is refused first
+
     def test_witnesses_reproduce_subject(self):
         for a in (-15, 12, 20, 40, 97):
             for k in (-3, 0, 1, 2, 3, 4):

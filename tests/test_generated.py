@@ -5,6 +5,7 @@ import copy
 import dataclasses
 import itertools
 import pickle
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -55,6 +56,10 @@ ALL_GENERATORS = [
     FurstPattern(),
 ]
 
+# polynomials of degree 3-5, with negative coefficients and trailing zeros
+HIGHER_POLYNOMIALS = [Polynomial((2, -1, 0, 3)), Polynomial((0, 0, 0, 0, 1)),
+                      Polynomial((-4, 1, -2, 0, 0)), Polynomial((1, -3, 2, 0, -1, 2, 0))]
+
 
 class TestGenerators:
     def test_terms(self):
@@ -85,7 +90,7 @@ class TestGenerators:
             plain = sum(g.term(i) for i in range(1, n + 1))
             assert sums.weighted(n + 1) - sums.weighted(n) == plain
 
-    @pytest.mark.parametrize("g", ALL_GENERATORS, ids=lambda g: g.spec())
+    @pytest.mark.parametrize("g", ALL_GENERATORS + HIGHER_POLYNOMIALS, ids=lambda g: g.spec())
     def test_weighted_matches_the_memo(self, g):
         # closed formulas and memo reads answer W alike wherever both exist
         assert [g.weighted(n) for n in range(1, 151)] == [
@@ -94,7 +99,8 @@ class TestGenerators:
 
     @pytest.mark.parametrize("g", [Constant(-4), Constant(3), ArithProg(2, 5), ArithProg(-3, -2),
                                    Polynomial((1, 0, 5)), Polynomial((7,)), Polynomial((2, 3)),
-                                   Polynomial((5, 0, 0)), Polynomial((1, 2, 0, 0))],
+                                   Polynomial((5, 0, 0)), Polynomial((1, 2, 0, 0)),
+                                   *HIGHER_POLYNOMIALS],
                              ids=lambda g: g.spec())
     def test_weighted_below_1_follows_the_recurrence(self, g):
         # W(n + 1) - W(n) = S(n) and S(n) - S(n - 1) = a_n hold for every
@@ -115,6 +121,13 @@ class TestGenerators:
         g = Polynomial((0, 1))  # ap:0,1's sequence 0, 1, 2, ...
         n = 10**6
         assert seq_product(3, n, g) == (4 - n) * n + n * (n - 1) * (n - 2) // 6
+        assert "_sums" not in g.__dict__
+        g = Polynomial((1, 0, 1))  # 1 + (i - 1)**2: no progression, still closed
+        assert seq_product(3, 10**6, g) == 83332999999916670000000
+        assert "_sums" not in g.__dict__
+        g = Polynomial((2, -1, 0, 3))
+        assert seq_quotient(7, -10**5, g) == NotDivisible(
+            Fraction(-1500075001083335833310007, 100000))
         assert "_sums" not in g.__dict__
 
     @pytest.mark.parametrize("g", ALL_GENERATORS, ids=lambda g: g.spec())
@@ -152,6 +165,16 @@ class TestGenerators:
         assert twin == g and hash(twin) == hash(g)
         assert len({g, twin}) == 1
 
+    def test_parameterless_generators_are_frozen_dataclasses(self):
+        kinds = (UsualPrimes, AlternatingOnes, ZeroOne, FurstPattern)
+        assert [repr(kind()) for kind in kinds] == [
+            "UsualPrimes()", "AlternatingOnes()", "ZeroOne()", "FurstPattern()"]
+        assert len({kind() for kind in kinds}) == 4
+        for kind in kinds:
+            assert dataclasses.fields(kind()) == ()
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                kind().extra = 1
+
     @pytest.mark.parametrize("g", ALL_GENERATORS, ids=lambda g: g.spec())
     def test_warm_generators_pickle_and_copy(self, g):
         # the memo holds a lock, which neither pickle nor deepcopy can take
@@ -175,6 +198,13 @@ class TestGenerators:
         for h in (GeomProg(1, 2), GeomProg(2, 0), Polynomial((1, 0, 5)), UsualPrimes(),
                   Explicit((3, 3)), AlternatingOnes(), ZeroOne(), FurstPattern()):
             assert h.progression is None, h.spec()
+        # the forward differences, trailing zeros dropped, are the fact behind it
+        assert [parse_generator(s).differences for s in ("poly:5,0,0", "poly:1,0,1", "ap:3,0")] \
+            == [(5,), (1, 1, 2), (3,)]
+        assert Polynomial(()).differences == (0,) and Polynomial(()).progression == (0, 0)
+        for h in (GeomProg(1, 2), UsualPrimes(), Explicit((3, 3)), FurstPattern()):
+            assert h.differences is None, h.spec()
+        assert "differences" not in {f.name for h in ALL_GENERATORS for f in dataclasses.fields(h)}
 
     def test_spec_roundtrip(self):
         for g in ALL_GENERATORS:
@@ -247,8 +277,6 @@ class TestSeqProduct:
             assert seq_product(0, n, g) == (0 - n + 1) * n + w_direct(n)
         # negative side equals the unique polynomial continuation, sampled via
         # Lagrange evaluation over rationals
-        from fractions import Fraction
-
         samples = [(n, w_direct(n)) for n in range(1, 7)]
 
         def lagrange(x):
@@ -379,8 +407,8 @@ class TestSeqDivisors:
 
     def test_trailing_zero_coefficients_keep_the_degree(self):
         # poly:5,0,0 is the constant sequence 5, so it gets the 6a default
-        degrees = [Polynomial(c).polynomial_degree for c in ((5, 0, 0), (1, 2, 0, 0), (0, 0))]
-        assert degrees == [0, 1, 0]
+        progressions = [Polynomial(c).progression for c in ((5, 0, 0), (1, 2, 0, 0), (0, 0))]
+        assert progressions == [(5, 0), (1, 2), (0, 0)]
         assert seq_divisors(20, Polynomial((5, 0, 0))) == seq_divisors(20, Constant(5))
 
     def test_domain(self):
@@ -388,6 +416,13 @@ class TestSeqDivisors:
             seq_divisors(0, ArithProg(1, 2))
         with pytest.raises(DomainError):
             seq_divisors(5, ArithProg(1, 2), 0)
+
+    def test_is_prime_refuses_a_bound_below_1(self):
+        # the bound is checked after p <= 1, as seq_divisors checks it after a < 1
+        for bound in (0, -1):
+            with pytest.raises(DomainError, match=f"search bound must be positive, got {bound}"):
+                seq_is_prime(5, ArithProg(1, 2), bound)
+        assert seq_is_prime(1, ArithProg(1, 2), 0) is False
 
     def test_constant_generator_matches_karith(self):
         for k in range(-6, 7):
@@ -467,6 +502,15 @@ class TestRoutes:
                 if named & classes:
                     found.append(f"{path.name}:{node.lineno}")
         assert found == []
+
+    def test_one_class_answers_w(self):
+        # every generator answers W through Generator.weighted's one formula
+        # or its memo; no subclass carries a W of its own
+        tree = ast.parse(Path(generators.__file__).read_text())
+        defining = sorted(node.name for node in tree.body if isinstance(node, ast.ClassDef)
+                          and any(isinstance(f, ast.FunctionDef) and f.name == "weighted"
+                                  for f in node.body))
+        assert defining == ["Generator", "PrefixSums"]
 
 
 PRIME_CASES = [
