@@ -26,7 +26,7 @@ from karith import (
 )
 
 # A product under the generator 3, 7, 11, 15, ... and one of its divisor
-# reports (scan bound 6a, the asserted bound for progression generators).
+# reports (bound 6a: every divisor divides 6a, the divisor lemma for progressions).
 print("5 (*) 8 generated by 3,7,11,...:", seq_product(5, 8, ArithProg(3, 4)))
 print("divisors of 20 generated by odd numbers:",
       seq_divisors(20, ArithProg(1, 2)).divisors)

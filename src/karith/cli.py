@@ -23,7 +23,6 @@ from .collatz import (
 from .core import DomainError, NotDivisible
 from .coverage import seq_residual_set
 from .generated import (
-    DEFAULT_BOUND_FACTOR,
     cubes_sequence,
     divisors,
     exact_divisor_count_numbers,
@@ -39,6 +38,8 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_DOMAIN = 3
 EXIT_MISMATCH = 4
+#: bound factor guessed, with a warning, for sequences without a divisor lemma
+GUESSED_BOUND_FACTOR = 6
 
 
 def canon_json(obj) -> str:
@@ -71,13 +72,13 @@ def _render(args, record: dict, csv_lines: list[str] | None, plain: str) -> int:
 
 
 def _bound_factor(g: Generator, given: int | None) -> tuple[int | None, bool]:
-    """The caller's bound or factor, and False; for a generator without an
-    asserted bound and none given, a warning, the default factor and True."""
-    if given is not None or g.progression is not None:
+    """The caller's bound or factor, and False; for a generator without a
+    divisor factor and none given, a warning, the guessed factor and True."""
+    if given is not None or g.divisor_factor is not None:
         return given, False
     print(f"warning: no divisor bound is known for {g.spec()}; "
-          f"defaulting to {DEFAULT_BOUND_FACTOR}*a scans", file=sys.stderr)
-    return DEFAULT_BOUND_FACTOR, True
+          f"defaulting to {GUESSED_BOUND_FACTOR}*a scans", file=sys.stderr)
+    return GUESSED_BOUND_FACTOR, True
 
 
 # ---------------------------------------------------------------- product
@@ -332,8 +333,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("limit", type=int)
     common(p)
     p.add_argument("--bound-factor", type=int,
-                   help="per-candidate divisor scan bound factor "
-                        f"(default {DEFAULT_BOUND_FACTOR})")
+                   help="per-candidate divisor scan bound factor (default: the sequence's "
+                        f"divisor factor, else {GUESSED_BOUND_FACTOR} with a warning)")
     p.set_defaults(handler=cmd_primes)
 
     p = sub.add_parser("orbit", help="Collatz-style orbit or orbit-length scan")

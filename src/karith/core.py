@@ -45,8 +45,9 @@ class DivisorReport:
 
     ``witnesses`` pairs each divisor d with the start value b such that
     the product of b by d equals the subject.  ``search_bound`` records the
-    scan bound when the report came from a bounded scan (sequence-generated
-    arithmetics); it is None when a closed characterization was used.
+    largest term count a sequence-generated report covers: the caller's
+    bound, or L * a when the sequence's divisor lemma proves that complete;
+    it is None when the k-arithmetic's closed characterization was used.
     """
 
     subject: int
@@ -197,28 +198,28 @@ def usual_divisors(n: int) -> list[int]:
     return sorted(divs)
 
 
+def _divisor_report(a, candidates, search_bound=None) -> DivisorReport:
+    """The report of a over candidate pairs (d, W(d)): d divides a when it divides a - W(d)."""
+    witnesses = []
+    for d, w in candidates:
+        q, r = divmod(a - w, d)
+        if r == 0:
+            witnesses.append((d, q + d - 1))
+    return DivisorReport(subject=a, divisors=tuple(d for d, _ in witnesses),
+                         witnesses=tuple(witnesses), search_bound=search_bound)
+
+
 def k_divisors(a: int, k: int) -> DivisorReport:
     """All divisors of a in the k-arithmetic, with their start-value witnesses.
 
-    Fast path: for even k these are the usual divisors of |a|; for odd k the
-    usual divisors of 2|a| minus the even usual divisors of |a|.  Witnesses
-    are computed for the signed subject.  a = 0 is refused (every term count
-    would qualify).
+    W(d) = k * C(d, 2) and d divides 2 * C(d, 2), so every divisor of a
+    divides 2|a|, and the usual divisors of 2|a| are the candidates.  Witnesses
+    are for the signed subject; a = 0 is refused (every term count qualifies).
     """
     if a == 0:
         raise DomainError("every positive integer divides 0; report refused")
-    n = abs(a)
-    if k % 2 == 0:
-        divs = usual_divisors(n)
-    else:
-        divs = [d for d in usual_divisors(2 * n) if d % 2 == 1 or n % d != 0]
-    witnesses = []
-    for d in divs:
-        b = k_quotient(a, d, k)
-        if not isinstance(b, int):
-            raise RuntimeError(f"divisor fast path disagrees with quotient at d={d}")
-        witnesses.append((d, b))
-    return DivisorReport(subject=a, divisors=tuple(divs), witnesses=tuple(witnesses))
+    candidates = ((d, k * (d * (d - 1) // 2)) for d in usual_divisors(2 * abs(a)))
+    return _divisor_report(a, candidates)
 
 
 def k_divisors_by_scan(a: int, k: int, bound: int) -> list[int]:

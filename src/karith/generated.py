@@ -4,16 +4,15 @@ The product of m by n in the arithmetic generated by (a_i) is
 
     (m - n + 1) * n + W(n),    W(n) = sum over i < n of (n - i) * a_i,
 
-which reduces to the k-arithmetic when the sequence is constant.  Divisor
-enumeration has no closed characterization here, so it scans term counts up
-to a bound: DEFAULT_BOUND_FACTOR * a by default for arithmetic progressions
-(``Generator.progression`` set: const, ap, poly of degree <= 1, gp:k,1 and
-gp:0,r), caller-supplied for everything else.  ``divisors`` and ``primes_below``
-take the k-arithmetic's closed routes instead when every term is k.
+which reduces to the k-arithmetic when the sequence is constant.  A term
+count d divides a when d divides a - W(d).  For polynomial terms every such d
+divides L * a (``Generator.divisor_factor``), so a divisor report tests the
+usual divisors of L * a, and L is the default bound factor.  Any other
+sequence needs a caller's bound, and its report scans every term count up to
+it with one bulk prefix-sum read.  ``divisors`` and ``primes_below`` take the
+k-arithmetic's closed routes instead when every term is k.
 
-Every scan reads W(1..bound) with one bulk prefix-sum read and then tests
-(a - W(d)) mod d per term count d: O(bound) for one divisor report.  The
-divisor-count censuses (primes, numbers with exactly c divisors below a
+The divisor-count censuses (primes, numbers with exactly c divisors below a
 limit) invert the scan into a sieve: each term count d marks the subjects
 congruent to W(d) modulo d, O(limit log limit + factor * limit) in all,
 where a scan per subject would take O(factor * limit**2).
@@ -23,11 +22,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .core import DivisorReport, DomainError, NotDivisible
+from .core import DivisorReport, DomainError, NotDivisible, _divisor_report, usual_divisors
 from .generators import Generator
-
-#: divisors of a lie in 1..6a for arithmetic-progression generators
-DEFAULT_BOUND_FACTOR = 6
 
 
 def seq_product(m: int, n: int, g: Generator) -> int:
@@ -54,31 +50,26 @@ def seq_quotient(a: int, b: int, g: Generator) -> int | NotDivisible:
 
 
 def seq_divisors(a: int, g: Generator, search_bound: int | None = None) -> DivisorReport:
-    """Divisors of a >= 1 found by scanning term counts 1..search_bound."""
+    """Divisors d <= search_bound (default L * a) of a >= 1, tested among the
+    usual divisors of L * a for polynomial terms, else among all term counts."""
     if a < 1:
         raise DomainError(f"divisor report needs a positive subject, got {a}")
     if search_bound is None:
         search_bound = _scan_factor(g) * a
     if search_bound < 1:
         raise DomainError(f"search bound must be positive, got {search_bound}")
-    sums = g.prefix_sums().weighted_upto(search_bound)
-    witnesses = []
-    for d in range(1, search_bound + 1):
-        q, r = divmod(a - sums[d], d)
-        if r == 0:
-            witnesses.append((d, q + d - 1))
-    return DivisorReport(
-        subject=a,
-        divisors=tuple(d for d, _ in witnesses),
-        witnesses=tuple(witnesses),
-        search_bound=search_bound,
-    )
+    if g.divisor_factor is None:
+        candidates = enumerate(g.prefix_sums().weighted_upto(search_bound)[1:], start=1)
+    else:
+        divs = usual_divisors(g.divisor_factor * a)
+        candidates = ((d, g.weighted(d)) for d in divs if d <= search_bound)
+    return _divisor_report(a, candidates, search_bound)
 
 
 def _readable_sums(g: Generator, bound: int) -> list[int]:
     """[0, W(1), ..., W(D)] for the largest D <= bound that g's prefix allows.
 
-    W(D) reads the first D - 1 terms, so a prefix of L terms allows L + 1.
+    W(D) reads the first D - 1 terms, so a prefix of P terms allows P + 1.
     A scan that stops early, once a subject has too many divisors, may
     succeed on a prefix that a full read up to the bound would exhaust.
     """
@@ -152,15 +143,15 @@ def exact_divisor_count_numbers(
 
 
 def _scan_factor(g: Generator, bound_factor: int | None = None) -> int:
-    """The scan bound factor: bound_factor when given, else the default,
-    which only arithmetic progressions (g.progression set) have."""
+    """The scan bound factor: bound_factor when given, else g's divisor
+    factor L, which only polynomial sequences have."""
     if bound_factor is not None:
         if bound_factor < 1:
             raise DomainError(f"bound factor must be positive, got {bound_factor}")
         return bound_factor
-    if g.progression is None:
+    if g.divisor_factor is None:
         raise DomainError(f"no divisor bound is known for {g.spec()}; pass a bound explicitly")
-    return DEFAULT_BOUND_FACTOR
+    return g.divisor_factor
 
 
 def divisors(a: int, g: Generator, search_bound: int | None = None) -> DivisorReport:

@@ -4,10 +4,11 @@ Every generator yields terms a_1, a_2, ... and induces a product through the
 weighted partial sum W(n) = sum over i < n of (n - i) * a_i.  A generator
 whose terms are a polynomial in i sets ``differences`` = (a_1, Δa_1, Δ²a_1,
 ...) and answers W(n) = sum over m of Δᵐa_1 * C(n, m + 2) at every integer n
-(``Generator.weighted``).  At most two differences make a ``progression``
-(a_1, d); the constant sequence k (const:k, ap:k,0, poly:k, gp:k,1, and gp:0,r
-for k = 0) also takes the k-arithmetic's closed routes.  Any other W is read
-from a per-generator memo of prefix sums, undefined below 1.
+(``Generator.weighted``), and every divisor of a != 0 divides L * a
+(``Generator.divisor_factor``).  A single difference is the constant sequence
+k (const:k, ap:k,0, poly:k, gp:k,1, and gp:0,r for k = 0), which takes the
+k-arithmetic's closed routes.  Any other W is read from a per-generator memo
+of prefix sums, undefined below 1.
 
 Canonical textual forms, used by the CLI and config files:
 
@@ -19,6 +20,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
+from math import lcm
 
 from .core import DivisorReport, DomainError, k_divisors, k_primes_below, nth_prime
 
@@ -34,7 +36,6 @@ class GeneratorSpecError(DomainError):
 class Generator:
     """Base for sequence generators; term(i) is defined for all i >= 1."""
     #: (a_1, Δa_1, Δ²a_1, ...) for polynomial terms, trailing zeros after a_1 cut; else None
-    #: (a_1, Δa_1, Δ²a_1, ...) for polynomial terms, else None; no trailing zero but a_1
     differences: tuple[int, ...] | None = None
     #: number of terms a finite prefix holds, or None for an endless sequence
     prefix_length: int | None = None
@@ -46,10 +47,13 @@ class Generator:
         raise NotImplementedError
 
     @property
-    def progression(self) -> tuple[int, int] | None:
-        """(a_1, d) when the terms are a_1 + (i - 1) * d, or None otherwise."""
+    def divisor_factor(self) -> int | None:
+        """L = lcm(2, ..., len(differences) + 1) for polynomial terms, else None.
+        The divisor lemma: W(d) sums multiples of C(d, j) for j from 2 to that
+        bound, and j * C(d, j) = d * C(d - 1, j - 1), so d divides L * W(d); a
+        term count d dividing a != 0 divides a - W(d), hence L * a."""
         diffs = self.differences
-        return None if diffs is None or len(diffs) > 2 else (diffs + (0,))[:2]
+        return None if diffs is None else lcm(*range(2, len(diffs) + 2))
 
     def weighted(self, n: int) -> int:
         """W(n) = sum of Δᵐa_1 * C(n, m + 2) for polynomial terms, else the memo
@@ -74,23 +78,24 @@ class Generator:
 
     def closed_divisors(self, a: int, search_bound: int | None = None) -> DivisorReport | None:
         """k_divisors(a, k) when every term is k, else None: scan."""
-        if self.progression is None or self.progression[1]:
+        diffs = self.differences
+        if diffs is None or len(diffs) > 1:
             return None
         # k_divisors takes any a != 0 and no bound; a given one must be positive
         if search_bound is not None and search_bound < 1:
             raise DomainError(f"search bound must be positive, got {search_bound}")
-        return k_divisors(a, self.progression[0])
+        return k_divisors(a, diffs[0])
 
     def closed_primes_below(self, n: int) -> list[int] | None:
         """k_primes_below(n, k) when every term is k, else None: scan."""
-        p = self.progression
-        return None if p is None or p[1] else k_primes_below(n, p[0])
+        diffs = self.differences
+        return None if diffs is None or len(diffs) > 1 else k_primes_below(n, diffs[0])
 
     def prime_limit(self, window_half: int) -> tuple[int, bool]:
         """Prime limit for covering [-N, N], and whether it is a guess: when
         every term is k, primes up to 2N suffice (a value of magnitude >= 2 has
         a k-prime divisor at most twice it); elsewhere 2N is only a default."""
-        if self.progression is None or self.progression[1]:
+        if self.differences is None or len(self.differences) > 1:
             return 2 * window_half, True
         return 2 * window_half + 1, False
 

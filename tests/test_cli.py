@@ -1,6 +1,7 @@
 """CLI behavior: fixture regression, formats, exit codes."""
 
 import json
+import re
 import shlex
 import subprocess
 import sys
@@ -314,6 +315,60 @@ def test_the_constant_one_spelled_geometric_needs_no_bound(capsys):
         "divisors": list(report.divisors), "search_bound": None, "subject": 7,
         "witnesses": [list(w) for w in report.witnesses],
     }
+
+
+def test_cubic_divisors_past_six_a_need_no_warning(capsys):
+    # the divisor lemma bounds every polynomial sequence: a 6a guess missed 60
+    assert main(shlex.split("divisors 2 --arith poly:-6,-5,-4,1")) == 0
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("1 2 4 6 10 60\n", "")
+    record = run_json("divisors 2 --arith poly:-6,-5,-4,1", capsys)
+    assert record["bound_defaulted"] is False and record["search_bound"] == 120
+    scanned = run_json("divisors 2 --arith poly:-6,-5,-4,1 --bound 240", capsys)
+    assert record == {**scanned, "search_bound": 120}
+
+
+@pytest.mark.parametrize("command,flag", [
+    ("primes 60 --arith poly:1,0,1", "--bound-factor 12"),
+    ("sequence --kind primes --arith poly:1,0,1 --limit 60", "--bound-factor 12"),
+    ("sequence --kind three-divisor --arith poly:2,-1,0,3 --limit 40", "--bound-factor 60"),
+    ("coverage --arith poly:1,0,1 --window 5", "--bound-factor 12"),
+    ("divisors 30 --arith poly:0,0,-4", "--bound 360"),
+])
+def test_polynomial_sequences_default_to_their_divisor_factor(command, flag, capsys):
+    assert main(shlex.split(command)) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert run_cli(shlex.split(f"{command} {flag}"), capsys) == (0, captured.out)
+    assert run_json(command, capsys).get("bound_defaulted") in (None, False)
+
+
+def test_sequences_without_a_divisor_lemma_warn_and_guess(capsys):
+    assert main(shlex.split("divisors 20 --arith gp:1,2 --format json")) == 0
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "warning: no divisor bound is known for gp:1,2; defaulting to 6*a scans\n")
+    record = json.loads(captured.out)
+    assert record["bound_defaulted"] is True and record["search_bound"] == 120
+
+
+README = FIXTURES.parents[1] / "README.md"
+README_EXAMPLES = re.findall(r"^karith (.+?)\s+# (.+)$", README.read_text(), re.M)
+# README examples whose comment describes the output instead of quoting it
+DESCRIBED = ["trajectory + cycle summary", "orbit-length plot data"]
+QUOTED = [(args, comment) for args, comment in README_EXAMPLES if comment not in DESCRIBED]
+
+
+def test_readme_examples_quote_or_describe():
+    assert [c for _, c in README_EXAMPLES if c in DESCRIBED] == DESCRIBED
+    assert len(QUOTED) >= 8
+
+
+@pytest.mark.parametrize("args,comment", QUOTED, ids=[args for args, _ in QUOTED])
+def test_readme_example_prints_its_comment(args, comment, capsys):
+    assert main(shlex.split(args)) == 0
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (comment + "\n", "")
 
 
 class TestOeisCheck:

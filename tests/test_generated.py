@@ -184,27 +184,38 @@ class TestGenerators:
         assert copy.deepcopy(g) == g
         assert copy.copy(g).prefix_sums() is not g.prefix_sums()
         assert twin.prefix_sums().weighted_upto(30) == g.prefix_sums().weighted_upto(30)
-        assert twin.progression == g.progression
+        assert twin.differences == g.differences
+        assert twin.divisor_factor == g.divisor_factor
 
-    def test_progression_is_a_fact_not_a_field(self):
+    def test_differences_are_a_fact_not_a_field(self):
         # ap:3,0 and gp:3,1 spell const:3's sequence yet stay distinct generators
         g = GeomProg(3, 1)
-        assert g.progression == (3, 0)
+        assert g.differences == (3,)
         assert repr(g) == "GeomProg(a1=3, r=1)" and g.spec() == "gp:3,1"
         assert [f.name for f in dataclasses.fields(g)] == ["a1", "r"]
         assert len({g, ArithProg(3, 0), Polynomial((3,)), Constant(3)}) == 4
-        assert [h.progression for h in (ArithProg(2, 5), Polynomial((1, 2, 0)), GeomProg(0, 7))] == [
-            (2, 5), (1, 2), (0, 0)]
-        for h in (GeomProg(1, 2), GeomProg(2, 0), Polynomial((1, 0, 5)), UsualPrimes(),
-                  Explicit((3, 3)), AlternatingOnes(), ZeroOne(), FurstPattern()):
-            assert h.progression is None, h.spec()
-        # the forward differences, trailing zeros dropped, are the fact behind it
+        assert [h.differences for h in (ArithProg(2, 5), Polynomial((1, 2, 0)), GeomProg(0, 7))] == [
+            (2, 5), (1, 2), (0,)]
+        # the forward differences, trailing zeros dropped
         assert [parse_generator(s).differences for s in ("poly:5,0,0", "poly:1,0,1", "ap:3,0")] \
             == [(5,), (1, 1, 2), (3,)]
-        assert Polynomial(()).differences == (0,) and Polynomial(()).progression == (0, 0)
-        for h in (GeomProg(1, 2), UsualPrimes(), Explicit((3, 3)), FurstPattern()):
+        assert Polynomial(()).differences == (0,)
+        for h in (GeomProg(1, 2), GeomProg(2, 0), UsualPrimes(), Explicit((3, 3)),
+                  AlternatingOnes(), ZeroOne(), FurstPattern()):
             assert h.differences is None, h.spec()
         assert "differences" not in {f.name for h in ALL_GENERATORS for f in dataclasses.fields(h)}
+
+    @pytest.mark.parametrize("spec,factor", [
+        ("const:3", 2), ("const:0", 2), ("ap:4,0", 2), ("poly:5,0,0", 2), ("gp:3,1", 2),
+        ("gp:0,7", 2), ("ap:1,2", 6), ("ap:0,3", 6), ("ap:-3,-2", 6),
+        ("poly:2,3", 6), ("poly:1,2,0,0", 6), ("poly:1,0,1", 12), ("poly:0,0,-4", 12),
+        ("poly:-6,-5,-4,1", 60), ("poly:0,0,0,0,1", 60), ("poly:1,-3,2,0,-1,2", 420),
+        ("poly:1,-3,2,0,-1,2,1", 840), ("gp:1,2", None), ("alt", None), ("zeroone", None),
+        ("fpattern", None), ("primes", None), ("explicit:[1,2,3]", None),
+    ])
+    def test_divisor_factor(self, spec, factor):
+        # lcm(2, ..., j + 2) for terms of degree j; no factor without differences
+        assert parse_generator(spec).divisor_factor == factor
 
     def test_spec_roundtrip(self):
         for g in ALL_GENERATORS:
@@ -405,10 +416,33 @@ class TestSeqDivisors:
         with pytest.raises(DomainError):
             seq_divisors(20, GeomProg(1, 2))
 
+    def test_cubic_divisor_past_six_a(self):
+        # 60 divides 2 here; a 6a scan missed it, the divisor lemma's 60a does not
+        g = Polynomial((-6, -5, -4, 1))
+        report = seq_divisors(2, g)
+        assert report.witnesses == _oracle_divisors(2, g, 240)
+        assert report.divisors == (1, 2, 4, 6, 10, 60)
+        assert report.search_bound == 120
+        assert seq_divisors(20, g).divisors[-1] == 600
+
+    def test_polynomial_defaults_need_no_bound(self):
+        # every polynomial sequence has its divisor factor as default bound factor
+        for g in (Polynomial((1, 0, 1)), *HIGHER_POLYNOMIALS):
+            assert seq_divisors(7, g).search_bound == 7 * g.divisor_factor
+            assert seq_primes_below(30, g) == seq_primes_below(30, g, g.divisor_factor)
+            assert seq_is_prime(13, g) == seq_is_prime(13, g, 13 * g.divisor_factor)
+
+    def test_divisor_candidates_build_no_memo(self):
+        g = ArithProg(1, 2)
+        report = seq_divisors(200000, g)
+        assert report.search_bound == 1200000
+        assert report.witnesses == tuple((d, seq_quotient(200000, d, g)) for d in report.divisors)
+        assert "_sums" not in g.__dict__
+
     def test_trailing_zero_coefficients_keep_the_degree(self):
-        # poly:5,0,0 is the constant sequence 5, so it gets the 6a default
-        progressions = [Polynomial(c).progression for c in ((5, 0, 0), (1, 2, 0, 0), (0, 0))]
-        assert progressions == [(5, 0), (1, 2), (0, 0)]
+        # poly:5,0,0 is the constant sequence 5, so it gets the constants' 2a default
+        differences = [Polynomial(c).differences for c in ((5, 0, 0), (1, 2, 0, 0), (0, 0))]
+        assert differences == [(5,), (1, 2), (0,)]
         assert seq_divisors(20, Polynomial((5, 0, 0))) == seq_divisors(20, Constant(5))
 
     def test_domain(self):
@@ -425,11 +459,15 @@ class TestSeqDivisors:
         assert seq_is_prime(1, ArithProg(1, 2), 0) is False
 
     def test_constant_generator_matches_karith(self):
+        # k_divisors and seq_divisors(Constant(k)) share the usual divisors of
+        # 2|a| as candidates, so both answer to the scan past that bound
         for k in range(-6, 7):
-            for a in range(1, 40):
-                fast = k_divisors(a, k).divisors
-                scanned = seq_divisors(a, Constant(k), 6 * a).divisors
-                assert fast == scanned, (a, k)
+            for a in range(-40, 40):
+                if a:
+                    scanned = _oracle_divisors(a, Constant(k), 2 * abs(a) + 50)
+                    assert k_divisors(a, k).witnesses == scanned, (a, k)
+                if a > 0:
+                    assert seq_divisors(a, Constant(k)).witnesses == scanned, (a, k)
 
 
 # Every spelling of the constant sequence k other than const:k, for k = -3..5
@@ -459,7 +497,7 @@ class TestRoutes:
             if n:
                 for a in (-7, 40, 81):
                     assert seq_quotient(a, n, g) == k_quotient(a, n, k), (a, n)
-        assert g.progression == (k, 0)
+        assert g.differences == (k,)
 
     @pytest.mark.parametrize("k", range(-3, 6))
     def test_constants_answer_in_closed_form(self, k):
@@ -624,6 +662,9 @@ ORACLE_GENERATORS = [
     ArithProg(1, 2), ArithProg(2, 1), ArithProg(-3, 5), Polynomial((0, 3)),
     Polynomial((1, 0, 1)), GeomProg(1, 2), GeomProg(-2, 3), AlternatingOnes(),
     ZeroOne(), FurstPattern(), UsualPrimes(),
+    # degrees 3-6: negative coefficients, a trailing zero, and a_1 = p(0) = 0
+    Polynomial((-6, -5, -4, 1)), Polynomial((0, 2, -1, 0, 1)),
+    Polynomial((3, -1, 0, 2, 0, -1, 0)), Polynomial((1, 1, -2, 0, 1, 0, -1)),
 ]
 SHORT_PREFIXES = [
     Explicit(terms)
@@ -651,6 +692,18 @@ class TestScansAgainstPerSubjectOracle:
             report = seq_divisors(a, g, 6 * a)
             assert report.witnesses == _oracle_divisors(a, g, 6 * a), a
             assert report.divisors == tuple(d for d, _ in report.witnesses)
+
+    @pytest.mark.parametrize("g", [g for g in ORACLE_GENERATORS if g.divisor_factor],
+                             ids=lambda g: g.spec())
+    def test_divisor_candidates_at_every_bound(self, g):
+        # the factored candidates against the scan below, at and past L * a
+        factor = g.divisor_factor
+        for a in range(1, 30):
+            scanned = _oracle_divisors(a, g, factor * a + 50)
+            for bound in (a, 3 * a, factor * a, factor * a + 50):
+                want = tuple(w for w in scanned if w[0] <= bound)
+                assert seq_divisors(a, g, bound).witnesses == want, (a, bound)
+            assert seq_divisors(a, g) == seq_divisors(a, g, factor * a)
 
     def test_short_explicit_prefixes(self):
         for g in SHORT_PREFIXES:
