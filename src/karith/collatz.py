@@ -214,25 +214,37 @@ def goldbach_scan(k: int, limit: int, record_witnesses: bool = False) -> Goldbac
     """Search every even target 6..limit for a sum of two k-primes.
 
     A target's witness is its decomposition with the least first k-prime.
+    For odd k the k-primes are the powers of two >= 2, so h is such a sum
+    exactly when it has at most two set bits: its lowest set bit plus the
+    rest, or two halves when h is itself a power of two.  Even k searches
+    the usual primes.
     """
     if limit < 6:
         raise DomainError(f"targets start at 6, got limit {limit}")
-    candidates = k_primes_below(limit + 1, k)
-    members = set(candidates)
     counterexamples = []
     decompositions: dict[int, tuple[int, int]] = {}
-    for h in range(6, limit + 1, 2):
-        found = None
-        for p1 in candidates:
-            if 2 * p1 > h:
-                break
-            if h - p1 in members:
-                found = (p1, h - p1)
-                break
-        if found is None:
-            counterexamples.append(h)
-        elif record_witnesses:
-            decompositions[h] = found
+    if k % 2:
+        for h in range(6, limit + 1, 2):
+            if h.bit_count() > 2:
+                counterexamples.append(h)
+            elif record_witnesses:
+                low = h & -h if h & (h - 1) else h >> 1
+                decompositions[h] = (low, h - low)
+    else:
+        candidates = k_primes_below(limit + 1, k)
+        members = set(candidates)
+        for h in range(6, limit + 1, 2):
+            found = None
+            for p1 in candidates:
+                if 2 * p1 > h:
+                    break
+                if h - p1 in members:
+                    found = (p1, h - p1)
+                    break
+            if found is None:
+                counterexamples.append(h)
+            elif record_witnesses:
+                decompositions[h] = found
     return GoldbachReport(
         k=k,
         limit=limit,

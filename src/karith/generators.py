@@ -22,7 +22,8 @@ import threading
 from dataclasses import dataclass
 from math import lcm
 
-from .core import DivisorReport, DomainError, k_divisors, k_primes_below, nth_prime
+from .core import (DivisorReport, DomainError, _sieved, k_divisors, k_primes_below,
+                   nth_prime)
 
 
 class PrefixExhaustedError(DomainError):
@@ -42,6 +43,11 @@ class Generator:
 
     def term(self, i: int) -> int:
         raise NotImplementedError
+
+    def term_range(self, lo: int, hi: int) -> list[int]:
+        """[term(lo), ..., term(hi - 1)], raising term's error at the first
+        index term refuses; a generator with a faster bulk route overrides it."""
+        return [self.term(i) for i in range(lo, hi)]
 
     def spec(self) -> str:
         raise NotImplementedError
@@ -100,14 +106,13 @@ class Generator:
         return 2 * window_half + 1, False
 
     def prefix_sums(self) -> "PrefixSums":
-        # One memo per generator instance; created lazily, guarded by the
-        # memo's own lock once built.  Generators are immutable, so the memo
-        # never goes stale; it is stored through __dict__ because frozen
-        # dataclasses refuse attribute assignment.
+        # One memo per generator instance, created lazily; setdefault keeps
+        # the first one stored when threads race to create it.  Generators are
+        # immutable, so the memo never goes stale; it is stored through
+        # __dict__ because frozen dataclasses refuse attribute assignment.
         sums = self.__dict__.get("_sums")
         if sums is None:
-            sums = PrefixSums(self)
-            self.__dict__["_sums"] = sums
+            sums = self.__dict__.setdefault("_sums", PrefixSums(self))
         return sums
 
     def __getstate__(self):
@@ -123,43 +128,53 @@ class Generator:
 class PrefixSums:
     """Cached weighted partial sums W(n) for one generator.
 
-    W(1) = 0 and W(n+1) - W(n) equals the plain prefix sum of the first n
-    terms, so the cache grows in O(1) per new index from one running plain
-    sum.  Extension is guarded by a lock; results never depend on the cache
-    state.
+    W(1) = 0, and W(n + 1) - W(n) is the plain prefix sum S(n) of the first
+    n terms, so the memo grows from its last two entries: S(m - 1) =
+    W(m) - W(m - 1), then one ``term_range`` read that advances both sums.  It
+    grows under a lock, in place and only as far as the index asked for,
+    which keeps a finite prefix's error at the index a term-by-term read
+    would reach.  Written entries never change, so a read the memo already
+    covers takes no lock.  Results never depend on the memo's state.
     """
 
     def __init__(self, generator: Generator):
         self.generator = generator
         self._weighted = [0, 0]  # _weighted[n] = W(n); index 0 unused
-        self._plain = 0  # a_1 + ... + a_m for m = len(_weighted) - 2
         self._lock = threading.Lock()
 
     def weighted(self, n: int) -> int:
         """W(n) for n >= 1."""
         if n < 1:
             raise DomainError(f"weighted sum needs a positive term count, got {n}")
-        with self._lock:
-            self._extend(n)
-            return self._weighted[n]
+        memo = self._weighted
+        if n >= len(memo):
+            with self._lock:
+                self._extend(n)
+        return memo[n]
 
     def weighted_upto(self, n: int) -> list[int]:
-        """[0, W(1), ..., W(n)] for n >= 0, read under one lock acquisition.
+        """[0, W(1), ..., W(n)] for n >= 0, in one read.
 
-        The memo grows exactly as repeated weighted() calls would grow it, so
-        a finite prefix fails with the same error at the same index.
+        The memo grows exactly as far as repeated weighted() calls would
+        grow it, so a finite prefix fails with the same error at the same index.
         """
         if n < 0:
             raise DomainError(f"prefix length must be >= 0, got {n}")
-        with self._lock:
-            self._extend(n)
-            return self._weighted[: n + 1]
+        memo = self._weighted
+        if n >= len(memo):
+            with self._lock:
+                self._extend(n)
+        return memo[: n + 1]
 
     def _extend(self, upto: int) -> None:
-        while len(self._weighted) <= upto:
-            m = len(self._weighted) - 1
-            self._plain += self.generator.term(m)
-            self._weighted.append(self._weighted[m] + self._plain)
+        memo = self._weighted
+        m = len(memo) - 1
+        if upto > m:
+            plain, w = memo[m] - memo[m - 1], memo[m]  # S(m - 1), W(m)
+            for t in self.generator.term_range(m, upto):
+                plain += t
+                w += plain
+                memo.append(w)
 
 
 @dataclass(frozen=True)
@@ -236,6 +251,11 @@ class Polynomial(Generator):
 class UsualPrimes(Generator):
     def term(self, i: int) -> int:
         return nth_prime(i)
+
+    def term_range(self, lo: int, hi: int) -> list[int]:
+        if lo < 1:
+            return super().term_range(lo, hi)  # term's error, if the range is not empty
+        return _sieved(count=hi - 1)[lo - 1 : hi - 1]
 
     def spec(self) -> str:
         return "primes"

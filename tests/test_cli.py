@@ -134,6 +134,14 @@ class TestFormats:
         assert code == 3
         assert "prefix" in captured.err
 
+    def test_explicit_prefix_error_names_the_first_missing_term(self, capsys):
+        # a scan to bound 4 reads W(4), which takes the three terms given
+        assert run_cli(shlex.split("divisors 3 --arith explicit:[1,2,3] --bound 4"),
+                       capsys) == (0, "1 2\n")
+        assert main(shlex.split("divisors 10 --arith explicit:[1,2,3]")) == 3
+        assert capsys.readouterr().err.endswith(
+            "domain error: explicit prefix has 3 terms, index 4 requested\n")
+
 
 class TestExitCodes:
     def test_domain_error_is_3(self, capsys):

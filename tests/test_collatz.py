@@ -4,6 +4,7 @@ import pytest
 
 from karith import (
     DomainError,
+    GoldbachReport,
     OddOrbitFate,
     OrbitKind,
     OrbitOutcome,
@@ -11,6 +12,7 @@ from karith import (
     fixed_points,
     goldbach_scan,
     is_k_prime,
+    k_primes_below,
     k_product,
     odd_k_classification,
     orbit,
@@ -346,6 +348,41 @@ class TestGoldbach:
             assert report.counterexamples == tuple(h for h in targets if witness[h] is None)
             assert report.decompositions == {
                 h: witness[h] for h in targets if witness[h] is not None}
+
+
+def _candidate_loop_goldbach(k, limit):
+    """Counterexamples and least-first witnesses by trying every k-prime
+    p1 <= h / 2: the search goldbach_scan ran for every k before odd k
+    became closed, kept as that route's oracle."""
+    candidates = k_primes_below(limit + 1, k)
+    members = set(candidates)
+    counterexamples = []
+    decompositions = {}
+    for h in range(6, limit + 1, 2):
+        found = None
+        for p1 in candidates:
+            if 2 * p1 > h:
+                break
+            if h - p1 in members:
+                found = (p1, h - p1)
+                break
+        if found is None:
+            counterexamples.append(h)
+        else:
+            decompositions[h] = found
+    return tuple(counterexamples), decompositions
+
+
+@pytest.mark.parametrize("k", [-3, -1, 1, 3, 5, 7])
+def test_closed_odd_k_goldbach_matches_the_candidate_loop(k):
+    limits = [6, 7, 8, 100] + [2**j + e for j in range(3, 13) for e in (-1, 1)]
+    for limit in limits:
+        counterexamples, decompositions = _candidate_loop_goldbach(k, limit)
+        report = goldbach_scan(k, limit, record_witnesses=True)
+        assert report.counterexamples == counterexamples, limit
+        assert report.decompositions == decompositions, limit
+        assert list(report.decompositions) == list(decompositions)  # ascending targets
+        assert goldbach_scan(k, limit) == GoldbachReport(k, limit, counterexamples)
 
 
 class TestParitySets:

@@ -5,6 +5,9 @@ import copy
 import dataclasses
 import itertools
 import pickle
+import random
+import sys
+import threading
 from fractions import Fraction
 from pathlib import Path
 
@@ -43,6 +46,7 @@ from karith import (
     seq_quotient,
     squares_sequence,
 )
+from karith import core
 
 ALL_GENERATORS = [
     Constant(3),
@@ -135,6 +139,38 @@ class TestGenerators:
         bulk = g.prefix_sums().weighted_upto(300)
         assert bulk[1:] == [g.prefix_sums().weighted(n) for n in range(1, 301)]
         assert g.prefix_sums().weighted_upto(0) == [0]
+
+    @pytest.mark.parametrize("g", ALL_GENERATORS, ids=lambda g: g.spec())
+    def test_term_range_matches_term(self, g, monkeypatch):
+        # a cold sieve makes the primes' ranges cross rebuilds; fpattern's
+        # blocks start at 1, 4, 9, 18, 35, 68, 133, 262, so ranges meet edges
+        monkeypatch.setattr(core, "_sieve_limit", 1)
+        monkeypatch.setattr(core, "_sieve_primes", [])
+        for lo, hi in [(1, 1), (1, 2), (1, 4), (3, 5), (4, 9), (8, 10), (9, 18), (17, 36),
+                       (2, 40), (35, 68), (40, 300), (67, 134), (133, 600), (300, 2),
+                       (262, 263), (1, 600)]:
+            assert g.term_range(lo, hi) == [g.term(i) for i in range(lo, hi)], (lo, hi)
+        # below 1, a bulk read fails exactly where the term loop does
+        for lo, hi in [(0, 3), (-2, 1), (-5, -5), (0, 0)]:
+            assert _outcome(g.term_range, lo, hi) == _outcome(
+                lambda: [g.term(i) for i in range(lo, hi)]), (lo, hi)
+
+    def test_explicit_reads_one_past_its_prefix(self):
+        g = Explicit((1, 2, 3))
+        assert g.term_range(1, 4) == [1, 2, 3]
+        assert g.weighted(4) == 3 * 1 + 2 * 2 + 1 * 3
+        assert g.prefix_sums().weighted_upto(4) == [0, 0, 1, 4, 10]
+        message = "explicit prefix has 3 terms, index 4 requested"
+        reads = [lambda: g.term(4), lambda: g.term_range(1, 5), lambda: g.term_range(4, 9),
+                 lambda: g.weighted(5), lambda: g.prefix_sums().weighted_upto(5),
+                 lambda: Explicit((1, 2, 3)).weighted(9),
+                 lambda: Explicit((1, 2, 3)).prefix_sums().weighted_upto(9)]
+        for read in reads:
+            with pytest.raises(PrefixExhaustedError) as failure:
+                read()
+            assert str(failure.value) == message
+        # a failed read leaves the memo serving what the prefix allows
+        assert g.prefix_sums().weighted_upto(4) == [0, 0, 1, 4, 10]
 
     def test_bulk_read_fails_like_single_reads(self):
         with pytest.raises(PrefixExhaustedError) as single:
@@ -333,6 +369,45 @@ class TestSeqProduct:
         for t in threads:
             t.join()
         assert all(r == serial for r in results)
+
+    @pytest.mark.parametrize("g", [UsualPrimes(), GeomProg(1, 2)], ids=lambda g: g.spec())
+    def test_warm_reads_race_the_memo_growth(self, g, monkeypatch):
+        # reads the memo covers take no lock while other threads grow it
+        top = 2000
+        oracle = [0, 0]  # W(n) from the term loop, serially
+        plain = 0
+        for i in range(1, top):
+            plain += g.term(i)
+            oracle.append(oracle[-1] + plain)
+        g.weighted(60)  # a warm stretch to read while the rest grows
+        # the primes' sieve grows too
+        monkeypatch.setattr(core, "_sieve_limit", 1)
+        monkeypatch.setattr(core, "_sieve_primes", [])
+        # six threads meet at the growing end; two read in random order
+        plans = [random.Random(slot).sample(range(1, top + 1), top) if slot < 2 else
+                 list(range(1, top + 1)) for slot in range(8)]
+        results = [None] * len(plans)
+        start = threading.Barrier(len(plans))
+
+        def worker(slot):
+            start.wait()
+            sums = g.prefix_sums()
+            results[slot] = [sums.weighted_upto(n) if n % 7 == 0 else g.weighted(n)
+                             for n in plans[slot]]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(i,)) for i in range(len(plans))]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for plan, got in zip(plans, results):
+            assert got == [oracle[: n + 1] if n % 7 == 0 else oracle[n] for n in plan]
 
 
 class TestSeqQuotient:
