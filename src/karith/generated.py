@@ -15,12 +15,15 @@ k-arithmetic's closed routes instead when every term is k.
 The divisor-count censuses (primes, numbers with exactly c divisors below a
 limit) invert the scan into a sieve: each term count d marks the subjects
 congruent to W(d) modulo d, O(limit log limit + factor * limit) in all,
-where a scan per subject would take O(factor * limit**2).
+where a scan per subject would take O(factor * limit**2).  A term count at
+or past the limit reaches at most the subject W(d) mod d, and costs one
+residue.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import mod
 
 from .core import DivisorReport, DomainError, NotDivisible, _divisor_report, usual_divisors
 from .generators import Generator
@@ -79,13 +82,17 @@ def _readable_sums(g: Generator, bound: int) -> list[int]:
 
 
 def seq_is_prime(p: int, g: Generator, search_bound: int | None = None) -> bool:
-    """True when p > 1 has exactly two divisors within the search bound."""
+    """True when p > 1 has exactly two divisors within the search bound:
+    among the usual divisors of L * p for polynomial terms, as in
+    seq_divisors, else among all term counts."""
     if p <= 1:
         return False
     if search_bound is None:
         search_bound = _scan_factor(g) * p
     if search_bound < 1:
         raise DomainError(f"search bound must be positive, got {search_bound}")
+    if g.divisor_factor is not None:
+        return len(seq_divisors(p, g, search_bound).divisors) == 2
     sums = _readable_sums(g, search_bound)
     hits = sum((p - sums[d]) % d == 0 for d in range(1, len(sums)))
     if hits <= 2 and len(sums) - 1 < search_bound:
@@ -98,7 +105,8 @@ def _divisor_counts(limit: int, g: Generator, factor: int, cap: int) -> list[int
     """counts[n] = number of divisors d <= factor * n of n, for 2 <= n < limit.
 
     Inverted sieve: term count d divides exactly the subjects n congruent to
-    W(d) modulo d, and it is in n's scan range when n >= d / factor.  When
+    W(d) modulo d, and it is in n's scan range when n >= d / factor; for
+    d >= limit the only candidate below the limit is n = W(d) mod d.  When
     g's prefix ends before factor * (limit - 1), the prefix's error is raised
     if some subject whose range reaches past the prefix has at most ``cap``
     divisors within it, since a per-subject scan capped at ``cap`` would have
@@ -110,9 +118,14 @@ def _divisor_counts(limit: int, g: Generator, factor: int, cap: int) -> list[int
     bound = factor * (limit - 1)
     sums = _readable_sums(g, bound)
     readable = len(sums) - 1
-    for d in range(1, readable + 1):
+    split = min(readable, limit - 1)
+    for d in range(1, split + 1):
         lo = max(2, -(-d // factor))
         for n in range(lo + (sums[d] - lo) % d, limit, d):
+            counts[n] += 1
+    tail = range(split + 1, readable + 1)
+    for d, n in zip(tail, map(mod, sums[split + 1:], tail)):
+        if 2 <= n < limit and d <= factor * n:
             counts[n] += 1
     if readable < bound:
         cut_short = range(max(2, readable // factor + 1), limit)
@@ -173,6 +186,7 @@ def squares_sequence(count: int, g: Generator) -> list[int]:
     """Self-products i*i for i = 1..count in the generated arithmetic."""
     if count < 1:
         raise DomainError(f"count must be positive, got {count}")
+    g.weighted(count)  # grows a cold memo in one read, not one per i
     return [seq_product(i, i, g) for i in range(1, count + 1)]
 
 
@@ -180,4 +194,5 @@ def cubes_sequence(count: int, g: Generator) -> list[int]:
     """Triple self-products (i*i)*i for i = 1..count."""
     if count < 1:
         raise DomainError(f"count must be positive, got {count}")
+    g.weighted(count)  # as in squares_sequence
     return [seq_product(seq_product(i, i, g), i, g) for i in range(1, count + 1)]

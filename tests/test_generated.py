@@ -758,11 +758,14 @@ class TestScansAgainstPerSubjectOracle:
 
     @pytest.mark.parametrize("g", ORACLE_GENERATORS, ids=lambda g: g.spec())
     def test_infinite_generators(self, g):
-        for factor in (1, 2, 6):
-            for count in (1, 2, 3, 4):
-                assert exact_divisor_count_numbers(count, 60, g, factor) \
-                    == _oracle_census(count, 60, g, factor), (count, factor)
-            assert seq_primes_below(60, g, factor) == _oracle_census(2, 60, g, factor)
+        # term counts d >= limit reach at most W(d) mod d; factor 1 leaves no
+        # such d, and a factor above L leaves only d that the lemma rules out
+        for factor in (1, 2, 3, 5, 6, 13):
+            for limit in (*range(2, 17), 60):
+                for count in (1, 2, 3, 4):
+                    assert exact_divisor_count_numbers(count, limit, g, factor) \
+                        == _oracle_census(count, limit, g, factor), (count, limit, factor)
+                assert seq_primes_below(limit, g, factor) == _oracle_census(2, limit, g, factor)
         for a in range(1, 40):
             report = seq_divisors(a, g, 6 * a)
             assert report.witnesses == _oracle_divisors(a, g, 6 * a), a
@@ -797,6 +800,27 @@ class TestScansAgainstPerSubjectOracle:
                     got = _outcome(seq_is_prime, a, g, bound)
                     want = _outcome(lambda: a > 1 and _oracle_divisor_count(a, g, bound, 2) == 2)
                     assert got == want, (g.spec(), a, bound)
+
+    @pytest.mark.parametrize("g", [g for g in ORACLE_GENERATORS if g.divisor_factor
+                                   and len(g.differences) > 3], ids=lambda g: g.spec())
+    def test_default_census_is_mostly_tail(self, g):
+        # L up to 840: almost every term count scanned is past the limit
+        factor = g.divisor_factor
+        for count in (1, 2, 3, 4):
+            assert exact_divisor_count_numbers(count, 40, g) \
+                == _oracle_census(count, 40, g, factor), count
+        assert seq_primes_below(40, g) == _oracle_census(2, 40, g, factor)
+
+    @pytest.mark.parametrize("g", [g for g in ORACLE_GENERATORS if g.divisor_factor],
+                             ids=lambda g: g.spec())
+    def test_is_prime_by_the_divisor_lemma(self, g):
+        factor = g.divisor_factor
+        for p in range(2, 151):
+            for bound in (p, factor * p, factor * p + 50):
+                want = _oracle_divisor_count(p, g, bound, 2) == 2
+                assert seq_is_prime(p, g, bound) == want, (p, bound)
+                if bound == factor * p:
+                    assert seq_is_prime(p, g) == want, p
 
     def test_concurrent_bulk_reads_of_one_memo(self):
         import sys
@@ -850,6 +874,13 @@ CUBE_CASES = [
 ]
 
 
+# one W(i) read per index: the oracle for the single bulk read
+PER_INDEX = [
+    (squares_sequence, lambda i, g: seq_product(i, i, g)),
+    (cubes_sequence, lambda i, g: seq_product(seq_product(i, i, g), i, g)),
+]
+
+
 class TestSquaresAndCubes:
     @pytest.mark.parametrize("g,count,expected", SQUARE_CASES, ids=lambda v: str(v))
     def test_square_prefixes(self, g, count, expected):
@@ -858,6 +889,28 @@ class TestSquaresAndCubes:
     @pytest.mark.parametrize("g,count,expected", CUBE_CASES, ids=lambda v: str(v))
     def test_cube_prefixes(self, g, count, expected):
         assert cubes_sequence(count, g) == expected
+
+    @pytest.mark.parametrize("fn,per_index", PER_INDEX, ids=["squares", "cubes"])
+    def test_cold_memo_grows_in_one_read(self, fn, per_index, monkeypatch):
+        want = [per_index(i, ZeroOne()) for i in range(1, 301)]
+        reads = []
+        term_range = ZeroOne.term_range
+
+        def counted(self, lo, hi):
+            reads.append((lo, hi))
+            return term_range(self, lo, hi)
+
+        monkeypatch.setattr(ZeroOne, "term_range", counted)
+        assert fn(300, ZeroOne()) == want
+        assert reads == [(1, 300)]
+
+    @pytest.mark.parametrize("fn,per_index", PER_INDEX, ids=["squares", "cubes"])
+    def test_prefix_runs_out_as_a_read_per_index_would(self, fn, per_index):
+        for g in SHORT_PREFIXES:
+            for count in range(1, 9):
+                fresh = dataclasses.replace(g)  # a cold memo, grown one index at a time
+                want = _outcome(lambda: [per_index(i, fresh) for i in range(1, count + 1)])
+                assert _outcome(fn, count, g) == want, (g.spec(), count)
 
     def test_usual_squares(self):
         assert squares_sequence(8, Constant(2)) == [i * i for i in range(1, 9)]
