@@ -283,15 +283,12 @@ def cmd_goldbach(args) -> int:
               "k": report.k, "limit": report.limit}
     plain = [" ".join(map(str, report.counterexamples))]
     if report.decompositions is not None:
-        pairs = sorted(report.decompositions.items())
+        pairs = report.decompositions.items()  # ascending h
         record["decompositions"] = [[h, p1, p2] for h, (p1, p2) in pairs]
         plain += [f"{h} = {p1} + {p2}" for h, (p1, p2) in pairs]
-    return _render(
-        args,
-        record,
-        ["counterexample", *map(str, report.counterexamples)],
-        "\n".join(plain),
-    )
+    # a csv of counterexamples alone would drop the witnesses: render plain
+    csv_lines = None if args.witness else ["counterexample", *map(str, report.counterexamples)]
+    return _render(args, record, csv_lines, "\n".join(plain))
 
 
 # ------------------------------------------------------------------ wiring

@@ -13,6 +13,10 @@ for odd m: the 3x + q family with q = k - 1.  For odd k, q is even, so an
 odd m stays odd under tripling and keeps growing; this is why almost every
 odd-k orbit diverges.  `collatz_step` keeps the definitional form and is
 the oracle for the closed form that `orbit` iterates.
+
+`goldbach_scan` sweeps the first prime, not the target, for even k: one
+shift of the prime bitset per first prime settles about 64 targets to a
+machine word.  Odd k keeps its closed form (see `goldbach_scan`).
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ from .core import DomainError, k_primes_below, k_product, k_quotient
 
 DEFAULT_MAGNITUDE_BOUND = 500_000
 DEFAULT_STEP_LIMIT = 1_000_000
+_BINARY_DIGITS = bytes.maketrans(b"\0\1", b"01")
 
 
 class OrbitKind(Enum):
@@ -216,8 +221,14 @@ def goldbach_scan(k: int, limit: int, record_witnesses: bool = False) -> Goldbac
     A target's witness is its decomposition with the least first k-prime.
     For odd k the k-primes are the powers of two >= 2, so h is such a sum
     exactly when it has at most two set bits: its lowest set bit plus the
-    rest, or two halves when h is itself a power of two.  Even k searches
-    the usual primes.
+    rest, or two halves when h is itself a power of two.  Even k sweeps the
+    usual primes p1 in ascending order over ints used as bitsets, members
+    (bit p: p is prime) and open (bit h: target h has no witness yet):
+    (members << p1) & open, kept to h >= 2 * p1, holds exactly the targets
+    whose least first prime is p1.  Once open has no bit at or above 2 * p1,
+    its bits are the counterexamples.  Odd k keeps its closed form: almost
+    every target there is a counterexample, and reading those back out of a
+    bitset costs more than one bit count each.
     """
     if limit < 6:
         raise DomainError(f"targets start at 6, got limit {limit}")
@@ -231,26 +242,46 @@ def goldbach_scan(k: int, limit: int, record_witnesses: bool = False) -> Goldbac
                 low = h & -h if h & (h - 1) else h >> 1
                 decompositions[h] = (low, h - low)
     else:
-        candidates = k_primes_below(limit + 1, k)
-        members = set(candidates)
-        for h in range(6, limit + 1, 2):
-            found = None
-            for p1 in candidates:
-                if 2 * p1 > h:
-                    break
-                if h - p1 in members:
-                    found = (p1, h - p1)
-                    break
-            if found is None:
-                counterexamples.append(h)
-            elif record_witnesses:
-                decompositions[h] = found
+        primes = k_primes_below(limit + 1, k)
+        flags = bytearray(limit + 1)  # flags[limit - p] is bit p
+        for p in primes:
+            flags[limit - p] = 1
+        members = int(flags.translate(_BINARY_DIGITS), 2)
+        top = limit & ~1
+        open_targets = ((1 << (top + 2)) - 1) // 3 >> 6 << 6  # even bits 6..top
+        least = [0] * (limit + 1) if record_witnesses else None
+        for p1 in primes:
+            high = open_targets >> 2 * p1
+            if not high:
+                break
+            hit = (members >> p1 & high) << 2 * p1  # (members << p1) & open, h >= 2p1
+            open_targets ^= hit
+            if record_witnesses:
+                for h in _set_bits(hit):
+                    least[h] = p1
+        counterexamples = _set_bits(open_targets)
+        if record_witnesses:
+            decompositions = {
+                h: (p1, h - p1) for h in range(6, limit + 1, 2) if (p1 := least[h])}
     return GoldbachReport(
         k=k,
         limit=limit,
         counterexamples=tuple(counterexamples),
         decompositions=decompositions if record_witnesses else None,
     )
+
+
+def _set_bits(x: int) -> list[int]:
+    """Ascending positions of the set bits of x >= 0, read from its binary
+    string: base 2 has no digit limit, and a lowest-bit loop over a big int
+    is quadratic."""
+    digits = bin(x)[:1:-1]
+    positions = []
+    i = digits.find("1")
+    while i >= 0:
+        positions.append(i)
+        i = digits.find("1", i + 1)
+    return positions
 
 
 def product_parity_set(k: int, a_values) -> set[int]:

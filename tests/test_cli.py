@@ -229,6 +229,20 @@ class TestExitCodes:
         assert code == 0
         assert out == "NotDivisible 25/6\n"
 
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_goldbach_witness_csv_falls_back_to_plain(self, k, capsys):
+        # csv has a form for the counterexamples only; with witnesses it
+        # would drop them, so the command renders plain instead
+        command = f"goldbach --k {k} --limit 40 --witness"
+        plain_code, plain = run_cli(shlex.split(command), capsys)
+        code, out = run_cli(shlex.split(command + " --format csv"), capsys)
+        assert code == plain_code == 0
+        assert out == plain
+        assert " = " in out
+        code, out = run_cli(shlex.split(f"goldbach --k {k} --limit 40 --format csv"), capsys)
+        assert code == 0
+        assert out == ("counterexample\n14\n22\n26\n28\n30\n38\n" if k == 1 else "counterexample\n")
+
     def test_empty_goldbach_exits_0(self, capsys):
         code, out = run_cli(shlex.split("goldbach --k 2 --limit 100"), capsys)
         assert code == 0

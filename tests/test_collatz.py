@@ -1,5 +1,7 @@
 """Orbits of the generalized Collatz map, fixed points, Goldbach scans."""
 
+import sys
+
 import pytest
 
 from karith import (
@@ -352,8 +354,8 @@ class TestGoldbach:
 
 def _candidate_loop_goldbach(k, limit):
     """Counterexamples and least-first witnesses by trying every k-prime
-    p1 <= h / 2: the search goldbach_scan ran for every k before odd k
-    became closed, kept as that route's oracle."""
+    p1 <= h / 2: the per-target search goldbach_scan ran before odd k became
+    closed and even k a bitset sweep, kept as the oracle for both."""
     candidates = k_primes_below(limit + 1, k)
     members = set(candidates)
     counterexamples = []
@@ -373,9 +375,12 @@ def _candidate_loop_goldbach(k, limit):
     return tuple(counterexamples), decompositions
 
 
-@pytest.mark.parametrize("k", [-3, -1, 1, 3, 5, 7])
+@pytest.mark.parametrize("k", range(-6, 8))
 def test_closed_odd_k_goldbach_matches_the_candidate_loop(k):
-    limits = [6, 7, 8, 100] + [2**j + e for j in range(3, 13) for e in (-1, 1)]
+    # odd k checks the closed form, even k the bitset sweep: at 64-bit word
+    # edges, at 2**j +- 1 up to 2**14 + 1 and at one large limit
+    limits = [6, 7, 8, 63, 64, 65, 100, 127, 128, 129, 20_000] + [
+        2**j + e for j in range(3, 15) for e in (-1, 1)]
     for limit in limits:
         counterexamples, decompositions = _candidate_loop_goldbach(k, limit)
         report = goldbach_scan(k, limit, record_witnesses=True)
@@ -383,6 +388,19 @@ def test_closed_odd_k_goldbach_matches_the_candidate_loop(k):
         assert report.decompositions == decompositions, limit
         assert list(report.decompositions) == list(decompositions)  # ascending targets
         assert goldbach_scan(k, limit) == GoldbachReport(k, limit, counterexamples)
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="no limit on decimal int conversion before Python 3.11")
+def test_goldbach_scan_converts_no_big_int_through_base_10():
+    # the sweep's bitsets hold 20,000 bits, about 6,000 decimal digits
+    expected = goldbach_scan(2, 20_000, record_witnesses=True)
+    previous = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        assert goldbach_scan(2, 20_000, record_witnesses=True) == expected
+    finally:
+        sys.set_int_max_str_digits(previous)
 
 
 class TestParitySets:
