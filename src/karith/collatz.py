@@ -14,6 +14,17 @@ odd m stays odd under tripling and keeps growing; this is why almost every
 odd-k orbit diverges.  `collatz_step` keeps the definitional form and is
 the oracle for the closed form that `orbit` iterates.
 
+`orbit_length_scan` keeps only (ns, kind) per k, so it walks m one halving
+run at a time: a run m, m/2, ..., m/2**t is one shift, checked against the
+bound at its two ends, and only odd values enter the repeat dict.  If the
+first odd value to repeat is seen at f and again at j, with g_f and g_j the
+indices of the odd values before each, the period is p = j - f and the loop
+starts at mu = max(g_f + 1, g_j - p + 1) (see `_orbit_end`).  `orbit` must
+record every value anyway, so it stays per-step: walking the runs first and
+then replaying the trajectory took 460 us against 427 us per-step for
+orbit(17, 1700, 5_000_000) (medians of 25 interleaved timings, 2-core
+machine, Python 3.11.7).
+
 `goldbach_scan` sweeps the first prime, not the target, for even k: one
 shift of the prime bitset per first prime settles about 64 targets to a
 machine word.  Odd k keeps its closed form (see `goldbach_scan`).
@@ -100,10 +111,7 @@ def orbit(
     Each step is the map's closed form, c -> (c - (k - 2)) / 2 when that is
     an integer and c -> 3c + 3k - 5 otherwise, so no quotient is built.
     """
-    if magnitude_bound < 1:
-        raise DomainError(f"magnitude bound must be at least 1, got {magnitude_bound}")
-    if step_limit < 0:
-        raise DomainError(f"step limit must be at least 0, got {step_limit}")
+    _check_limits(magnitude_bound, step_limit)
     halving_offset, tripling_offset = k - 2, 3 * k - 5
     # Insertion order makes seen the trajectory; its values are the indices.
     seen: dict[int, int] = {}
@@ -193,12 +201,63 @@ def orbit_length_scan(
     magnitude_bound: int = DEFAULT_MAGNITUDE_BOUND,
     step_limit: int = DEFAULT_STEP_LIMIT,
 ) -> list[tuple[int, int | None, str]]:
-    """Orbit summary rows (k, ns, kind) for plotting or CSV emission."""
-    rows = []
-    for k in k_values:
-        outcome = orbit(n, k, magnitude_bound, step_limit)
-        rows.append((k, outcome.ns, outcome.kind.value))
-    return rows
+    """Orbit summary rows (k, ns, kind) for plotting or CSV emission: `orbit`'s
+    ns and kind for each k, walked without recording a trajectory."""
+    _check_limits(magnitude_bound, step_limit)
+    return [(k, *_orbit_end(n, k, magnitude_bound, step_limit)) for k in k_values]
+
+
+def _check_limits(magnitude_bound: int, step_limit: int) -> None:
+    if magnitude_bound < 1:
+        raise DomainError(f"magnitude bound must be at least 1, got {magnitude_bound}")
+    if step_limit < 0:
+        raise DomainError(f"step limit must be at least 0, got {step_limit}")
+
+
+def _orbit_end(n: int, k: int, bound: int, step_limit: int) -> tuple[int | None, str]:
+    """`orbit(n, k, bound, step_limit)`'s (ns, kind value), one halving run
+    at a time.
+
+    c = m - (k - 2) is monotone along a run, so its two ends bound every
+    value on it.  seen keys each odd value to its index, in order, so the
+    index g of the odd value before each one is the entry before it
+    (g = -1 for none).  The first odd value to repeat, at f and again at j,
+    gives the period p = j - f, and the two halving runs that end in it
+    agree back to the start of the shorter one: the loop starts at
+    mu = max(g_f + 1, g_j - p + 1) and ns = mu + p.  The one loop with no
+    odd value is the fixed point m = 0, reached only by tripling.
+    """
+    shift, q = k - 2, k - 1
+    lo, hi = shift - bound, shift + bound  # |c| < bound  <=>  lo < m < hi
+    m = n + shift
+    seen: dict[int, int] = {}
+    i = 0
+    while lo < m < hi:
+        if not m:
+            return (i + 1, "fixed_point") if i < step_limit else (None, "step_limit")
+        if not m & 1:
+            t = (m & -m).bit_length() - 1
+            if not lo < m >> t < hi:
+                while lo < m < hi:
+                    m >>= 1
+                    i += 1
+                break
+            m >>= t
+            i += t
+        f = seen.setdefault(m, i)
+        if f != i:
+            starts = list(seen.values())
+            r = starts.index(f)
+            p = i - f
+            ns = max(starts[r - 1] + 1 if r else 0, starts[-1] - p + 1) + p
+            if ns > step_limit:
+                return None, "step_limit"
+            return ns, "fixed_point" if p == 1 else "cycle"
+        if i >= step_limit:
+            return None, "step_limit"
+        m = 3 * m + q
+        i += 1
+    return None, "magnitude_exceeded" if i <= step_limit else "step_limit"
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,8 @@
 import sys
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from karith import (
     DomainError,
@@ -140,6 +142,8 @@ class TestOrbit:
             orbit(17, 2, 0)
         with pytest.raises(DomainError, match="magnitude bound"):
             orbit_length_scan(17, [2], -5)
+        with pytest.raises(DomainError, match="magnitude bound"):
+            orbit_length_scan(17, [], -5)  # refused before any k is walked
 
     def test_negative_step_limit_refused(self):
         # Not a STEP_LIMIT outcome that contradicts its limit.
@@ -147,6 +151,8 @@ class TestOrbit:
             orbit(17, 2, 100, -1)
         with pytest.raises(DomainError, match="step limit"):
             orbit_length_scan(17, [2], 100, -1)
+        with pytest.raises(DomainError, match="step limit"):
+            orbit_length_scan(17, [], 100, -1)
 
     def test_least_limits_accepted(self):
         outcome = orbit(0, 2, 1, 0)
@@ -283,6 +289,55 @@ class TestScan:
     def test_hand_iterated_row(self):
         rows = orbit_length_scan(1, [2])
         assert rows == [(2, 3, "cycle")]
+
+    def test_cycle_entered_at_an_even_value(self):
+        # -28, -14, -7, -20, -10, -5, -14: the first odd repeat is -7, but
+        # the loop starts one step earlier, at the even -14
+        outcome = walk(-28, 2, 500_000, 10**6)
+        assert (outcome.pre_period, outcome.cycle_entry) == (1, -14)
+        assert orbit_length_scan(-28, [2]) == [(2, 6, "cycle")]
+
+    def test_zero_reached_by_tripling(self):
+        # m = c + k - 2 runs -1, 0, 0: c = -3, -2, -2
+        assert orbit_length_scan(-3, [4]) == [(4, 2, "fixed_point")]
+
+    def test_least_limits(self):
+        assert orbit_length_scan(0, [2], 1, 0) == [(2, None, "step_limit")]
+
+
+def orbit_row(n, k, bound, step_limit):
+    outcome = orbit(n, k, bound, step_limit)
+    return (k, outcome.ns, outcome.kind.value)
+
+
+class TestScanAgainstOrbit:
+    """orbit_length_scan jumps halving runs; orbit walks every step."""
+
+    def test_grid(self):
+        ks = list(range(-20, 21))
+        for bound, steps in ((5_000_000, 10**6), (1000, 7), (50, 10**6)):
+            for n in range(-60, 61):
+                assert orbit_length_scan(n, ks, bound, steps) == [
+                    orbit_row(n, k, bound, steps) for k in ks], (n, bound, steps)
+
+    def test_least_bounds_and_step_limits(self):
+        ks = list(range(-8, 9))
+        for bound in (1, 2, 3):
+            for steps in (0, 1, 2, 3):
+                for n in range(-12, 13):
+                    assert orbit_length_scan(n, ks, bound, steps) == [
+                        orbit_row(n, k, bound, steps) for k in ks], (n, bound, steps)
+
+    def test_long_even_k_orbits(self):
+        ks = list(range(2, 2001, 2))
+        assert orbit_length_scan(17, ks, 5_000_000) == [
+            orbit_row(17, k, 5_000_000, 10**6) for k in ks]
+
+    @given(n=st.integers(-10**4, 10**4), k=st.integers(-3000, 3000),
+           bound=st.integers(1, 10**6), step_limit=st.integers(0, 2000))
+    def test_property(self, n, k, bound, step_limit):
+        assert orbit_length_scan(n, [k], bound, step_limit) == [
+            orbit_row(n, k, bound, step_limit)]
 
 
 class TestGoldbach:
