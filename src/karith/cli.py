@@ -5,34 +5,23 @@ json (canonical: sorted keys, no whitespace, no floating point, so parse +
 re-render is byte identical).  Exit codes: 0 success (including inexact
 quotients and empty results), 2 usage error (a --bfile or --out that cannot
 be opened included), 3 domain error or malformed b-file, 4 fixture mismatch.
+
+Each command imports the library modules it runs when it runs, so a
+``python -m karith`` child loads only those: ``product`` never loads
+``collatz``, ``coverage``, ``oeis`` or ``json``, and ``orbit`` never loads
+``generators``.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
+from typing import TYPE_CHECKING
 
-from .collatz import (
-    DEFAULT_MAGNITUDE_BOUND,
-    DEFAULT_STEP_LIMIT,
-    goldbach_scan,
-    orbit,
-    orbit_length_scan,
-)
-from .core import DomainError, NotDivisible
-from .coverage import seq_residual_set
-from .generated import (
-    cubes_sequence,
-    divisors,
-    exact_divisor_count_numbers,
-    primes_below,
-    seq_product,
-    seq_quotient,
-    squares_sequence,
-)
-from .generators import Generator, GeneratorSpecError, parse_generator
-from .oeis import BFileParseError, compare_prefix, parse_bfile
+from .core import DomainError
+
+if TYPE_CHECKING:
+    from .generators import Generator
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -43,10 +32,14 @@ GUESSED_BOUND_FACTOR = 6
 
 
 def canon_json(obj) -> str:
+    import json
+
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
 def _arith(text: str) -> Generator:
+    from .generators import GeneratorSpecError, parse_generator
+
     try:
         return parse_generator(text)
     except GeneratorSpecError as exc:
@@ -84,6 +77,8 @@ def _bound_factor(g: Generator, given: int | None) -> tuple[int | None, bool]:
 # ---------------------------------------------------------------- product
 
 def cmd_product(args) -> int:
+    from .generated import seq_product
+
     g = args.arith
     result = seq_product(args.m, args.n, g)
     return _render(
@@ -95,6 +90,9 @@ def cmd_product(args) -> int:
 
 
 def cmd_quotient(args) -> int:
+    from .core import NotDivisible
+    from .generated import seq_quotient
+
     g = args.arith
     result = seq_quotient(args.a, args.b, g)
     if isinstance(result, NotDivisible):
@@ -113,6 +111,8 @@ def cmd_quotient(args) -> int:
 # --------------------------------------------------------------- divisors
 
 def cmd_divisors(args) -> int:
+    from .generated import divisors
+
     g = args.arith
     bound, defaulted = _bound_factor(g, args.bound)
     if defaulted:
@@ -129,6 +129,8 @@ def cmd_divisors(args) -> int:
 
 
 def cmd_primes(args) -> int:
+    from .generated import primes_below
+
     g = args.arith
     factor, defaulted = _bound_factor(g, args.bound_factor)
     primes = primes_below(args.limit, g, bound_factor=factor)
@@ -193,10 +195,14 @@ def _orbit_summary(outcome) -> str:
 
 
 def cmd_orbit(args) -> int:
+    from .collatz import DEFAULT_MAGNITUDE_BOUND, DEFAULT_STEP_LIMIT, orbit, orbit_length_scan
+
     if (args.k is None) == (args.scan is None):
         raise argparse.ArgumentTypeError("give exactly one of --k or --scan")
+    bound = DEFAULT_MAGNITUDE_BOUND if args.bound is None else args.bound
+    steps = DEFAULT_STEP_LIMIT if args.steps is None else args.steps
     if args.scan is not None:
-        rows = orbit_length_scan(args.n, args.scan, args.bound, args.steps)
+        rows = orbit_length_scan(args.n, args.scan, bound, steps)
         return _render(
             args,
             {"command": "orbit_scan", "n": args.n,
@@ -205,7 +211,7 @@ def cmd_orbit(args) -> int:
             "\n".join(f"k={k} ns={'-' if ns is None else ns} kind={kind}"
                       for k, ns, kind in rows),
         )
-    outcome = orbit(args.n, args.k, args.bound, args.steps)
+    outcome = orbit(args.n, args.k, bound, steps)
     return _render(
         args,
         {"command": "orbit", "k": args.k, "kind": outcome.kind.value, "n": args.n,
@@ -218,6 +224,8 @@ def cmd_orbit(args) -> int:
 # --------------------------------------------------------------- coverage
 
 def cmd_coverage(args) -> int:
+    from .coverage import seq_residual_set
+
     g = args.arith
     prime_limit, defaulted = args.prime_limit, False
     if prime_limit is None:
@@ -235,6 +243,9 @@ def cmd_coverage(args) -> int:
 # --------------------------------------------------------------- sequence
 
 def _sequence_terms(args) -> list[int]:
+    from .generated import (cubes_sequence, exact_divisor_count_numbers, primes_below,
+                            squares_sequence)
+
     g = args.arith
     if args.kind in ("squares", "cubes"):
         if args.count is None:
@@ -260,6 +271,8 @@ def cmd_sequence(args) -> int:
 
 
 def cmd_oeis_check(args) -> int:
+    from .oeis import compare_prefix, parse_bfile
+
     terms = _sequence_terms(args)
     fixture = parse_bfile(args.bfile)
     result = compare_prefix(terms, fixture, offset=args.offset)
@@ -278,6 +291,8 @@ def cmd_oeis_check(args) -> int:
 # --------------------------------------------------------------- goldbach
 
 def cmd_goldbach(args) -> int:
+    from .collatz import goldbach_scan
+
     report = goldbach_scan(args.k, args.limit, record_witnesses=args.witness)
     record = {"command": "goldbach", "counterexamples": list(report.counterexamples),
               "k": report.k, "limit": report.limit}
@@ -302,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--arith", type=_arith, default=parse_generator("const:2"),
+        p.add_argument("--arith", type=_arith, default="const:2",
                        help="arithmetic spec, e.g. const:3, ap:1,2, gp:1,2, "
                             "poly:1,0,5, primes, alt, zeroone, fpattern, explicit:[...]")
         p.add_argument("--format", choices=("plain", "csv", "json"), default="plain")
@@ -338,8 +353,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int)
     p.add_argument("--scan", type=_parse_scan, help="k range, e.g. 2..100:2")
-    p.add_argument("--bound", type=_int_at_least(1), default=DEFAULT_MAGNITUDE_BOUND)
-    p.add_argument("--steps", type=_int_at_least(0), default=DEFAULT_STEP_LIMIT)
+    # None: collatz's defaults, read by cmd_orbit so other commands never load it
+    p.add_argument("--bound", type=_int_at_least(1))
+    p.add_argument("--steps", type=_int_at_least(0))
     p.add_argument("--format", choices=("plain", "csv", "json"), default="plain")
     p.add_argument("--out")
     p.set_defaults(handler=cmd_orbit)
@@ -383,6 +399,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _bfile_errors() -> tuple[type[Exception], ...]:
+    """The b-file errors main reports with exit 3.  An except clause reads
+    this only while matching an exception, so no command loads oeis for it."""
+    from .oeis import BFileParseError
+
+    return BFileParseError, UnicodeDecodeError
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -390,11 +414,11 @@ def main(argv=None) -> int:
         return args.handler(args)
     except argparse.ArgumentTypeError as exc:
         parser.exit(EXIT_USAGE, f"usage error: {exc}\n")
-    except (BFileParseError, UnicodeDecodeError) as exc:
-        print(f"b-file parse error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
     except DomainError as exc:
         print(f"domain error: {exc}", file=sys.stderr)
+        return EXIT_DOMAIN
+    except _bfile_errors() as exc:
+        print(f"b-file parse error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
     except OSError as exc:
         if exc.filename is None:  # not a --bfile or --out path that cannot be opened

@@ -20,9 +20,12 @@ from __future__ import annotations
 import threading
 from bisect import bisect_left
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import compress
 from math import gcd, isqrt
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 class DomainError(ValueError):
@@ -46,7 +49,7 @@ class DivisorReport:
     ``witnesses`` pairs each divisor d with the start value b such that
     the product of b by d equals the subject.  ``search_bound`` records the
     largest term count a sequence-generated report covers: the caller's
-    bound, or L * a when the sequence's divisor lemma proves that complete;
+    bound, or L * |a| when the sequence's divisor lemma proves that complete;
     it is None when the k-arithmetic's closed characterization was used.
     """
 
@@ -107,7 +110,9 @@ def k_quotient(a: int, b: int, k: int) -> int | NotDivisible:
     q, r = divmod(num, den)
     if r == 0:
         return q
-    return NotDivisible(Fraction(num, den))
+    import fractions  # loaded by the first inexact quotient only
+
+    return NotDivisible(fractions.Fraction(num, den))
 
 
 def k_divides(d: int, a: int, k: int) -> bool:

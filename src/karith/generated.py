@@ -6,11 +6,12 @@ The product of m by n in the arithmetic generated by (a_i) is
 
 which reduces to the k-arithmetic when the sequence is constant.  A term
 count d divides a when d divides a - W(d).  For polynomial terms every such d
-divides L * a (``Generator.divisor_factor``), so a divisor report tests the
-usual divisors of L * a, and L is the default bound factor.  Any other
-sequence needs a caller's bound, and its report scans every term count up to
-it with one bulk prefix-sum read.  ``divisors`` and ``primes_below`` take the
-k-arithmetic's closed routes instead when every term is k.
+divides L * |a| (``Generator.divisor_factor``), so a divisor report of any
+a != 0 tests the usual divisors of L * |a|, and L is the default bound
+factor.  Any other sequence needs a caller's bound and a subject a >= 1, and
+its report scans every term count up to it with one bulk prefix-sum read.
+``divisors`` and ``primes_below`` take the k-arithmetic's closed routes
+instead when every term is k.
 
 The divisor-count censuses (primes, numbers with exactly c divisors below a
 limit) invert the scan into a sieve: each term count d marks the subjects
@@ -22,7 +23,6 @@ residue.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from operator import mod
 
 from .core import DivisorReport, DomainError, NotDivisible, _divisor_report, usual_divisors
@@ -49,22 +49,25 @@ def seq_quotient(a: int, b: int, g: Generator) -> int | NotDivisible:
     q, r = divmod(num, b)
     if r == 0:
         return q + b - 1
-    return NotDivisible(Fraction(num, b) + (b - 1))
+    import fractions  # loaded by the first inexact quotient only
+
+    return NotDivisible(fractions.Fraction(num, b) + (b - 1))
 
 
 def seq_divisors(a: int, g: Generator, search_bound: int | None = None) -> DivisorReport:
-    """Divisors d <= search_bound (default L * a) of a >= 1, tested among the
-    usual divisors of L * a for polynomial terms, else among all term counts."""
-    if a < 1:
+    """Divisors d <= search_bound (default L * |a|) of a, tested among the
+    usual divisors of L * |a| for polynomial terms, which take any a != 0,
+    else among all term counts, for a >= 1."""
+    if a == 0 or (a < 0 and g.divisor_factor is None):
         raise DomainError(f"divisor report needs a positive subject, got {a}")
     if search_bound is None:
-        search_bound = _scan_factor(g) * a
+        search_bound = _scan_factor(g) * abs(a)
     if search_bound < 1:
         raise DomainError(f"search bound must be positive, got {search_bound}")
     if g.divisor_factor is None:
         candidates = enumerate(g.prefix_sums().weighted_upto(search_bound)[1:], start=1)
     else:
-        divs = usual_divisors(g.divisor_factor * a)
+        divs = usual_divisors(g.divisor_factor * abs(a))
         candidates = ((d, g.weighted(d)) for d in divs if d <= search_bound)
     return _divisor_report(a, candidates, search_bound)
 

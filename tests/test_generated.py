@@ -520,6 +520,32 @@ class TestSeqDivisors:
         assert differences == [(5,), (1, 2), (0,)]
         assert seq_divisors(20, Polynomial((5, 0, 0))) == seq_divisors(20, Constant(5))
 
+    def test_negative_subjects_of_polynomial_terms(self):
+        # the divisor lemma holds for a < 0 (d | L * |a|): the report over the
+        # usual divisors of L * |a| equals a literal scan to 3 * L * |a|
+        found = 0
+        for spec in ("ap:1,2", "ap:2,1", "ap:-3,5", "poly:0,3", "poly:1,0,1",
+                     "poly:-6,-5,-4,1"):
+            g = parse_generator(spec)
+            factor = g.divisor_factor
+            weights = list(itertools.islice(_oracle_weighted(g), 3 * factor * 150))
+            for a in range(-150, 0):
+                scan = tuple((d, (a - w) // d + d - 1)
+                             for d, w in enumerate(weights[:3 * factor * -a], start=1)
+                             if (a - w) % d == 0)
+                report = seq_divisors(a, g)
+                assert report.search_bound == factor * -a, (spec, a)
+                assert report.witnesses == scan, (spec, a)
+                assert divisors(a, g) == report
+                found += len(scan)
+        assert found == 921 + 814 + 921 + 780 + 910 + 915
+
+    def test_negative_subjects_of_other_sequences_refused(self):
+        for g in (GeomProg(1, 2), UsualPrimes(), AlternatingOnes()):
+            with pytest.raises(DomainError,
+                               match=r"^divisor report needs a positive subject, got -20$"):
+                seq_divisors(-20, g, 100)
+
     def test_domain(self):
         with pytest.raises(DomainError):
             seq_divisors(0, ArithProg(1, 2))
