@@ -25,6 +25,18 @@ then replaying the trajectory took 460 us against 427 us per-step for
 orbit(17, 1700, 5_000_000) (medians of 25 interleaved timings, 2-core
 machine, Python 3.11.7).
 
+Every odd-q orbit that stays bounded ends in one of the map's few loops
+(Lagarias's rational cycles of 3x + 1), so the scan keeps a process-wide
+catalog of the loops it has closed, per q: each odd value v on a loop maps
+to t_v, the halvings into v from its odd predecessor on the loop, the loop
+length p, and the loop's reach, its largest |c|.  A walk stops at the first
+odd value it finds there whose loop stays inside the bound, at index i with
+g the index of the odd value before it (-1 for none): ns = max(g + 1,
+i - t_v) + p.  A q's loops are admitted only from its second visit on, and
+visit marks plus entries stop at _LOOP_CAP.  For even q (odd k) an odd m
+stays odd and m + q/2 triples at every step, so the only loops are the
+fixed points m = -q/2 and m = 0, and that walk keeps no dict at all.
+
 `goldbach_scan` sweeps the first prime, not the target, for even k: one
 shift of the prime bitset per first prime settles about 64 targets to a
 machine word.  Odd k keeps its closed form (see `goldbach_scan`).
@@ -32,10 +44,11 @@ machine word.  Odd k keeps its closed form (see `goldbach_scan`).
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from enum import Enum
 
-from .core import DomainError, k_primes_below, k_product, k_quotient
+from .core import DomainError, k_divides, k_primes_below, k_product, k_quotient
 
 DEFAULT_MAGNITUDE_BOUND = 500_000
 DEFAULT_STEP_LIMIT = 1_000_000
@@ -84,7 +97,7 @@ def two_divides(n: int, k: int) -> bool:
 
     Equivalent to n even for even k, n odd for odd k.
     """
-    return isinstance(k_quotient(n, 2, k), int)
+    return k_divides(2, n, k)
 
 
 def collatz_step(n: int, k: int) -> int:
@@ -226,29 +239,57 @@ def _orbit_end(n: int, k: int, bound: int, step_limit: int) -> tuple[int | None,
     agree back to the start of the shorter one: the loop starts at
     mu = max(g_f + 1, g_j - p + 1) and ns = mu + p.  The one loop with no
     odd value is the fixed point m = 0, reached only by tripling.
+
+    Odd q (even k) also looks each odd value up in the map's loop catalog
+    (see `_LoopCatalog`), where each odd value v on a closed loop carries
+    t_v, the halvings into v from its odd predecessor on the loop, the loop
+    length p and the loop's reach, its largest |c|.  The first hit v, at
+    index i, whose reach is below the bound ends the walk: the same
+    two-runs argument gives mu = max(g + 1, i - t_v) and ns = mu + p.  No
+    earlier odd value lies on that loop, since the catalog holds every odd
+    value of each loop it lists.  ns > i, so ns > step_limit reports
+    "step_limit" exactly as `orbit` does.  A walk that closes a loop the
+    usual way offers it to the catalog, which admits it only from the q's
+    second visit on and while it holds fewer than _LOOP_CAP entries.  Even
+    q (odd k) walks without a dict (see `_tripling_end`).
     """
     shift, q = k - 2, k - 1
     lo, hi = shift - bound, shift + bound  # |c| < bound  <=>  lo < m < hi
     m = n + shift
+    if not q & 1:
+        return _tripling_end(m, q, lo, hi, step_limit)
+    known = _catalog.visit(q)
+    loops = known or ()  # an empty tuple answers `in` faster than an empty dict
     seen: dict[int, int] = {}
     i = 0
-    while lo < m < hi:
+    if not lo < m < hi:
+        return None, "magnitude_exceeded"
+    while True:  # m is inside the bound at index i, and odd only at the start
         if not m:
             return (i + 1, "fixed_point") if i < step_limit else (None, "step_limit")
-        if not m & 1:
-            t = (m & -m).bit_length() - 1
-            if not lo < m >> t < hi:
-                while lo < m < hi:
-                    m >>= 1
-                    i += 1
-                break
-            m >>= t
-            i += t
+        t = (m & -m).bit_length() - 1
+        if not lo < m >> t < hi:
+            while lo < m < hi:
+                m >>= 1
+                i += 1
+            break
+        m >>= t
+        i += t
+        if m in loops:
+            t_v, p, reach = loops[m]
+            if reach < bound:
+                g = next(reversed(seen.values()), -1)
+                ns = max(g + 1, i - t_v) + p
+                if ns > step_limit:
+                    return None, "step_limit"
+                return ns, "fixed_point" if p == 1 else "cycle"
         f = seen.setdefault(m, i)
         if f != i:
             starts = list(seen.values())
             r = starts.index(f)
             p = i - f
+            if known is not None:
+                _catalog.admit(q, _loop_entries(list(seen)[r:], starts[r:], p, q, shift))
             ns = max(starts[r - 1] + 1 if r else 0, starts[-1] - p + 1) + p
             if ns > step_limit:
                 return None, "step_limit"
@@ -257,7 +298,87 @@ def _orbit_end(n: int, k: int, bound: int, step_limit: int) -> tuple[int | None,
             return None, "step_limit"
         m = 3 * m + q
         i += 1
+        if not lo < m < hi:
+            break
     return None, "magnitude_exceeded" if i <= step_limit else "step_limit"
+
+
+def _tripling_end(m: int, q: int, lo: int, hi: int, step_limit: int) -> tuple[int | None, str]:
+    """`_orbit_end` for even q (odd k), per step and with no repeat dict.
+
+    An odd m stays odd, and m + q/2 triples at every step, so past the
+    first halving run the orbit repeats only at the fixed point m = -q/2
+    (when that is odd) and otherwise grows until it leaves the bound.  The
+    only other loop is the fixed point m = 0, where only m = 0 starts.
+    """
+    fixed = -(q >> 1) if q >> 1 & 1 else 0
+    i = 0
+    while lo < m < hi:
+        if m == fixed or not m:
+            return (i + 1, "fixed_point") if i < step_limit else (None, "step_limit")
+        if i >= step_limit:
+            return None, "step_limit"
+        m = 3 * m + q if m & 1 else m >> 1
+        i += 1
+    return None, "magnitude_exceeded" if i <= step_limit else "step_limit"
+
+
+def _loop_entries(values: list[int], starts: list[int], p: int, q: int,
+                  shift: int) -> dict[int, tuple[int, int, int]]:
+    """Catalog entries v -> (t_v, p, reach) for the loop whose odd values,
+    one period of them, the walk reached in order at the indices in starts.
+
+    t_v is the halving steps into v from its odd predecessor on the loop.
+    reach is the largest |c| = |m - shift| on the loop: its halving runs
+    are monotone in c, so the largest sits at an odd v or at a run's top
+    3v + q.
+    """
+    reach = max(max(abs(v - shift), abs(3 * v + q - shift)) for v in values)
+    previous = [starts[-1] - p, *starts[:-1]]
+    return {v: (at - before - 1, p, reach) for v, at, before in zip(values, starts, previous)}
+
+
+# The most entries, visit marks and loop values together, that the catalog
+# keeps: past it, walks run as with a cold catalog.
+_LOOP_CAP = 1 << 15
+_NO_LOOPS: dict[int, tuple[int, int, int]] = {}  # a visited q with no loop yet
+
+
+class _LoopCatalog:
+    """Closed loops of the odd-q maps m -> m/2, 3m + q, keyed by q.
+
+    loops[q] maps each odd value v on a closed loop to (t_v, p, reach)
+    (see `_loop_entries`).  A published dict is never changed: admit binds
+    a new one, so a walk that reads loops[q] once sees whole loops or
+    nothing, and reads take no lock.  A q's loops are admitted only from
+    its second visit on, so a scan over k values it never sees again pays
+    for no entries.  Visit marks and entries together stop at _LOOP_CAP.
+    """
+
+    def __init__(self) -> None:
+        self.loops: dict[int, dict[int, tuple[int, int, int]]] = {}
+        self.size = 0
+        self.lock = threading.Lock()
+
+    def visit(self, q: int) -> dict[int, tuple[int, int, int]] | None:
+        """q's published loops, or None on its first visit."""
+        known = self.loops.get(q)
+        if known is None:
+            with self.lock:
+                if q not in self.loops and self.size < _LOOP_CAP:
+                    self.loops[q] = _NO_LOOPS
+                    self.size += 1
+        return known
+
+    def admit(self, q: int, entries: dict[int, tuple[int, int, int]]) -> None:
+        with self.lock:
+            old = self.loops[q]
+            if self.size + len(entries) <= _LOOP_CAP and next(iter(entries)) not in old:
+                self.loops[q] = {**old, **entries}
+                self.size += len(entries)
+
+
+_catalog = _LoopCatalog()
 
 
 @dataclass(frozen=True)

@@ -116,8 +116,12 @@ def k_quotient(a: int, b: int, k: int) -> int | NotDivisible:
 
 
 def k_divides(d: int, a: int, k: int) -> bool:
-    """True when d is a positive term count representing a in the k-arithmetic."""
-    return d > 0 and isinstance(k_quotient(a, d, k), int)
+    """True when d is a positive term count representing a in the k-arithmetic.
+
+    Tests k_quotient's numerator by its denominator, so no quotient or
+    Fraction is built.
+    """
+    return d > 0 and (2 * a + d * (d - 1) * (2 - k)) % (2 * d) == 0
 
 
 # Strong-probable-prime bases: together they make Miller-Rabin exact below
@@ -236,7 +240,7 @@ def k_divisors_by_scan(a: int, k: int, bound: int) -> list[int]:
         raise DomainError("every positive integer divides 0; report refused")
     if bound < 1:
         raise DomainError(f"search bound must be positive, got {bound}")
-    return [d for d in range(1, bound + 1) if isinstance(k_quotient(a, d, k), int)]
+    return [d for d in range(1, bound + 1) if k_divides(d, a, k)]
 
 
 def representations(a: int, k: int) -> list[Representation]:

@@ -1,11 +1,14 @@
 """Orbits of the generalized Collatz map, fixed points, Goldbach scans."""
 
+import random
 import sys
+import threading
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from karith import collatz
 from karith import (
     DomainError,
     GoldbachReport,
@@ -338,6 +341,89 @@ class TestScanAgainstOrbit:
     def test_property(self, n, k, bound, step_limit):
         assert orbit_length_scan(n, [k], bound, step_limit) == [
             orbit_row(n, k, bound, step_limit)]
+
+
+def catalog_size(catalog):
+    """Visit marks plus loop entries: what the catalog counts against its cap."""
+    return len(catalog.loops) + sum(map(len, catalog.loops.values()))
+
+
+class TestLoopCatalog:
+    """Even-k scans stop at a loop the process has already closed; the rows
+    must not depend on what the catalog holds, the k order or the threads."""
+
+    @pytest.fixture(autouse=True)
+    def cold(self, monkeypatch):
+        monkeypatch.setattr(collatz, "_catalog", collatz._LoopCatalog())
+
+    def test_first_visit_admits_no_loop(self):
+        # k = 2 is the usual map: its loop 1, 4, 2, 1 has one odd value
+        assert orbit_length_scan(27, [2]) == [orbit_row(27, 2, 500_000, 10**6)]
+        assert collatz._catalog.loops == {1: {}}
+        assert orbit_length_scan(27, [2]) == [orbit_row(27, 2, 500_000, 10**6)]
+        # 1 is entered from 4 by two halvings; the loop has 3 steps and
+        # reaches |c| = 4
+        assert collatz._catalog.loops == {1: {1: (2, 3, 4)}}
+        assert collatz._catalog.size == 2
+
+    def test_hit_ends_the_walk_only_inside_the_bound(self):
+        orbit_length_scan(1, [2])  # the visit that lets q = 1 admit loops
+        collatz._catalog.admit(1, {1: (2, 99, 4)})  # a false period, to see it used
+        assert orbit_length_scan(1, [2], 5) == [(2, 99, "cycle")]
+        collatz._catalog.loops[1] = {1: (2, 99, 5)}  # reaches the bound: walk on
+        assert orbit_length_scan(1, [2], 5) == [orbit_row(1, 2, 5, 10**6)] == [(2, 3, "cycle")]
+
+    @given(n=st.integers(-300, 300), warm_n=st.integers(-300, 300),
+           ks=st.lists(st.integers(-60, 260), min_size=1, max_size=6),
+           bound=st.integers(1, 10**7), step_limit=st.integers(0, 400),
+           warm=st.booleans(), seed=st.integers(0, 2**32))
+    def test_rows_equal_orbit_whatever_the_catalog_holds(
+            self, n, warm_n, ks, bound, step_limit, warm, seed):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(collatz, "_catalog", collatz._LoopCatalog())
+            if warm:  # twice, so the second scan admits its loops
+                for _ in range(2):
+                    orbit_length_scan(warm_n, ks, 10**7)
+            order = ks * 2
+            random.Random(seed).shuffle(order)
+            assert orbit_length_scan(n, order, bound, step_limit) == [
+                orbit_row(n, k, bound, step_limit) for k in order]
+
+    def test_rows_equal_orbit_from_four_threads(self):
+        ks = list(range(-40, 241))
+        plans = [(n, random.Random(n).sample(ks * 2, 2 * len(ks))) for n in (27, -5, 97, 3)]
+        expected = [[orbit_row(n, k, 5_000_000, 10**6) for k in order] for n, order in plans]
+        results = [None] * len(plans)
+        start = threading.Barrier(len(plans))
+
+        def run(i):
+            start.wait()
+            n, order = plans[i]
+            results[i] = orbit_length_scan(n, order, 5_000_000)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=run, args=(i,)) for i in range(len(plans))]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+                assert not t.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert results == expected
+        # a lost update to the count or to a q's loops would break this
+        assert collatz._catalog.size == catalog_size(collatz._catalog)
+        assert any(collatz._catalog.loops.values())
+
+    def test_cap_holds(self, monkeypatch):
+        monkeypatch.setattr(collatz, "_LOOP_CAP", 40)
+        ks = list(range(2, 42, 2))
+        for n in (27, 7, 97, 27, -5, 55):
+            assert orbit_length_scan(n, ks) == [orbit_row(n, k, 500_000, 10**6) for k in ks]
+        assert collatz._catalog.size == catalog_size(collatz._catalog) <= 40
+        assert any(collatz._catalog.loops.values())
 
 
 class TestGoldbach:

@@ -127,6 +127,11 @@ class TestQuotient:
         if isinstance(c, int):
             assert k_product(c, b, k) == a
 
+    @given(a=ints, d=st.integers(min_value=-60, max_value=60), k=small_k)
+    def test_divides_exactly_when_the_quotient_is_an_integer(self, a, d, k):
+        exact = d > 0 and isinstance(k_quotient(a, d, k), int)
+        assert k_divides(d, a, k) is exact
+
 
 class TestDivisors:
     @pytest.mark.parametrize(
