@@ -97,29 +97,33 @@ def t_peano_product(m: int, n: int, t: int) -> int:
     return total
 
 
+def _start_value(a: int, b: int, w: int) -> int | NotDivisible:
+    """Start value c = (a - w) / b + b - 1 of the quotient of a by the term
+    count b != 0 whose weighted sum W(b) is w, or NotDivisible of that rational."""
+    q, r = divmod(a - w, b)
+    if r == 0:
+        return q + b - 1
+    import fractions  # loaded by the first inexact quotient only
+
+    return NotDivisible(fractions.Fraction(a - w, b) + b - 1)
+
+
 def k_quotient(a: int, b: int, k: int) -> int | NotDivisible:
     """Start value c with product(c, b, k) == a, or NotDivisible.
 
-    The exact rational is a/b + (b - 1)(1 - k/2); it is returned inside
-    NotDivisible when it is not an integer.  b = 0 is a domain error.
+    The exact rational is (a - k * C(b, 2)) / b + b - 1; it is returned
+    inside NotDivisible when it is not an integer.  b = 0 is a domain error.
     """
     if b == 0:
         raise DomainError("quotient by zero term count")
-    num = 2 * a + b * (b - 1) * (2 - k)
-    den = 2 * b
-    q, r = divmod(num, den)
-    if r == 0:
-        return q
-    import fractions  # loaded by the first inexact quotient only
-
-    return NotDivisible(fractions.Fraction(num, den))
+    return _start_value(a, b, k * (b * (b - 1) // 2))
 
 
 def k_divides(d: int, a: int, k: int) -> bool:
     """True when d is a positive term count representing a in the k-arithmetic.
 
-    Tests k_quotient's numerator by its denominator, so no quotient or
-    Fraction is built.
+    Tests whether 2d divides 2a + d(d - 1)(2 - k), which is 2d times the
+    start value, so no quotient or Fraction is built.
     """
     return d > 0 and (2 * a + d * (d - 1) * (2 - k)) % (2 * d) == 0
 

@@ -10,8 +10,9 @@ divides L * |a| (``Generator.divisor_factor``), so a divisor report of any
 a != 0 tests the usual divisors of L * |a|, and L is the default bound
 factor.  Any other sequence needs a caller's bound and a subject a >= 1, and
 its report scans every term count up to it with one bulk prefix-sum read.
-``divisors`` and ``primes_below`` take the k-arithmetic's closed routes
-instead when every term is k.
+``divisors`` and ``primes_below`` pick the route: when every term is k (a
+one-entry ``differences``) they call the k-arithmetic's closed forms
+``k_divisors`` and ``k_primes_below`` instead.
 
 The divisor-count censuses (primes, numbers with exactly c divisors below a
 limit) invert the scan into a sieve: each term count d marks the subjects
@@ -25,7 +26,8 @@ from __future__ import annotations
 
 from operator import mod
 
-from .core import DivisorReport, DomainError, NotDivisible, _divisor_report, usual_divisors
+from .core import (DivisorReport, DomainError, NotDivisible, _divisor_report, _start_value,
+                   k_divisors, k_primes_below, usual_divisors)
 from .generators import Generator
 
 
@@ -45,13 +47,7 @@ def seq_quotient(a: int, b: int, g: Generator) -> int | NotDivisible:
     """
     if b == 0:
         raise DomainError("quotient by zero term count")
-    num = a - g.weighted(b)
-    q, r = divmod(num, b)
-    if r == 0:
-        return q + b - 1
-    import fractions  # loaded by the first inexact quotient only
-
-    return NotDivisible(fractions.Fraction(num, b) + (b - 1))
+    return _start_value(a, b, g.weighted(b))
 
 
 def seq_divisors(a: int, g: Generator, search_bound: int | None = None) -> DivisorReport:
@@ -171,18 +167,24 @@ def _scan_factor(g: Generator, bound_factor: int | None = None) -> int:
 
 
 def divisors(a: int, g: Generator, search_bound: int | None = None) -> DivisorReport:
-    """Divisor report of a in the arithmetic g generates: g's closed route
-    when it has one (Generator.closed_divisors), else seq_divisors."""
-    report = g.closed_divisors(a, search_bound)
-    return seq_divisors(a, g, search_bound) if report is None else report
+    """Divisor report of a in the arithmetic g generates: k_divisors when every
+    term is k, which ignores a given bound once it is positive, else seq_divisors."""
+    diffs = g.differences
+    if diffs is None or len(diffs) > 1:
+        return seq_divisors(a, g, search_bound)
+    if search_bound is not None and search_bound < 1:
+        raise DomainError(f"search bound must be positive, got {search_bound}")
+    return k_divisors(a, diffs[0])
 
 
 def primes_below(n: int, g: Generator, bound_factor: int | None = None) -> list[int]:
-    """Primes below n in the arithmetic g generates: g's closed census when it
-    has one, else seq_primes_below.  A given factor must be positive."""
+    """Primes below n in the arithmetic g generates: k_primes_below when every
+    term is k, else seq_primes_below.  A given factor must be positive."""
     factor = _scan_factor(g, bound_factor)
-    primes = g.closed_primes_below(n)
-    return seq_primes_below(n, g, factor) if primes is None else primes
+    diffs = g.differences
+    if diffs is None or len(diffs) > 1:
+        return seq_primes_below(n, g, factor)
+    return k_primes_below(n, diffs[0])
 
 
 def squares_sequence(count: int, g: Generator) -> list[int]:

@@ -6,9 +6,9 @@ whose terms are a polynomial in i sets ``differences`` = (a_1, Δa_1, Δ²a_1,
 ...) and answers W(n) = sum over m of Δᵐa_1 * C(n, m + 2) at every integer n
 (``Generator.weighted``), and every divisor of a != 0 divides L * a
 (``Generator.divisor_factor``).  A single difference is the constant sequence
-k (const:k, ap:k,0, poly:k, gp:k,1, and gp:0,r for k = 0), which takes the
-k-arithmetic's closed routes.  Any other W is read from a per-generator memo
-of prefix sums, undefined below 1.
+k (const:k, ap:k,0, poly:k, gp:k,1, and gp:0,r for k = 0); ``karith.generated``
+reads that fact to route such a sequence to the k-arithmetic's closed forms.
+Any other W is read from a per-generator memo of prefix sums, undefined below 1.
 
 Canonical textual forms, used by the CLI and config files:
 
@@ -22,8 +22,7 @@ import threading
 from dataclasses import dataclass
 from math import lcm
 
-from .core import (DivisorReport, DomainError, _sieved, k_divisors, k_primes_below,
-                   nth_prime)
+from .core import DomainError, _sieved, nth_prime
 
 
 class PrefixExhaustedError(DomainError):
@@ -81,21 +80,6 @@ class Generator:
             raise DomainError(f"generator {self.spec()} has no closed form; "
                               "term counts below 1 are undefined")
         return self.prefix_sums().weighted(n)
-
-    def closed_divisors(self, a: int, search_bound: int | None = None) -> DivisorReport | None:
-        """k_divisors(a, k) when every term is k, else None: scan."""
-        diffs = self.differences
-        if diffs is None or len(diffs) > 1:
-            return None
-        # k_divisors takes any a != 0 and no bound; a given one must be positive
-        if search_bound is not None and search_bound < 1:
-            raise DomainError(f"search bound must be positive, got {search_bound}")
-        return k_divisors(a, diffs[0])
-
-    def closed_primes_below(self, n: int) -> list[int] | None:
-        """k_primes_below(n, k) when every term is k, else None: scan."""
-        diffs = self.differences
-        return None if diffs is None or len(diffs) > 1 else k_primes_below(n, diffs[0])
 
     def prime_limit(self, window_half: int) -> tuple[int, bool]:
         """Prime limit for covering [-N, N], and whether it is a guess: when

@@ -108,6 +108,18 @@ class TestQuotient:
         assert result.ratio == Fraction(25, 6)
         assert str(result) == "NotDivisible 25/6"
 
+    @given(a=st.integers(min_value=-10**6, max_value=10**6),
+           b=st.integers(min_value=-10**4, max_value=10**4).filter(bool), k=small_k)
+    def test_is_the_closed_rational(self, a, b, k):
+        # oracle: a/b + (b - 1)(1 - k/2) over one denominator
+        ratio = Fraction(2 * a + b * (b - 1) * (2 - k), 2 * b)
+        result = k_quotient(a, b, k)
+        if ratio.denominator == 1:
+            assert type(result) is int and result == ratio
+        else:
+            assert result == NotDivisible(ratio)
+            assert str(result) == f"NotDivisible {ratio.numerator}/{ratio.denominator}"
+
     @given(a=ints, k=small_k)
     def test_single_term_representation(self, a, k):
         assert k_quotient(a, 1, k) == a

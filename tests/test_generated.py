@@ -46,7 +46,7 @@ from karith import (
     seq_quotient,
     squares_sequence,
 )
-from karith import core
+from karith import core, generated
 
 ALL_GENERATORS = [
     Constant(3),
@@ -451,6 +451,23 @@ class TestSeqQuotient:
         if isinstance(c, int):
             assert seq_product(c, b, g) == a
 
+    @given(
+        a=st.integers(min_value=-10**6, max_value=10**6),
+        b=st.integers(min_value=1, max_value=10**4),
+        a1=st.integers(min_value=-20, max_value=20),
+        d=st.integers(min_value=-20, max_value=20),
+    )
+    def test_is_the_rational_of_the_summed_weight(self, a, b, a1, d):
+        # oracle: W(b) by literal summation of (b - i) * a_i over i < b
+        w = sum((b - i) * (a1 + (i - 1) * d) for i in range(1, b))
+        ratio = Fraction(a - w, b) + b - 1
+        result = seq_quotient(a, b, parse_generator(f"ap:{a1},{d}"))
+        if ratio.denominator == 1:
+            assert type(result) is int and result == ratio
+        else:
+            assert result == NotDivisible(ratio)
+            assert str(result) == f"NotDivisible {ratio.numerator}/{ratio.denominator}"
+
     def test_roundtrip_across_generator_variants(self):
         for g in (GeomProg(2, 3), UsualPrimes(), AlternatingOnes(), ZeroOne(),
                   FurstPattern(), Polynomial((1, 0, 5))):
@@ -619,6 +636,30 @@ class TestRoutes:
             assert primes_below(60, g, factor) == seq_primes_below(60, g, factor)
         for n in (2, 5, 30):
             assert g.prime_limit(n) == (2 * n, True)
+
+    def test_only_non_constants_reach_the_scans(self, monkeypatch):
+        # for even k the sieve and the closed census agree, so only a scan
+        # that refuses to run shows which route was taken
+        class ScanTaken(Exception):
+            pass
+
+        def refuse(*args):
+            raise ScanTaken
+
+        monkeypatch.setattr(generated, "seq_divisors", refuse)
+        monkeypatch.setattr(generated, "seq_primes_below", refuse)
+        constants = [parse_generator(spec) for _, spec in CONSTANT_SPELLINGS]
+        for g in constants + [Constant(k) for k in range(-3, 6)]:
+            k = g.differences[0]
+            for bound in (None, 5):
+                assert divisors(20, g, bound) == k_divisors(20, k), g.spec()
+            for factor in (None, 6):
+                assert primes_below(60, g, factor) == k_primes_below(60, k), g.spec()
+        for g in ALL_GENERATORS[1:]:
+            with pytest.raises(ScanTaken):
+                divisors(20, g, 120)
+            with pytest.raises(ScanTaken):
+                primes_below(60, g, 6)
 
     def test_doubly_invalid_input_reports_the_first_check(self):
         with pytest.raises(DomainError, match=r"^search bound must be positive, got 0$"):
