@@ -185,27 +185,19 @@ def fixed_points(k: int) -> list[int]:
 def odd_k_classification(n: int, k: int) -> OddOrbitFate:
     """Eventual fate of the n-orbit for odd k: fixed point or divergence.
 
-    The orbit reaches a fixed point only from 2 - k itself, or along the
-    doubling chain of halving preimages that lands exactly on the even
-    fixed point (5 - 3k)/2 when that exists.  Every other start diverges.
+    With m = n + k - 2 the map is m -> m / 2 for even m and m -> 3m + q for
+    odd m, q = k - 1 even, so an odd m stays odd and m + q/2 triples at each
+    step.  Once the first halving run ends, the orbit therefore sits on a
+    fixed point (see `fixed_points`) or never halves again and diverges; a
+    start at m = 0 is the fixed point 2 - k itself.
     """
     if k % 2 == 0:
         raise DomainError("classification applies to odd k only")
-    if n == 2 - k:
-        return OddOrbitFate.FIXED_POINT
-    exceptional = (5 - 3 * k) // 2
-    if exceptional % 2 != 0:
-        return OddOrbitFate.DIVERGES
-    # Halving preimages of v satisfy m - (2 - k) = 2 * (v - (2 - k)), so the
-    # chain into the even fixed point is (2 - k) + 2**j * (1 - k) / 2.
-    offset = n - (2 - k)
-    step = (1 - k) // 2
-    if step == 0 or offset == 0:
-        return OddOrbitFate.DIVERGES
-    q, r = divmod(offset, step)
-    if r != 0 or q < 1:
-        return OddOrbitFate.DIVERGES
-    return OddOrbitFate.FIXED_POINT if q & (q - 1) == 0 else OddOrbitFate.DIVERGES
+    m = n + k - 2
+    if m:
+        m >>= (m & -m).bit_length() - 1  # the end of the first halving run
+    fixed = m - (k - 2) in fixed_points(k)
+    return OddOrbitFate.FIXED_POINT if fixed else OddOrbitFate.DIVERGES
 
 
 def orbit_length_scan(

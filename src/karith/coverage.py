@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import DomainError, k_product
+from .core import DomainError, k_product, k_quotient
 from .generated import primes_below, seq_product
 from .generators import Constant, Generator, parse_generator
 
@@ -83,15 +83,9 @@ def locate_power_of_two_cover(h: int, k: int) -> tuple[int, int]:
         raise DomainError("power-of-two cover applies to odd k only")
     if h == 0:
         raise DomainError("0 is not covered by any prime progression when k is odd")
-    s = 0
-    m = abs(h)
-    while m % 2 == 0:
-        m //= 2
-        s += 1
-    p = 2 ** (s + 1)
-    offset = (p * (p - 1) // 2) * (k - 2)
-    n, r = divmod(h - offset, p)
-    if r != 0 or k_product(n, p, k) != h:
+    p = (h & -h) << 1
+    n = k_quotient(h, p, k)
+    if k_product(n, p, k) != h:
         raise RuntimeError(f"cover witness failed for h={h}, k={k}")
     return p, n
 

@@ -197,7 +197,4 @@ def squares_sequence(count: int, g: Generator) -> list[int]:
 
 def cubes_sequence(count: int, g: Generator) -> list[int]:
     """Triple self-products (i*i)*i for i = 1..count."""
-    if count < 1:
-        raise DomainError(f"count must be positive, got {count}")
-    g.weighted(count)  # as in squares_sequence
-    return [seq_product(seq_product(i, i, g), i, g) for i in range(1, count + 1)]
+    return [seq_product(s, i, g) for i, s in enumerate(squares_sequence(count, g), 1)]

@@ -105,6 +105,15 @@ class TestFormats:
         assert "2,13,cycle" in lines
         assert "6,21,cycle" in lines
 
+    @pytest.mark.parametrize("command,expected", [
+        ("orbit --n -9 --k 3",
+         "-9 -5 -3 -2 -2\nkind=fixed_point ns=4 pre_period=3 fixed_value=-2\n"),
+        ("orbit --n 27 --k 2 --steps 5",
+         "27 82 41 124 62 31\nkind=step_limit steps=5\n"),
+    ], ids=["fixed_point", "step_limit"])
+    def test_orbit_plain_summary(self, command, expected, capsys):
+        assert run_cli(shlex.split(command), capsys) == (0, expected)
+
     def test_out_writes_file(self, tmp_path, capsys):
         target = tmp_path / "out.txt"
         code, out = run_cli(
@@ -178,7 +187,12 @@ class TestExitCodes:
         ("--k 2 --steps -1", "argument --steps: must be at least 0, got -1"),
         ("--k 2 --bound 0", "argument --bound: must be at least 1, got 0"),
         ("--scan 5..1", "argument --scan: scan range '5..1' is empty"),
-    ], ids=["negative_steps", "zero_bound", "empty_scan"])
+        ("--scan 2-10", "argument --scan: scan range must look like k1..k2[:step], got '2-10'"),
+        ("--scan a..b", "argument --scan: bad scan range 'a..b'"),
+        ("--scan 2..10:0", "argument --scan: scan step must be positive"),
+        ("--k 2 --bound x", "argument --bound: invalid int value: 'x'"),
+    ], ids=["negative_steps", "zero_bound", "empty_scan", "scan_without_dots",
+            "scan_not_integers", "zero_scan_step", "bound_not_an_integer"])
     def test_orbit_rejects_out_of_range_options(self, flag, message, capsys):
         with pytest.raises(SystemExit) as err:
             main(shlex.split(f"orbit --n 17 {flag}"))
@@ -187,6 +201,15 @@ class TestExitCodes:
         assert captured.out == ""
         assert captured.err.startswith("usage: karith orbit")
         assert captured.err.endswith(f"error: {message}\n")
+
+    @pytest.mark.parametrize("kind,flag", [("squares", "--count"), ("primes", "--limit")])
+    def test_sequence_needs_its_size_option(self, kind, flag, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(shlex.split(f"sequence --kind {kind}"))
+        captured = capsys.readouterr()
+        assert err.value.code == 2
+        assert captured.out == ""
+        assert captured.err == f"usage error: {flag} is required for --kind {kind}\n"
 
     @pytest.mark.parametrize("command", [
         "oeis-check --kind squares --count 3 --bfile {tmp}/missing/b1.txt",

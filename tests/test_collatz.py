@@ -243,6 +243,18 @@ class TestOddKFixedPoints:
             assert found == expected, k
 
 
+def doubling_chain_fate(n, k):
+    """The fixed-point rule for odd k stated as halving preimages: 2 - k, or
+    (2 - k) + 2**j * (1 - k) / 2 for some j >= 0 when (5 - 3k)/2 is even."""
+    if n == 2 - k:
+        return OddOrbitFate.FIXED_POINT
+    if (5 - 3 * k) // 2 % 2:
+        return OddOrbitFate.DIVERGES
+    q, r = divmod(n - (2 - k), (1 - k) // 2)
+    chain = r == 0 and q >= 1 and q & (q - 1) == 0
+    return OddOrbitFate.FIXED_POINT if chain else OddOrbitFate.DIVERGES
+
+
 class TestOddKClassification:
     def test_halving_fixed_points(self):
         for k in range(-5, 10, 2):
@@ -263,6 +275,19 @@ class TestOddKClassification:
     def test_even_k_rejected(self):
         with pytest.raises(DomainError):
             odd_k_classification(5, 2)
+
+    def test_agrees_with_the_doubling_chain(self):
+        for k in range(-101, 102, 2):
+            for n in range(-2000, 2001):
+                assert odd_k_classification(n, k) == doubling_chain_fate(n, k), (n, k)
+
+    def test_long_doubling_chains_reach_the_even_fixed_point(self):
+        for k in (-13, -5, 3, 7, 11, 10**30 + 3):
+            assert (5 - 3 * k) // 2 % 2 == 0
+            for j in range(61):
+                n = (2 - k) + 2**j * ((1 - k) // 2)
+                assert odd_k_classification(n, k) == OddOrbitFate.FIXED_POINT, (k, j)
+                assert odd_k_classification(n + 2, k) == doubling_chain_fate(n + 2, k)
 
     @pytest.mark.parametrize("k", [-5, -3, -1, 1, 3, 5, 7, 9, 17])
     def test_agreement_with_orbits(self, k):
@@ -372,6 +397,14 @@ class TestLoopCatalog:
         assert orbit_length_scan(1, [2], 5) == [(2, 99, "cycle")]
         collatz._catalog.loops[1] = {1: (2, 99, 5)}  # reaches the bound: walk on
         assert orbit_length_scan(1, [2], 5) == [orbit_row(1, 2, 5, 10**6)] == [(2, 3, "cycle")]
+
+    def test_cold_walk_step_limit_on_the_usual_18_cycle(self):
+        # -55 lies on the usual map's 18-cycle through -17: closing it takes
+        # 18 steps, so a step limit of 17 stops the walk first
+        assert orbit_length_scan(-55, [2], 10**6, 17) == [(2, None, "step_limit")]
+        assert orbit_length_scan(-55, [2], 10**6, 18) == [(2, 18, "cycle")]
+        assert orbit_row(-55, 2, 10**6, 17) == (2, None, "step_limit")
+        assert orbit_row(-55, 2, 10**6, 18) == (2, 18, "cycle")
 
     @given(n=st.integers(-300, 300), warm_n=st.integers(-300, 300),
            ks=st.lists(st.integers(-60, 260), min_size=1, max_size=6),

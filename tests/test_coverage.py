@@ -120,6 +120,22 @@ class TestPowerOfTwoCover:
                 assert k_product(n, p, k) == h
                 assert p & (p - 1) == 0 and p >= 2
 
+    def test_agrees_with_the_valuation_formula(self):
+        def by_valuation(h, k):
+            s, m = 0, abs(h)
+            while m % 2 == 0:
+                m //= 2
+                s += 1
+            p = 2 ** (s + 1)
+            n, r = divmod(h - (p * (p - 1) // 2) * (k - 2), p)
+            assert r == 0
+            return p, n
+
+        large = [sign * 2**100 * odd for sign in (1, -1) for odd in (1, 3, 2**40 + 1)]
+        for k in (-7, -3, -1, 1, 3, 5, 9, 10**30 + 1):
+            for h in [*range(-2000, 0), *range(1, 2001), *large]:
+                assert locate_power_of_two_cover(h, k) == by_valuation(h, k), (h, k)
+
     def test_zero_never_covered_for_odd_k(self):
         for k in (-5, -1, 1, 3, 7):
             for t in range(1, 13):

@@ -180,6 +180,9 @@ class TestGenerators:
         assert str(bulk.value) == str(single.value)
         with pytest.raises(DomainError):
             Constant(3).prefix_sums().weighted_upto(-1)
+        with pytest.raises(DomainError) as zero:
+            Constant(3).prefix_sums().weighted(0)
+        assert str(zero.value) == "weighted sum needs a positive term count, got 0"
 
     def test_generators_are_immutable(self):
         # a mutable generator would keep serving its old prefix-sum memo
