@@ -9,7 +9,11 @@ count d divides a when d divides a - W(d).  For polynomial terms every such d
 divides L * |a| (``Generator.divisor_factor``), so a divisor report of any
 a != 0 tests the usual divisors of L * |a|, and L is the default bound
 factor.  Any other sequence needs a caller's bound and a subject a >= 1, and
-its report scans every term count up to it with one bulk prefix-sum read.
+its report reads the residues W(d) mod d of every term count up to it from
+the prefix-sum memo's residue table (``PrefixSums.residues_upto``): a d <= a
+divides a when W(d) mod d == a mod d, which compares small integers, and a
+d > a exactly when W(d) mod d == a, which one search of the table finds.
+Only the hits read W(d) again, for their witnesses.
 ``divisors`` and ``primes_below`` pick the route: when every term is k (a
 one-entry ``differences``) they call the k-arithmetic's closed forms
 ``k_divisors`` and ``k_primes_below`` instead.
@@ -19,12 +23,10 @@ limit) invert the scan into a sieve: each term count d marks the subjects
 congruent to W(d) modulo d, O(limit log limit + factor * limit) in all,
 where a scan per subject would take O(factor * limit**2).  A term count at
 or past the limit reaches at most the subject W(d) mod d, and costs one
-residue.
+table read.
 """
 
 from __future__ import annotations
-
-from operator import mod
 
 from .core import (DivisorReport, DomainError, NotDivisible, _divisor_report, _start_value,
                    k_divisors, k_primes_below, usual_divisors)
@@ -61,15 +63,30 @@ def seq_divisors(a: int, g: Generator, search_bound: int | None = None) -> Divis
     if search_bound < 1:
         raise DomainError(f"search bound must be positive, got {search_bound}")
     if g.divisor_factor is None:
-        candidates = enumerate(g.prefix_sums().weighted_upto(search_bound)[1:], start=1)
+        divs = _scanned_divisors(a, g.prefix_sums().residues_upto(search_bound))
     else:
-        divs = usual_divisors(g.divisor_factor * abs(a))
-        candidates = ((d, g.weighted(d)) for d in divs if d <= search_bound)
-    return _divisor_report(a, candidates, search_bound)
+        divs = (d for d in usual_divisors(g.divisor_factor * abs(a)) if d <= search_bound)
+    return _divisor_report(a, ((d, g.weighted(d)) for d in divs), search_bound)
 
 
-def _readable_sums(g: Generator, bound: int) -> list[int]:
-    """[0, W(1), ..., W(D)] for the largest D <= bound that g's prefix allows.
+def _scanned_divisors(a: int, residues: list[int]) -> list[int]:
+    """Ascending term counts d < len(residues) that divide a >= 1, given
+    residues[d] = W(d) mod d: d divides a when it divides a - W(d), which for
+    d > a holds exactly when W(d) mod d == a."""
+    head = min(a, len(residues) - 1)
+    found = [d for d in range(1, head + 1) if residues[d] == a % d]
+    d = head
+    try:
+        while True:
+            d = residues.index(a, d + 1)
+            found.append(d)
+    except ValueError:  # no further d > a
+        return found
+
+
+def _readable_residues(g: Generator, bound: int) -> list[int]:
+    """[0, W(1) mod 1, ..., W(D) mod D] for the largest D <= bound that g's
+    prefix allows.
 
     W(D) reads the first D - 1 terms, so a prefix of P terms allows P + 1.
     A scan that stops early, once a subject has too many divisors, may
@@ -77,7 +94,7 @@ def _readable_sums(g: Generator, bound: int) -> list[int]:
     """
     if g.prefix_length is not None:
         bound = min(bound, g.prefix_length + 1)
-    return g.prefix_sums().weighted_upto(bound)
+    return g.prefix_sums().residues_upto(bound)
 
 
 def seq_is_prime(p: int, g: Generator, search_bound: int | None = None) -> bool:
@@ -92,9 +109,9 @@ def seq_is_prime(p: int, g: Generator, search_bound: int | None = None) -> bool:
         raise DomainError(f"search bound must be positive, got {search_bound}")
     if g.divisor_factor is not None:
         return len(seq_divisors(p, g, search_bound).divisors) == 2
-    sums = _readable_sums(g, search_bound)
-    hits = sum((p - sums[d]) % d == 0 for d in range(1, len(sums)))
-    if hits <= 2 and len(sums) - 1 < search_bound:
+    residues = _readable_residues(g, search_bound)
+    hits = len(_scanned_divisors(p, residues))
+    if hits <= 2 and len(residues) - 1 < search_bound:
         # a scan with at most two divisors so far reads on past the prefix
         g.prefix_sums().weighted_upto(search_bound)
     return hits == 2
@@ -115,15 +132,14 @@ def _divisor_counts(limit: int, g: Generator, factor: int, cap: int) -> list[int
     if limit <= 2:
         return counts
     bound = factor * (limit - 1)
-    sums = _readable_sums(g, bound)
-    readable = len(sums) - 1
+    residues = _readable_residues(g, bound)
+    readable = len(residues) - 1
     split = min(readable, limit - 1)
     for d in range(1, split + 1):
         lo = max(2, -(-d // factor))
-        for n in range(lo + (sums[d] - lo) % d, limit, d):
+        for n in range(lo + (residues[d] - lo) % d, limit, d):
             counts[n] += 1
-    tail = range(split + 1, readable + 1)
-    for d, n in zip(tail, map(mod, sums[split + 1:], tail)):
+    for d, n in zip(range(split + 1, readable + 1), residues[split + 1:]):
         if 2 <= n < limit and d <= factor * n:
             counts[n] += 1
     if readable < bound:

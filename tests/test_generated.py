@@ -155,6 +155,16 @@ class TestGenerators:
             assert _outcome(g.term_range, lo, hi) == _outcome(
                 lambda: [g.term(i) for i in range(lo, hi)]), (lo, hi)
 
+    @given(coeffs=st.lists(st.integers(-50, 50), min_size=1, max_size=7),
+           lo=st.integers(1, 400), length=st.integers(0, 60))
+    def test_polynomial_term_range_is_the_term_loop(self, coeffs, lo, length):
+        # degrees 0-6 of either sign, and the ap:, const: and gp: spellings
+        # whose terms are polynomial: all read the Newton column at lo
+        for g in (Polynomial(tuple(coeffs)), ArithProg(coeffs[0], coeffs[-1]),
+                  Constant(coeffs[0]), GeomProg(coeffs[0], 1), GeomProg(0, coeffs[-1])):
+            assert g.differences is not None
+            assert g.term_range(lo, lo + length) == [g.term(i) for i in range(lo, lo + length)]
+
     def test_explicit_reads_one_past_its_prefix(self):
         g = Explicit((1, 2, 3))
         assert g.term_range(1, 4) == [1, 2, 3]
@@ -382,6 +392,7 @@ class TestSeqProduct:
         for i in range(1, top):
             plain += g.term(i)
             oracle.append(oracle[-1] + plain)
+        residues = [0] + [w % d for d, w in enumerate(oracle) if d]
         g.weighted(60)  # a warm stretch to read while the rest grows
         # the primes' sieve grows too
         monkeypatch.setattr(core, "_sieve_limit", 1)
@@ -395,7 +406,8 @@ class TestSeqProduct:
         def worker(slot):
             start.wait()
             sums = g.prefix_sums()
-            results[slot] = [sums.weighted_upto(n) if n % 7 == 0 else g.weighted(n)
+            results[slot] = [sums.weighted_upto(n) if n % 7 == 0 else
+                             sums.residues_upto(n) if n % 7 == 3 else g.weighted(n)
                              for n in plans[slot]]
 
         interval = sys.getswitchinterval()
@@ -410,7 +422,8 @@ class TestSeqProduct:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         for plan, got in zip(plans, results):
-            assert got == [oracle[: n + 1] if n % 7 == 0 else oracle[n] for n in plan]
+            assert got == [oracle[: n + 1] if n % 7 == 0 else
+                           residues[: n + 1] if n % 7 == 3 else oracle[n] for n in plan]
 
 
 class TestSeqQuotient:
@@ -790,6 +803,11 @@ def _oracle_divisors(a, g, bound):
     )
 
 
+def _oracle_residues(g, n):
+    """[0, W(1) mod 1, ..., W(n) mod n], failing where a term-by-term read does."""
+    return [0] + [w % d for d, w in zip(range(1, n + 1), _oracle_weighted(g))]
+
+
 def _oracle_census(count, limit, g, factor):
     return [n for n in range(2, limit)
             if _oracle_divisor_count(n, g, factor * n, count) == count]
@@ -863,6 +881,10 @@ class TestScansAgainstPerSubjectOracle:
                         assert got == want, (g.spec(), count, limit, factor)
                     got = _outcome(seq_primes_below, limit, g, factor)
                     assert got == _outcome(_oracle_census, 2, limit, g, factor)
+            for n in range(9):
+                want = _outcome(_oracle_residues, g, n)
+                assert _outcome(dataclasses.replace(g).prefix_sums().residues_upto, n) == want
+                assert _outcome(g.prefix_sums().residues_upto, n) == want, (g.spec(), n)
             for a in range(1, 8):
                 for bound in range(1, 9):
                     got = _outcome(lambda: seq_divisors(a, g, bound).witnesses)
@@ -921,6 +943,97 @@ class TestScansAgainstPerSubjectOracle:
             assert seq_primes_below(n, ArithProg(1, 2)) == []
             with pytest.raises(DomainError):
                 seq_primes_below(n, GeomProg(1, 2))
+
+
+# every scanned sequence of ORACLE_GENERATORS, more W of either sign, and a prefix
+SCANNED_GENERATORS = [g for g in ORACLE_GENERATORS if g.differences is None] + [
+    GeomProg(1, -2), GeomProg(3, -1), Explicit(tuple(range(-200, 400)))]
+
+
+class TestResidueTable:
+    """``PrefixSums.residues_upto`` and the scans that read it, against W itself."""
+
+    @pytest.mark.parametrize("g", SCANNED_GENERATORS, ids=lambda g: g.spec())
+    def test_residues_are_w_mod_d(self, g):
+        want = _oracle_residues(g, 400)
+        sums = dataclasses.replace(g).prefix_sums()  # cold, then grown in shuffled order
+        for n in random.Random(3).sample(range(401), 401):
+            assert sums.residues_upto(n) == want[: n + 1], n
+        with pytest.raises(DomainError, match=r"^prefix length must be >= 0, got -1$"):
+            sums.residues_upto(-1)
+
+    @pytest.mark.parametrize("g", SCANNED_GENERATORS, ids=lambda g: g.spec())
+    def test_scans_whatever_the_memo_holds(self, g):
+        rng = random.Random(g.spec())
+        cases = [(a, bound) for bound in (1, 2, 7, 60, 301)
+                 for a in {1, bound - 1, bound, bound + 1, rng.randint(1, 400), 10**12 + 1}
+                 if a >= 1]
+        warm_sums, warm_table, shuffled = (dataclasses.replace(g) for _ in range(3))
+        warm_sums.prefix_sums().weighted_upto(400)
+        warm_table.prefix_sums().residues_upto(400)
+        for a, bound in rng.sample(cases, len(cases)):
+            want = _oracle_divisors(a, g, bound)
+            for h in (dataclasses.replace(g), warm_sums, warm_table, shuffled):
+                assert seq_divisors(a, h, bound).witnesses == want, (a, bound)
+                assert seq_is_prime(a, h, bound) == (a > 1 and len(want) == 2), (a, bound)
+        for limit in (rng.randint(3, 60), 90):
+            want = _oracle_census(3, limit, g, 2)
+            for h in (dataclasses.replace(g), warm_sums, warm_table, shuffled):
+                assert exact_divisor_count_numbers(3, limit, h, 2) == want, limit
+                assert seq_primes_below(limit, h, 2) == _oracle_census(2, limit, g, 2), limit
+
+    def test_warm_scan_divides_up_to_the_subject_and_searches_past_it(self, monkeypatch):
+        g = UsualPrimes()
+        want = _oracle_divisors(317, g, 4000)
+        assert seq_divisors(317, g, 4000).witnesses == want  # the warm-up
+        reads = {"weighted": 0, "weighted_upto": 0, "items": [], "searched_from": []}
+
+        class Logged(list):
+            def __getitem__(self, i):
+                reads["items"].append(i)
+                return super().__getitem__(i)
+
+            def index(self, value, start, *stop):
+                reads["searched_from"].append(start)
+                return super().index(value, start, *stop)
+
+        sums = generators.PrefixSums
+        weighted, weighted_upto, residues_upto = (
+            sums.weighted, sums.weighted_upto, sums.residues_upto)
+
+        def counted_weighted(self, n):
+            reads["weighted"] += 1
+            return weighted(self, n)
+
+        def counted_weighted_upto(self, n):
+            reads["weighted_upto"] += 1
+            return weighted_upto(self, n)
+
+        monkeypatch.setattr(sums, "weighted", counted_weighted)
+        monkeypatch.setattr(sums, "weighted_upto", counted_weighted_upto)
+        monkeypatch.setattr(sums, "residues_upto", lambda self, n: Logged(residues_upto(self, n)))
+        report = seq_divisors(317, g, 4000)
+        assert report.witnesses == want
+        assert reads["weighted_upto"] == 0
+        assert reads["weighted"] <= len(report.divisors)
+        # d <= 317 compares W(d) mod d with 317 mod d; every larger d is searched for
+        assert sorted(set(reads["items"])) == list(range(1, 318))
+        assert reads["searched_from"] == [318] + [d + 1 for d in report.divisors if d > 317]
+        assert any(d > 317 for d in report.divisors)
+
+    @pytest.mark.parametrize("g", [ZeroOne(), UsualPrimes(), GeomProg(1, 2)],
+                             ids=lambda g: g.spec())
+    def test_only_scans_and_censuses_build_the_table(self, g):
+        g = dataclasses.replace(g)
+        squares_sequence(50, g)
+        cubes_sequence(50, g)
+        seq_product(3, 80, g)
+        seq_quotient(40, 60, g)
+        assert g.prefix_sums()._residues == [0]
+        seq_divisors(20, g, 90)
+        assert len(g.prefix_sums()._residues) == 91
+        exact_divisor_count_numbers(3, 60, g, 2)
+        assert len(g.prefix_sums()._residues) == 119
 
 
 SQUARE_CASES = [
