@@ -113,7 +113,7 @@ def seq_is_prime(p: int, g: Generator, search_bound: int | None = None) -> bool:
     hits = len(_scanned_divisors(p, residues))
     if hits <= 2 and len(residues) - 1 < search_bound:
         # a scan with at most two divisors so far reads on past the prefix
-        g.prefix_sums().weighted_upto(search_bound)
+        g.prefix_sums().residues_upto(search_bound)
     return hits == 2
 
 
@@ -145,7 +145,7 @@ def _divisor_counts(limit: int, g: Generator, factor: int, cap: int) -> list[int
     if readable < bound:
         cut_short = range(max(2, readable // factor + 1), limit)
         if any(counts[n] <= cap for n in cut_short):
-            g.prefix_sums().weighted_upto(bound)  # raises the prefix's error
+            g.prefix_sums().residues_upto(bound)  # raises the prefix's error
     return counts
 
 

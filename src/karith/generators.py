@@ -127,13 +127,14 @@ class Generator:
 class PrefixSums:
     """Cached weighted partial sums W(n) for one generator, and their residues.
 
-    W(1) = 0, and W(n + 1) - W(n) is the plain prefix sum S(n) of the first
-    n terms, so the memo grows from its last two entries: S(m - 1) =
-    W(m) - W(m - 1), then one ``term_range`` read that advances both sums.  It
-    grows under a lock, in place and only as far as the index asked for,
-    which keeps a finite prefix's error at the index a term-by-term read
-    would reach.  Written entries never change, so a read the memo already
-    covers takes no lock.  Results never depend on the memo's state.
+    Two reads: ``weighted(n)`` and the residue table's ``residues_upto(n)``.
+    W(1) = 0 and W(n + 1) - W(n) = S(n), the sum of the first n terms, so
+    the memo grows from its last two entries: one ``term_range`` read, then
+    one ``accumulate`` pass for S from S(m - 1) = W(m) - W(m - 1) and one for
+    W.  It grows under a lock, in place and only as far as the index asked
+    for, which keeps a finite prefix's error at the index a term-by-term
+    read would reach.  Written entries never change, so a read the memo
+    already covers takes no lock.  Results never depend on the memo's state.
 
     The residue table holds W(d) mod d for each term count d, the one number
     a divisor scan or census needs from W(d).  Only ``residues_upto`` grows
@@ -158,24 +159,10 @@ class PrefixSums:
                 self._extend(n)
         return memo[n]
 
-    def weighted_upto(self, n: int) -> list[int]:
-        """[0, W(1), ..., W(n)] for n >= 0, in one read.
-
-        The memo grows exactly as far as repeated weighted() calls would
-        grow it, so a finite prefix fails with the same error at the same index.
-        """
-        if n < 0:
-            raise DomainError(f"prefix length must be >= 0, got {n}")
-        memo = self._weighted
-        if n >= len(memo):
-            with self._lock:
-                self._extend(n)
-        return memo[: n + 1]
-
     def residues_upto(self, n: int) -> list[int]:
         """[0, W(1) mod 1, ..., W(n) mod n] for n >= 0, in one read.
 
-        It grows the memo as weighted_upto(n) does, so a finite prefix fails
+        It grows the memo as far as weighted(n) does, so a finite prefix fails
         with the same error at the same index, then the table from the memo.
         """
         table = self._residues
@@ -192,11 +179,8 @@ class PrefixSums:
         memo = self._weighted
         m = len(memo) - 1
         if upto > m:
-            plain, w = memo[m] - memo[m - 1], memo[m]  # S(m - 1), W(m)
-            for t in self.generator.term_range(m, upto):
-                plain += t
-                w += plain
-                memo.append(w)
+            plain = accumulate(self.generator.term_range(m, upto), initial=memo[m] - memo[m - 1])
+            memo.extend(islice(accumulate(plain, initial=memo[m - 1]), 2, None))  # W(m + 1), ...
 
 
 @dataclass(frozen=True)
@@ -238,7 +222,11 @@ class GeomProg(Generator):
             object.__setattr__(self, "differences", (self.a1,))
 
     def term(self, i: int) -> int:
-        return self.a1 * self.r ** (i - 1)
+        if i >= 1:
+            return self.a1 * self.r ** (i - 1)
+        if self.differences is None:
+            raise DomainError(f"term index must be positive, got {i}")
+        return self.a1  # every term is a1, as for Constant
 
     def spec(self) -> str:
         return f"gp:{self.a1},{self.r}"

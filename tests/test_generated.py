@@ -65,6 +65,14 @@ HIGHER_POLYNOMIALS = [Polynomial((2, -1, 0, 3)), Polynomial((0, 0, 0, 0, 1)),
                       Polynomial((-4, 1, -2, 0, 0)), Polynomial((1, -3, 2, 0, -1, 2, 0))]
 
 
+def _answers(read, *args):
+    """[read(*args)], or [] when it raises DomainError."""
+    try:
+        return [read(*args)]
+    except DomainError:
+        return []
+
+
 class TestGenerators:
     def test_terms(self):
         assert [ArithProg(3, 4).term(i) for i in range(1, 5)] == [3, 7, 11, 15]
@@ -83,6 +91,40 @@ class TestGenerators:
         assert g.term(3) == 6
         with pytest.raises(PrefixExhaustedError):
             g.term(4)
+
+    def test_geometric_terms_below_1(self):
+        # every term of gp:3,1 and gp:0,5 is a_1, below 1 too; any other ratio
+        # has no integer term there and refuses, as explicit: and fpattern do
+        for spec, a1 in [("gp:3,1", 3), ("gp:0,5", 0)]:
+            g = parse_generator(spec)
+            assert [g.term(i) for i in range(-2, 3)] == [a1] * 5
+            assert g.term_range(-1, 3) == [a1] * 4
+            assert all(type(t) is int for t in g.term_range(-1, 3))
+        for spec, terms in [("gp:1,2", [1, 2, 4]), ("gp:2,-1", [2, -2, 2]),
+                            ("gp:2,0", [2, 0, 0])]:
+            g = parse_generator(spec)
+            assert g.term_range(1, 4) == terms
+            for read, index in [(lambda: g.term(0), 0), (lambda: g.term(-1), -1),
+                                (lambda: g.term_range(-1, 3), -1), (lambda: g.term_range(0, 1), 0)]:
+                with pytest.raises(DomainError) as failure:
+                    read()
+                assert str(failure.value) == f"term index must be positive, got {index}", spec
+
+    @pytest.mark.parametrize("g", ALL_GENERATORS + HIGHER_POLYNOMIALS + [
+        GeomProg(2, -1), GeomProg(2, 0), GeomProg(3, 1)], ids=lambda g: g.spec())
+    def test_no_floats_anywhere(self, g):
+        # every answer is an int (or a NotDivisible), else a DomainError
+        span = range(-3, 41)
+        for n in span:
+            assert all(type(t) is int for t in _answers(g.term, n)), n
+            assert all(type(w) is int for w in _answers(g.weighted, n)), n
+            assert all(type(p) is int for p in _answers(seq_product, 5, n, g)), n
+            if n:
+                assert all(type(q) in (int, NotDivisible)
+                           for q in _answers(seq_quotient, 40, n, g)), n
+            for hi in span:
+                for row in _answers(g.term_range, n, hi):
+                    assert all(type(t) is int for t in row), (n, hi)
 
     def test_nth_prime_grows(self):
         assert nth_prime(25) == 97
@@ -134,11 +176,19 @@ class TestGenerators:
             Fraction(-1500075001083335833310007, 100000))
         assert "_sums" not in g.__dict__
 
-    @pytest.mark.parametrize("g", ALL_GENERATORS, ids=lambda g: g.spec())
+    @pytest.mark.parametrize("g", ALL_GENERATORS + HIGHER_POLYNOMIALS, ids=lambda g: g.spec())
     def test_bulk_read_matches_single_reads(self, g):
-        bulk = g.prefix_sums().weighted_upto(300)
-        assert bulk[1:] == [g.prefix_sums().weighted(n) for n in range(1, 301)]
-        assert g.prefix_sums().weighted_upto(0) == [0]
+        # a cold memo grown in chunks of shuffled sizes: its residues against
+        # Generator.weighted (the closed form for polynomial terms), its W
+        # against the term-by-term oracle
+        want = [0] + [g.weighted(d) % d for d in range(1, 401)]
+        sums = dataclasses.replace(g).prefix_sums()
+        sizes = [1, 1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 168]  # 400 in all
+        random.Random(g.spec()).shuffle(sizes)
+        for n in itertools.accumulate(sizes, initial=0):
+            assert sums.residues_upto(n) == want[: n + 1], n
+        assert [sums.weighted(n) for n in range(1, 401)] == list(
+            itertools.islice(_oracle_weighted(g), 400))
 
     @pytest.mark.parametrize("g", ALL_GENERATORS, ids=lambda g: g.spec())
     def test_term_range_matches_term(self, g, monkeypatch):
@@ -169,27 +219,29 @@ class TestGenerators:
         g = Explicit((1, 2, 3))
         assert g.term_range(1, 4) == [1, 2, 3]
         assert g.weighted(4) == 3 * 1 + 2 * 2 + 1 * 3
-        assert g.prefix_sums().weighted_upto(4) == [0, 0, 1, 4, 10]
+        assert g.prefix_sums().residues_upto(4) == [0, 0, 1, 1, 2]  # W = 0, 1, 4, 10
         message = "explicit prefix has 3 terms, index 4 requested"
         reads = [lambda: g.term(4), lambda: g.term_range(1, 5), lambda: g.term_range(4, 9),
-                 lambda: g.weighted(5), lambda: g.prefix_sums().weighted_upto(5),
+                 lambda: g.weighted(5), lambda: g.prefix_sums().residues_upto(5),
                  lambda: Explicit((1, 2, 3)).weighted(9),
-                 lambda: Explicit((1, 2, 3)).prefix_sums().weighted_upto(9)]
+                 lambda: Explicit((1, 2, 3)).prefix_sums().residues_upto(9)]
         for read in reads:
             with pytest.raises(PrefixExhaustedError) as failure:
                 read()
             assert str(failure.value) == message
         # a failed read leaves the memo serving what the prefix allows
-        assert g.prefix_sums().weighted_upto(4) == [0, 0, 1, 4, 10]
+        assert g.prefix_sums().residues_upto(4) == [0, 0, 1, 1, 2]
+        assert [g.weighted(n) for n in range(1, 5)] == [0, 1, 4, 10]
 
     def test_bulk_read_fails_like_single_reads(self):
         with pytest.raises(PrefixExhaustedError) as single:
             Explicit((1, 2)).prefix_sums().weighted(9)
         with pytest.raises(PrefixExhaustedError) as bulk:
-            Explicit((1, 2)).prefix_sums().weighted_upto(9)
+            Explicit((1, 2)).prefix_sums().residues_upto(9)
         assert str(bulk.value) == str(single.value)
+        assert str(bulk.value) == "explicit prefix has 2 terms, index 3 requested"
         with pytest.raises(DomainError):
-            Constant(3).prefix_sums().weighted_upto(-1)
+            Constant(3).prefix_sums().residues_upto(-1)
         with pytest.raises(DomainError) as zero:
             Constant(3).prefix_sums().weighted(0)
         assert str(zero.value) == "weighted sum needs a positive term count, got 0"
@@ -232,7 +284,9 @@ class TestGenerators:
         assert twin == g and hash(twin) == hash(g)
         assert copy.deepcopy(g) == g
         assert copy.copy(g).prefix_sums() is not g.prefix_sums()
-        assert twin.prefix_sums().weighted_upto(30) == g.prefix_sums().weighted_upto(30)
+        assert twin.prefix_sums().residues_upto(30) == g.prefix_sums().residues_upto(30)
+        assert [twin.prefix_sums().weighted(n) for n in range(1, 31)] == [
+            g.prefix_sums().weighted(n) for n in range(1, 31)]
         assert twin.differences == g.differences
         assert twin.divisor_factor == g.divisor_factor
 
@@ -406,8 +460,7 @@ class TestSeqProduct:
         def worker(slot):
             start.wait()
             sums = g.prefix_sums()
-            results[slot] = [sums.weighted_upto(n) if n % 7 == 0 else
-                             sums.residues_upto(n) if n % 7 == 3 else g.weighted(n)
+            results[slot] = [sums.residues_upto(n) if n % 7 == 0 else g.weighted(n)
                              for n in plans[slot]]
 
         interval = sys.getswitchinterval()
@@ -422,8 +475,7 @@ class TestSeqProduct:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         for plan, got in zip(plans, results):
-            assert got == [oracle[: n + 1] if n % 7 == 0 else
-                           residues[: n + 1] if n % 7 == 3 else oracle[n] for n in plan]
+            assert got == [residues[: n + 1] if n % 7 == 0 else oracle[n] for n in plan]
 
 
 class TestSeqQuotient:
@@ -969,7 +1021,7 @@ class TestResidueTable:
                  for a in {1, bound - 1, bound, bound + 1, rng.randint(1, 400), 10**12 + 1}
                  if a >= 1]
         warm_sums, warm_table, shuffled = (dataclasses.replace(g) for _ in range(3))
-        warm_sums.prefix_sums().weighted_upto(400)
+        warm_sums.prefix_sums().weighted(400)
         warm_table.prefix_sums().residues_upto(400)
         for a, bound in rng.sample(cases, len(cases)):
             want = _oracle_divisors(a, g, bound)
@@ -986,7 +1038,7 @@ class TestResidueTable:
         g = UsualPrimes()
         want = _oracle_divisors(317, g, 4000)
         assert seq_divisors(317, g, 4000).witnesses == want  # the warm-up
-        reads = {"weighted": 0, "weighted_upto": 0, "items": [], "searched_from": []}
+        reads = {"weighted": 0, "items": [], "searched_from": []}
 
         class Logged(list):
             def __getitem__(self, i):
@@ -998,23 +1050,16 @@ class TestResidueTable:
                 return super().index(value, start, *stop)
 
         sums = generators.PrefixSums
-        weighted, weighted_upto, residues_upto = (
-            sums.weighted, sums.weighted_upto, sums.residues_upto)
+        weighted, residues_upto = sums.weighted, sums.residues_upto
 
         def counted_weighted(self, n):
             reads["weighted"] += 1
             return weighted(self, n)
 
-        def counted_weighted_upto(self, n):
-            reads["weighted_upto"] += 1
-            return weighted_upto(self, n)
-
         monkeypatch.setattr(sums, "weighted", counted_weighted)
-        monkeypatch.setattr(sums, "weighted_upto", counted_weighted_upto)
         monkeypatch.setattr(sums, "residues_upto", lambda self, n: Logged(residues_upto(self, n)))
         report = seq_divisors(317, g, 4000)
         assert report.witnesses == want
-        assert reads["weighted_upto"] == 0
         assert reads["weighted"] <= len(report.divisors)
         # d <= 317 compares W(d) mod d with 317 mod d; every larger d is searched for
         assert sorted(set(reads["items"])) == list(range(1, 318))
