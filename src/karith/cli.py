@@ -197,8 +197,6 @@ def _orbit_summary(outcome) -> str:
 def cmd_orbit(args) -> int:
     from .collatz import DEFAULT_MAGNITUDE_BOUND, DEFAULT_STEP_LIMIT, orbit, orbit_length_scan
 
-    if (args.k is None) == (args.scan is None):
-        raise argparse.ArgumentTypeError("give exactly one of --k or --scan")
     bound = DEFAULT_MAGNITUDE_BOUND if args.bound is None else args.bound
     steps = DEFAULT_STEP_LIMIT if args.steps is None else args.steps
     if args.scan is not None:
@@ -316,85 +314,70 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--arith", type=_arith, default="const:2",
+    # shared options, each parent adding to the one before it
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--format", choices=("plain", "csv", "json"), default="plain")
+    output.add_argument("--out", help="write output to this path instead of stdout")
+    arith = argparse.ArgumentParser(add_help=False, parents=[output])
+    arith.add_argument("--arith", type=_arith, default="const:2",
                        help="arithmetic spec, e.g. const:3, ap:1,2, gp:1,2, "
                             "poly:1,0,5, primes, alt, zeroone, fpattern, explicit:[...]")
-        p.add_argument("--format", choices=("plain", "csv", "json"), default="plain")
-        p.add_argument("--out", help="write output to this path instead of stdout")
+    census = argparse.ArgumentParser(add_help=False, parents=[arith])
+    census.add_argument("--bound-factor", type=int,
+                        help="per-candidate divisor scan bound factor (default: the sequence's "
+                             f"divisor factor, else {GUESSED_BOUND_FACTOR} with a warning)")
+    terms = argparse.ArgumentParser(add_help=False, parents=[census])
+    terms.add_argument("--count", type=int, help="term count for squares/cubes")
+    terms.add_argument("--limit", type=int, help="upper limit for primes/three-divisor")
 
-    p = sub.add_parser("product", help="product of m by n")
+    def command(name, handler, parent, summary):
+        p = sub.add_parser(name, parents=[parent], help=summary)
+        p.set_defaults(handler=handler)
+        return p
+
+    p = command("product", cmd_product, arith, "product of m by n")
     p.add_argument("m", type=int)
     p.add_argument("n", type=int)
-    common(p)
-    p.set_defaults(handler=cmd_product)
 
-    p = sub.add_parser("quotient", help="start value writing a as b terms")
+    p = command("quotient", cmd_quotient, arith, "start value writing a as b terms")
     p.add_argument("a", type=int)
     p.add_argument("b", type=int)
-    common(p)
-    p.set_defaults(handler=cmd_quotient)
 
-    p = sub.add_parser("divisors", help="divisor report for an integer")
+    p = command("divisors", cmd_divisors, arith, "divisor report for an integer")
     p.add_argument("a", type=int)
-    common(p)
     p.add_argument("--bound", type=int, help="scan bound for generated arithmetics")
-    p.set_defaults(handler=cmd_divisors)
 
-    p = sub.add_parser("primes", help="primes below a limit")
+    p = command("primes", cmd_primes, census, "primes below a limit")
     p.add_argument("limit", type=int)
-    common(p)
-    p.add_argument("--bound-factor", type=int,
-                   help="per-candidate divisor scan bound factor (default: the sequence's "
-                        f"divisor factor, else {GUESSED_BOUND_FACTOR} with a warning)")
-    p.set_defaults(handler=cmd_primes)
 
-    p = sub.add_parser("orbit", help="Collatz-style orbit or orbit-length scan")
+    p = command("orbit", cmd_orbit, output, "Collatz-style orbit or orbit-length scan")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int)
-    p.add_argument("--scan", type=_parse_scan, help="k range, e.g. 2..100:2")
+    mode = p.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--k", type=int)
+    mode.add_argument("--scan", type=_parse_scan, help="k range, e.g. 2..100:2")
     # None: collatz's defaults, read by cmd_orbit so other commands never load it
     p.add_argument("--bound", type=_int_at_least(1))
     p.add_argument("--steps", type=_int_at_least(0))
-    p.add_argument("--format", choices=("plain", "csv", "json"), default="plain")
-    p.add_argument("--out")
-    p.set_defaults(handler=cmd_orbit)
 
-    p = sub.add_parser("coverage", help="residual of a window under prime multiples")
-    common(p)
+    p = command("coverage", cmd_coverage, census, "residual of a window under prime multiples")
     p.add_argument("--window", type=int, required=True)
     p.add_argument("--prime-limit", type=int)
-    p.add_argument("--bound-factor", type=int)
-    p.set_defaults(handler=cmd_coverage)
 
-    p = sub.add_parser("sequence", help="squares, cubes, primes, three-divisor numbers")
+    p = command("sequence", cmd_sequence, terms, "squares, cubes, primes, three-divisor numbers")
     p.add_argument("--kind", choices=("squares", "cubes", "primes", "three-divisor"),
                    required=True)
-    common(p)
-    p.add_argument("--count", type=int, help="term count for squares/cubes")
-    p.add_argument("--limit", type=int, help="upper limit for primes/three-divisor")
-    p.add_argument("--bound-factor", type=int)
-    p.set_defaults(handler=cmd_sequence)
 
-    p = sub.add_parser("oeis-check", help="diff a generated sequence against a b-file")
+    p = command("oeis-check", cmd_oeis_check, terms, "diff a generated sequence against a b-file")
     p.add_argument("--kind", choices=("squares", "cubes", "primes"), required=True)
-    common(p)
-    p.add_argument("--count", type=int)
-    p.add_argument("--limit", type=int)
-    p.add_argument("--bound-factor", type=int)
     p.add_argument("--bfile", required=True)
     p.add_argument("--offset", type=int, default=1,
                    help="b-file index aligned with the first generated term")
-    p.set_defaults(handler=cmd_oeis_check)
 
-    p = sub.add_parser("goldbach", help="even targets not a sum of two primes")
+    p = command("goldbach", cmd_goldbach, output, "even targets not a sum of two primes")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--limit", type=int, required=True)
     p.add_argument("--witness", action="store_true",
                    help="record one decomposition per target")
-    p.add_argument("--format", choices=("plain", "csv", "json"), default="plain")
-    p.add_argument("--out")
-    p.set_defaults(handler=cmd_goldbach)
 
     return parser
 

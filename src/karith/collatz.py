@@ -33,7 +33,8 @@ length p, and the loop's reach, its largest |c|.  A walk stops at the first
 odd value it finds there whose loop stays inside the bound, at index i with
 g the index of the odd value before it (-1 for none): ns = max(g + 1,
 i - t_v) + p.  A q's loops are admitted only from its second visit on, and
-visit marks plus entries stop at _LOOP_CAP.  For even q (odd k) an odd m
+visit marks plus entries stop at _LOOP_CAP; past it a walk builds no entries,
+so it costs what a cold walk costs.  For even q (odd k) an odd m
 stays odd and m + q/2 triples at every step, so the only loops are the
 fixed points m = -q/2 and m = 0, and that walk keeps no dict at all.
 
@@ -241,8 +242,8 @@ def _orbit_end(n: int, k: int, bound: int, step_limit: int) -> tuple[int | None,
     earlier odd value lies on that loop, since the catalog holds every odd
     value of each loop it lists.  ns > i, so ns > step_limit reports
     "step_limit" exactly as `orbit` does.  A walk that closes a loop the
-    usual way offers it to the catalog, which admits it only from the q's
-    second visit on and while it holds fewer than _LOOP_CAP entries.  Even
+    usual way offers it to the catalog only while it fits under _LOOP_CAP,
+    and the catalog admits it only from the q's second visit on.  Even
     q (odd k) walks without a dict (see `_tripling_end`).
     """
     shift, q = k - 2, k - 1
@@ -280,7 +281,7 @@ def _orbit_end(n: int, k: int, bound: int, step_limit: int) -> tuple[int | None,
             starts = list(seen.values())
             r = starts.index(f)
             p = i - f
-            if known is not None:
+            if known is not None and _catalog.size + len(starts) - r <= _LOOP_CAP:
                 _catalog.admit(q, _loop_entries(list(seen)[r:], starts[r:], p, q, shift))
             ns = max(starts[r - 1] + 1 if r else 0, starts[-1] - p + 1) + p
             if ns > step_limit:
@@ -331,7 +332,7 @@ def _loop_entries(values: list[int], starts: list[int], p: int, q: int,
 
 
 # The most entries, visit marks and loop values together, that the catalog
-# keeps: past it, walks run as with a cold catalog.
+# keeps: past it, walks build no entries and cost what a cold walk costs.
 _LOOP_CAP = 1 << 15
 _NO_LOOPS: dict[int, tuple[int, int, int]] = {}  # a visited q with no loop yet
 

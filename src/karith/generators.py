@@ -324,25 +324,19 @@ class FurstPattern(Generator):
     """Blocks (1, -1, 0...0) whose zero runs have lengths 1, 3, 7, 15, ...
 
     Block b has total length 2**b + 1, so the blocks start at positions
-    1, 4, 9, 18, 35, ...
+    2**b + b - 2 = 1, 4, 9, 18, 35, ..., and term i sits in block
+    i.bit_length() - 1 (at least 1) or, below that block's start, the one
+    before it.
     """
 
     def term(self, i: int) -> int:
         if i < 1:
             raise DomainError(f"term index must be positive, got {i}")
-        start = 1
-        b = 1
-        while True:
-            length = 2**b + 1
-            if i < start + length:
-                offset = i - start
-                if offset == 0:
-                    return 1
-                if offset == 1:
-                    return -1
-                return 0
-            start += length
-            b += 1
+        b = max(1, i.bit_length() - 1)
+        if (1 << b) + b - 2 > i:
+            b -= 1
+        offset = i - (1 << b) - b + 2
+        return 1 if offset == 0 else -1 if offset == 1 else 0
 
     def spec(self) -> str:
         return "fpattern"

@@ -1,5 +1,6 @@
 """CLI behavior: fixture regression, formats, exit codes."""
 
+import argparse
 import json
 import re
 import shlex
@@ -21,7 +22,7 @@ from karith import (
     residual_set,
     seq_primes_below,
 )
-from karith.cli import main
+from karith.cli import build_parser, main
 
 OEIS = FIXTURES / "oeis"
 EXPECTED = FIXTURES / "expected"
@@ -191,8 +192,11 @@ class TestExitCodes:
         ("--scan a..b", "argument --scan: bad scan range 'a..b'"),
         ("--scan 2..10:0", "argument --scan: scan step must be positive"),
         ("--k 2 --bound x", "argument --bound: invalid int value: 'x'"),
+        ("", "one of the arguments --k --scan is required"),
+        ("--k 2 --scan 2..4", "argument --scan: not allowed with argument --k"),
     ], ids=["negative_steps", "zero_bound", "empty_scan", "scan_without_dots",
-            "scan_not_integers", "zero_scan_step", "bound_not_an_integer"])
+            "scan_not_integers", "zero_scan_step", "bound_not_an_integer",
+            "no_mode", "both_modes"])
     def test_orbit_rejects_out_of_range_options(self, flag, message, capsys):
         with pytest.raises(SystemExit) as err:
             main(shlex.split(f"orbit --n 17 {flag}"))
@@ -414,6 +418,65 @@ def test_readme_example_prints_its_comment(args, comment, capsys):
     assert main(shlex.split(args)) == 0
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == (comment + "\n", "")
+
+
+COMMANDS = ["product", "quotient", "divisors", "primes", "orbit", "coverage", "sequence",
+            "oeis-check", "goldbach"]
+
+
+@pytest.mark.parametrize("command", ["", *COMMANDS])
+def test_help_exits_0(command, capsys):
+    with pytest.raises(SystemExit) as err:
+        main([*command.split(), "--help"])
+    assert err.value.code == 0
+    assert capsys.readouterr().out.startswith(f"usage: karith {command}".rstrip())
+
+
+# option -> (type, default, choices, required, nargs), pinned per command
+FORMAT = {"--format": (None, "plain", ("plain", "csv", "json"), False, None),
+          "--out": (None, None, None, False, None)}
+ARITH = {**FORMAT, "--arith": ("_arith", "const:2", None, False, None)}
+CENSUS = {**ARITH, "--bound-factor": ("int", None, None, False, None)}
+TERMS = {**CENSUS, "--count": ("int", None, None, False, None),
+         "--limit": ("int", None, None, False, None)}
+POSITIONAL = ("int", None, None, True, None)
+OPTION_TABLE = {
+    "product": {**ARITH, "m": POSITIONAL, "n": POSITIONAL},
+    "quotient": {**ARITH, "a": POSITIONAL, "b": POSITIONAL},
+    "divisors": {**ARITH, "a": POSITIONAL, "--bound": ("int", None, None, False, None)},
+    "primes": {**CENSUS, "limit": POSITIONAL},
+    "orbit": {**FORMAT, "--n": ("int", None, None, True, None),
+              "--k": ("int", None, None, False, None),
+              "--scan": ("_parse_scan", None, None, False, None),
+              "--bound": ("_int_at_least.<locals>.parse", None, None, False, None),
+              "--steps": ("_int_at_least.<locals>.parse", None, None, False, None)},
+    "coverage": {**CENSUS, "--window": ("int", None, None, True, None),
+                 "--prime-limit": ("int", None, None, False, None)},
+    "sequence": {**TERMS, "--kind": (
+        None, None, ("squares", "cubes", "primes", "three-divisor"), True, None)},
+    "oeis-check": {**TERMS, "--kind": (None, None, ("squares", "cubes", "primes"), True, None),
+                   "--bfile": (None, None, None, True, None),
+                   "--offset": ("int", 1, None, False, None)},
+    "goldbach": {**FORMAT, "--k": ("int", None, None, True, None),
+                 "--limit": ("int", None, None, True, None),
+                 "--witness": (None, False, None, False, 0)},
+}
+
+
+def test_option_table():
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert list(sub.choices) == COMMANDS
+    for command, p in sub.choices.items():
+        options = {
+            ", ".join(a.option_strings) or a.dest:
+                (getattr(a.type, "__qualname__", a.type), a.default, a.choices, a.required,
+                 a.nargs)
+            for a in p._actions if not isinstance(a, argparse._HelpAction)}
+        assert options == OPTION_TABLE[command], command
+        groups = [(g.required, [a.dest for a in g._group_actions])
+                  for g in p._mutually_exclusive_groups]
+        assert groups == ([(True, ["k", "scan"])] if command == "orbit" else []), command
 
 
 class TestOeisCheck:

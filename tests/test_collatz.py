@@ -458,6 +458,26 @@ class TestLoopCatalog:
         assert collatz._catalog.size == catalog_size(collatz._catalog) <= 40
         assert any(collatz._catalog.loops.values())
 
+    def test_full_catalog_builds_no_entries_it_would_refuse(self, monkeypatch):
+        monkeypatch.setattr(collatz, "_LOOP_CAP", 40)
+        ks = list(range(2, 42, 2))
+        for n in (27, 27, 7, 97):  # 20 visit marks and 20 loop values
+            orbit_length_scan(n, ks)
+        assert collatz._catalog.size == catalog_size(collatz._catalog) == 40
+        assert any(collatz._catalog.loops.values())
+        offers = []
+
+        def entries(values, *rest):
+            offers.append((collatz._catalog.size, len(values)))
+            return loop_entries(values, *rest)
+
+        loop_entries = collatz._loop_entries
+        monkeypatch.setattr(collatz, "_loop_entries", entries)
+        for n in (27, -5, 55):  # each closes loops that no longer fit
+            assert orbit_length_scan(n, ks) == [orbit_row(n, k, 500_000, 10**6) for k in ks]
+        assert all(size + length <= 40 for size, length in offers), offers
+        assert collatz._catalog.size == 40
+
 
 class TestGoldbach:
     def test_powers_of_two_fail_at_14(self):

@@ -86,6 +86,23 @@ class TestGenerators:
         expected = [1, -1, 0, 1, -1, 0, 0, 0, 1, -1, 0, 0, 0, 0, 0, 0, 0, 1, -1]
         assert [FurstPattern().term(i) for i in range(1, 20)] == expected
 
+    def test_fpattern_term_matches_the_block_walk(self):
+        def walk(i):
+            """Term i by walking the blocks of length 2**b + 1 from position 1."""
+            start, b = 1, 1
+            while i >= start + 2**b + 1:
+                start += 2**b + 1
+                b += 1
+            return {0: 1, 1: -1}.get(i - start, 0)
+
+        g = FurstPattern()
+        assert all(g.term(i) == walk(i) for i in range(1, 200_000))
+        for e in (60, 100):  # around the starts of the blocks near 2**e
+            for b in (e - 1, e, e + 1):
+                start = 2**b + b - 2
+                for i in (*range(start - 3, start + 4), 2**b - 1, 2**b, 2**b + 1):
+                    assert g.term(i) == walk(i), i
+
     def test_explicit_prefix_errors_past_end(self):
         g = Explicit((4, 5, 6))
         assert g.term(3) == 6
