@@ -3,8 +3,9 @@
 Output formats: plain (space-separated values and bracketed rows), csv, and
 json (canonical: sorted keys, no whitespace, no floating point, so parse +
 re-render is byte identical).  Exit codes: 0 success (including inexact
-quotients and empty results), 2 usage error (a --bfile or --out that cannot
-be opened included), 3 domain error or malformed b-file, 4 fixture mismatch.
+quotients and empty results), 2 usage error (an option missing, conflicting
+or misspelled, or a --bfile or --out that cannot be opened), 3 domain error
+(a value out of the library's range) or malformed b-file, 4 fixture mismatch.
 
 Each command imports the library modules it runs when it runs, so a
 ``python -m karith`` child loads only those: ``product`` never loads
@@ -145,19 +146,6 @@ def cmd_primes(args) -> int:
 
 # ------------------------------------------------------------------ orbit
 
-def _int_at_least(minimum: int):
-    def parse(text: str) -> int:
-        try:
-            value = int(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-        if value < minimum:
-            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
-        return value
-
-    return parse
-
-
 def _parse_scan(text: str) -> list[int]:
     head, _, step_text = text.partition(":")
     lo_text, sep, hi_text = head.partition("..")
@@ -247,11 +235,11 @@ def _sequence_terms(args) -> list[int]:
     g = args.arith
     if args.kind in ("squares", "cubes"):
         if args.count is None:
-            raise argparse.ArgumentTypeError(f"--count is required for --kind {args.kind}")
+            args.parser.error(f"--count is required for --kind {args.kind}")
         fn = squares_sequence if args.kind == "squares" else cubes_sequence
         return fn(args.count, g)
     if args.limit is None:
-        raise argparse.ArgumentTypeError(f"--limit is required for --kind {args.kind}")
+        args.parser.error(f"--limit is required for --kind {args.kind}")
     factor, _ = _bound_factor(g, args.bound_factor)
     if args.kind == "primes":
         return primes_below(args.limit, g, bound_factor=factor)
@@ -332,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def command(name, handler, parent, summary):
         p = sub.add_parser(name, parents=[parent], help=summary)
-        p.set_defaults(handler=handler)
+        p.set_defaults(handler=handler, parser=p)
         return p
 
     p = command("product", cmd_product, arith, "product of m by n")
@@ -354,10 +342,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     mode = p.add_mutually_exclusive_group(required=True)
     mode.add_argument("--k", type=int)
-    mode.add_argument("--scan", type=_parse_scan, help="k range, e.g. 2..100:2")
+    mode.add_argument("--scan", type=_parse_scan,
+                      help="k range, e.g. 2..100:2 (a negative start needs --scan=-3..3)")
     # None: collatz's defaults, read by cmd_orbit so other commands never load it
-    p.add_argument("--bound", type=_int_at_least(1))
-    p.add_argument("--steps", type=_int_at_least(0))
+    p.add_argument("--bound", type=int)
+    p.add_argument("--steps", type=int)
 
     p = command("coverage", cmd_coverage, census, "residual of a window under prime multiples")
     p.add_argument("--window", type=int, required=True)
@@ -395,8 +384,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except argparse.ArgumentTypeError as exc:
-        parser.exit(EXIT_USAGE, f"usage error: {exc}\n")
     except DomainError as exc:
         print(f"domain error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN

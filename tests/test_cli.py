@@ -19,6 +19,7 @@ from karith import (
     k_primes_below,
     k_product,
     k_quotient,
+    orbit_length_scan,
     residual_set,
     seq_primes_below,
 )
@@ -32,6 +33,26 @@ def run_cli(argv, capsys):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out
+
+
+def run_failing(command, capsys):
+    """(exit code, message, subcommand) of a command that fails with empty
+    stdout: the subcommand is None for one ``domain error:`` line, else the
+    one named by argparse's usage lines and ``error:`` line."""
+    try:
+        code = main(shlex.split(command))
+    except SystemExit as err:
+        code = err.code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    usage, sep, message = captured.err.rpartition(": error: ")
+    if sep:  # "usage: karith NAME ...\nkarith NAME: error: MESSAGE\n"
+        name = usage.rpartition("\nkarith ")[2]
+        assert usage.startswith(f"usage: karith {name} ")
+    else:
+        assert captured.err.startswith("domain error: ") and captured.err.count("\n") == 1
+        message, name = captured.err.removeprefix("domain error: "), None
+    return code, message.removesuffix("\n"), name
 
 
 def load_manifest():
@@ -105,6 +126,13 @@ class TestFormats:
         assert len(lines) == 51
         assert "2,13,cycle" in lines
         assert "6,21,cycle" in lines
+
+    def test_orbit_scan_from_a_negative_k_joins_its_value(self, capsys):
+        # argparse reads a separate "-3..3" as an option, so the range is joined with =
+        code, out = run_cli(shlex.split("orbit --n 5 --scan=-3..3 --format json"), capsys)
+        assert code == 0
+        rows = [(r["k"], r["ns"], r["kind"]) for r in json.loads(out)["rows"]]
+        assert rows == orbit_length_scan(5, range(-3, 4))
 
     @pytest.mark.parametrize("command,expected", [
         ("orbit --n -9 --k 3",
@@ -184,36 +212,48 @@ class TestExitCodes:
         assert err.value.code == 2
         capsys.readouterr()
 
-    @pytest.mark.parametrize("flag,message", [
-        ("--k 2 --steps -1", "argument --steps: must be at least 0, got -1"),
-        ("--k 2 --bound 0", "argument --bound: must be at least 1, got 0"),
-        ("--scan 5..1", "argument --scan: scan range '5..1' is empty"),
-        ("--scan 2-10", "argument --scan: scan range must look like k1..k2[:step], got '2-10'"),
-        ("--scan a..b", "argument --scan: bad scan range 'a..b'"),
-        ("--scan 2..10:0", "argument --scan: scan step must be positive"),
-        ("--k 2 --bound x", "argument --bound: invalid int value: 'x'"),
-        ("", "one of the arguments --k --scan is required"),
-        ("--k 2 --scan 2..4", "argument --scan: not allowed with argument --k"),
-    ], ids=["negative_steps", "zero_bound", "empty_scan", "scan_without_dots",
-            "scan_not_integers", "zero_scan_step", "bound_not_an_integer",
-            "no_mode", "both_modes"])
-    def test_orbit_rejects_out_of_range_options(self, flag, message, capsys):
-        with pytest.raises(SystemExit) as err:
-            main(shlex.split(f"orbit --n 17 {flag}"))
-        captured = capsys.readouterr()
-        assert err.value.code == 2
-        assert captured.out == ""
-        assert captured.err.startswith("usage: karith orbit")
-        assert captured.err.endswith(f"error: {message}\n")
+    # argparse owns an option's presence, conflicts and spelling (exit 2, with
+    # usage); the library owns whether its value is in range (exit 3)
+    @pytest.mark.parametrize("flag,code,message", [
+        ("--k 2 --steps -1", 3, "step limit must be at least 0, got -1"),
+        ("--k 2 --bound 0", 3, "magnitude bound must be at least 1, got 0"),
+        ("--scan 2..4 --bound 0", 3, "magnitude bound must be at least 1, got 0"),
+        ("--scan 5..1", 2, "argument --scan: scan range '5..1' is empty"),
+        ("--scan 2-10", 2,
+         "argument --scan: scan range must look like k1..k2[:step], got '2-10'"),
+        ("--scan a..b", 2, "argument --scan: bad scan range 'a..b'"),
+        ("--scan 2..10:0", 2, "argument --scan: scan step must be positive"),
+        ("--k 2 --bound x", 2, "argument --bound: invalid int value: 'x'"),
+        ("", 2, "one of the arguments --k --scan is required"),
+        ("--k 2 --scan 2..4", 2, "argument --scan: not allowed with argument --k"),
+        ("--scan -3..3", 2, "argument --scan: expected one argument"),
+    ], ids=["negative_steps", "zero_bound", "scan_zero_bound", "empty_scan",
+            "scan_without_dots", "scan_not_integers", "zero_scan_step",
+            "bound_not_an_integer", "no_mode", "both_modes", "scan_negative_start_unjoined"])
+    def test_orbit_rejects_out_of_range_options(self, flag, code, message, capsys):
+        usage = "orbit" if code == 2 else None
+        assert run_failing(f"orbit --n 17 {flag}", capsys) == (code, message, usage)
 
-    @pytest.mark.parametrize("kind,flag", [("squares", "--count"), ("primes", "--limit")])
-    def test_sequence_needs_its_size_option(self, kind, flag, capsys):
-        with pytest.raises(SystemExit) as err:
-            main(shlex.split(f"sequence --kind {kind}"))
-        captured = capsys.readouterr()
-        assert err.value.code == 2
-        assert captured.out == ""
-        assert captured.err == f"usage error: {flag} is required for --kind {kind}\n"
+    @pytest.mark.parametrize("command,kind,flag", [
+        ("sequence", "squares", "--count"),
+        ("sequence", "primes", "--limit"),
+        ("oeis-check --bfile b.txt", "cubes", "--count"),
+    ], ids=["squares---count", "primes---limit", "oeis-check-cubes---count"])
+    def test_sequence_needs_its_size_option(self, command, kind, flag, capsys):
+        name = command.split()[0]
+        assert run_failing(f"{command} --kind {kind}", capsys) == (
+            2, f"{flag} is required for --kind {kind}", name)
+
+    @pytest.mark.parametrize("command,message", [
+        ("divisors 5 --bound 0", "search bound must be positive, got 0"),
+        ("primes 10 --bound-factor 0", "bound factor must be positive, got 0"),
+        ("coverage --window 1", "window half-width must be at least 2, got 1"),
+        ("goldbach --k 2 --limit 4", "targets start at 6, got limit 4"),
+        ("sequence --kind squares --count 0", "count must be positive, got 0"),
+        ("orbit --n 17 --k 2 --bound 0", "magnitude bound must be at least 1, got 0"),
+    ], ids=["divisors", "primes", "coverage", "goldbach", "sequence", "orbit"])
+    def test_out_of_range_value_is_domain_error(self, command, message, capsys):
+        assert run_failing(command, capsys) == (3, message, None)
 
     @pytest.mark.parametrize("command", [
         "oeis-check --kind squares --count 3 --bfile {tmp}/missing/b1.txt",
@@ -448,8 +488,8 @@ OPTION_TABLE = {
     "orbit": {**FORMAT, "--n": ("int", None, None, True, None),
               "--k": ("int", None, None, False, None),
               "--scan": ("_parse_scan", None, None, False, None),
-              "--bound": ("_int_at_least.<locals>.parse", None, None, False, None),
-              "--steps": ("_int_at_least.<locals>.parse", None, None, False, None)},
+              "--bound": ("int", None, None, False, None),
+              "--steps": ("int", None, None, False, None)},
     "coverage": {**CENSUS, "--window": ("int", None, None, True, None),
                  "--prime-limit": ("int", None, None, False, None)},
     "sequence": {**TERMS, "--kind": (
