@@ -220,7 +220,10 @@ def cmd_coverage(args) -> int:
     report = seq_residual_set(g, args.window, prime_limit, bound_factor=factor)
     return _render(
         args,
-        {**report.to_json_dict(), "command": "coverage", "prime_limit_defaulted": defaulted},
+        {"arithmetic": report.arithmetic, "command": "coverage",
+         "prime_limit_defaulted": defaulted, "primes": list(report.primes_used),
+         "residual": list(report.residual),
+         "window": [-report.window_half, report.window_half]},
         ["residual", *map(str, report.residual)],
         report.to_bracket_row(),
     )
@@ -317,6 +320,8 @@ def build_parser() -> argparse.ArgumentParser:
     terms = argparse.ArgumentParser(add_help=False, parents=[census])
     terms.add_argument("--count", type=int, help="term count for squares/cubes")
     terms.add_argument("--limit", type=int, help="upper limit for primes/three-divisor")
+    terms.add_argument("--kind", choices=("squares", "cubes", "primes", "three-divisor"),
+                       required=True)
 
     def command(name, handler, parent, summary):
         p = sub.add_parser(name, parents=[parent], help=summary)
@@ -352,12 +357,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--window", type=int, required=True)
     p.add_argument("--prime-limit", type=int)
 
-    p = command("sequence", cmd_sequence, terms, "squares, cubes, primes, three-divisor numbers")
-    p.add_argument("--kind", choices=("squares", "cubes", "primes", "three-divisor"),
-                   required=True)
+    command("sequence", cmd_sequence, terms, "squares, cubes, primes, three-divisor numbers")
 
     p = command("oeis-check", cmd_oeis_check, terms, "diff a generated sequence against a b-file")
-    p.add_argument("--kind", choices=("squares", "cubes", "primes"), required=True)
     p.add_argument("--bfile", required=True)
     p.add_argument("--offset", type=int, default=1,
                    help="b-file index aligned with the first generated term")

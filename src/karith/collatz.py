@@ -140,21 +140,14 @@ def orbit(
             )
         first = seen.setdefault(current, applied)
         if first != applied:
-            cycle_length = applied - first
-            if cycle_length == 1:
-                return OrbitOutcome(
-                    trajectory=(*seen, current),
-                    kind=OrbitKind.FIXED_POINT,
-                    pre_period=first,
-                    cycle_length=1,
-                    fixed_value=current,
-                )
+            fixed = applied - first == 1  # a loop of length one
             return OrbitOutcome(
                 trajectory=(*seen, current),
-                kind=OrbitKind.CYCLE,
+                kind=OrbitKind.FIXED_POINT if fixed else OrbitKind.CYCLE,
                 pre_period=first,
-                cycle_length=cycle_length,
-                cycle_entry=current,
+                cycle_length=applied - first,
+                cycle_entry=None if fixed else current,
+                fixed_value=current if fixed else None,
             )
         if applied >= step_limit:
             return OrbitOutcome(

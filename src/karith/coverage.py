@@ -38,14 +38,6 @@ class CoverageReport:
     def to_bracket_row(self) -> str:
         return "[" + " ".join(str(x) for x in self.residual) + "]"
 
-    def to_json_dict(self) -> dict:
-        return {
-            "window": [-self.window_half, self.window_half],
-            "arithmetic": self.arithmetic,
-            "primes": list(self.primes_used),
-            "residual": list(self.residual),
-        }
-
 
 def progression_window(a: int, b: int, k: int, index_range) -> list[int]:
     """Values product(n, a) + b over the given indices; a progression of

@@ -18,12 +18,12 @@ Only the hits read W(d) again, for their witnesses.
 one-entry ``differences``) they call the k-arithmetic's closed forms
 ``k_divisors`` and ``k_primes_below`` instead.
 
-The divisor-count censuses (primes, numbers with exactly c divisors below a
-limit) invert the scan into a sieve: each term count d marks the subjects
-congruent to W(d) modulo d, O(limit log limit + factor * limit) in all,
-where a scan per subject would take O(factor * limit**2).  A term count at
-or past the limit reaches at most the subject W(d) mod d, and costs one
-table read.
+Both divisor-count censuses, primes and numbers with exactly c divisors
+below a limit, are one call to ``_census``, which inverts the scan into a
+sieve: each term count d marks the subjects congruent to W(d) modulo d,
+O(limit log limit + factor * limit) in all, where a scan per subject would
+take O(factor * limit**2).  A term count at or past the limit reaches at
+most the subject W(d) mod d, and costs one table read.
 """
 
 from __future__ import annotations
@@ -117,8 +117,9 @@ def seq_is_prime(p: int, g: Generator, search_bound: int | None = None) -> bool:
     return hits == 2
 
 
-def _divisor_counts(limit: int, g: Generator, factor: int, cap: int) -> list[int]:
-    """counts[n] = number of divisors d <= factor * n of n, for 2 <= n < limit.
+def _census(limit: int, g: Generator, factor: int, cap: int) -> list[int]:
+    """Ascending subjects 1 < n < limit with exactly ``cap`` divisors
+    d <= factor * n; [] for a limit of 2 or less.
 
     Inverted sieve: term count d divides exactly the subjects n congruent to
     W(d) modulo d, and it is in n's scan range when n >= d / factor; for
@@ -128,9 +129,9 @@ def _divisor_counts(limit: int, g: Generator, factor: int, cap: int) -> list[int
     divisors within it, since a per-subject scan capped at ``cap`` would have
     read on; otherwise the counts it has are complete up to ``cap``.
     """
-    counts = [0] * max(limit, 2)
     if limit <= 2:
-        return counts
+        return []
+    counts = [0] * limit
     bound = factor * (limit - 1)
     residues = _readable_residues(g, bound)
     readable = len(residues) - 1
@@ -146,7 +147,7 @@ def _divisor_counts(limit: int, g: Generator, factor: int, cap: int) -> list[int
         cut_short = range(max(2, readable // factor + 1), limit)
         if any(counts[n] <= cap for n in cut_short):
             g.prefix_sums().residues_upto(bound)  # raises the prefix's error
-    return counts
+    return [n for n in range(2, limit) if counts[n] == cap]
 
 
 def seq_primes_below(n: int, g: Generator, bound_factor: int | None = None) -> list[int]:
@@ -154,8 +155,7 @@ def seq_primes_below(n: int, g: Generator, bound_factor: int | None = None) -> l
 
     Per-candidate scan bound is bound_factor * p; see ``_scan_factor``.
     """
-    counts = _divisor_counts(n, g, _scan_factor(g, bound_factor), cap=2)
-    return [p for p in range(2, n) if counts[p] == 2]
+    return _census(n, g, _scan_factor(g, bound_factor), cap=2)
 
 
 def exact_divisor_count_numbers(
@@ -166,8 +166,7 @@ def exact_divisor_count_numbers(
         raise DomainError(f"divisor count must be positive, got {count}")
     if limit < 2:
         raise DomainError(f"limit must be at least 2, got {limit}")
-    counts = _divisor_counts(limit, g, _scan_factor(g, bound_factor), cap=count)
-    return [n for n in range(2, limit) if counts[n] == count]
+    return _census(limit, g, _scan_factor(g, bound_factor), cap=count)
 
 
 def _scan_factor(g: Generator, bound_factor: int | None = None) -> int:

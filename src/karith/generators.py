@@ -235,12 +235,12 @@ class GeomProg(Generator):
 @dataclass(frozen=True)
 class Polynomial(Generator):
     """Terms p(0), p(1), p(2), ... of the polynomial with the given
-    coefficients (constant term first)."""
+    coefficients (constant term first; none is the zero polynomial)."""
 
     coeffs: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "coeffs", tuple(self.coeffs))
+        object.__setattr__(self, "coeffs", tuple(self.coeffs) or (0,))
         row = [self.term(i) for i in range(1, len(self.coeffs) + 2)]
         diffs = []
         while row:
@@ -342,29 +342,25 @@ class FurstPattern(Generator):
         return "fpattern"
 
 
+_NAMED = {"primes": UsualPrimes, "alt": AlternatingOnes, "zeroone": ZeroOne,
+          "fpattern": FurstPattern}
+_PAIRS = {"ap": ArithProg, "gp": GeomProg}
+
+
 def parse_generator(text: str) -> Generator:
     """Parse the canonical textual form of a generator."""
     text = text.strip()
-    if text == "primes":
-        return UsualPrimes()
-    if text == "alt":
-        return AlternatingOnes()
-    if text == "zeroone":
-        return ZeroOne()
-    if text == "fpattern":
-        return FurstPattern()
+    if text in _NAMED:
+        return _NAMED[text]()
     if ":" not in text:
         raise GeneratorSpecError(f"unrecognized arithmetic spec {text!r}")
     head, _, body = text.partition(":")
     try:
+        if head in _PAIRS:
+            first, second = (int(x) for x in body.split(","))
+            return _PAIRS[head](first, second)
         if head == "const":
             return Constant(int(body))
-        if head == "ap":
-            a1, d = (int(x) for x in body.split(","))
-            return ArithProg(a1, d)
-        if head == "gp":
-            a1, r = (int(x) for x in body.split(","))
-            return GeomProg(a1, r)
         if head == "poly":
             return Polynomial(tuple(int(x) for x in body.split(",")))
         if head == "explicit":

@@ -343,9 +343,11 @@ def test_constants_take_the_closed_routes(k, capsys):
             "arith": spec, "bound_defaulted": False, "command": "primes",
             "limit": 40, "primes": k_primes_below(40, k),
         }
+    report = residual_set(k, 12)
     assert run_json(f"coverage --arith {spec} --window 12", capsys) == {
-        **residual_set(k, 12).to_json_dict(),
-        "command": "coverage", "prime_limit_defaulted": False,
+        "arithmetic": report.arithmetic, "command": "coverage",
+        "prime_limit_defaulted": False, "primes": list(report.primes_used),
+        "residual": list(report.residual), "window": [-12, 12],
     }
     for a, b in ((81, 6), (40, 6), (17, -3), (-7, 2), (10, -1)):
         q = k_quotient(a, b, k)
@@ -478,7 +480,8 @@ FORMAT = {"--format": (None, "plain", ("plain", "csv", "json"), False, None),
 ARITH = {**FORMAT, "--arith": ("_arith", "const:2", None, False, None)}
 CENSUS = {**ARITH, "--bound-factor": ("int", None, None, False, None)}
 TERMS = {**CENSUS, "--count": ("int", None, None, False, None),
-         "--limit": ("int", None, None, False, None)}
+         "--limit": ("int", None, None, False, None),
+         "--kind": (None, None, ("squares", "cubes", "primes", "three-divisor"), True, None)}
 POSITIONAL = ("int", None, None, True, None)
 OPTION_TABLE = {
     "product": {**ARITH, "m": POSITIONAL, "n": POSITIONAL},
@@ -492,10 +495,8 @@ OPTION_TABLE = {
               "--steps": ("int", None, None, False, None)},
     "coverage": {**CENSUS, "--window": ("int", None, None, True, None),
                  "--prime-limit": ("int", None, None, False, None)},
-    "sequence": {**TERMS, "--kind": (
-        None, None, ("squares", "cubes", "primes", "three-divisor"), True, None)},
-    "oeis-check": {**TERMS, "--kind": (None, None, ("squares", "cubes", "primes"), True, None),
-                   "--bfile": (None, None, None, True, None),
+    "sequence": TERMS,
+    "oeis-check": {**TERMS, "--bfile": (None, None, None, True, None),
                    "--offset": ("int", 1, None, False, None)},
     "goldbach": {**FORMAT, "--k": ("int", None, None, True, None),
                  "--limit": ("int", None, None, True, None),
@@ -580,6 +581,19 @@ class TestOeisCheck:
         captured = capsys.readouterr()
         assert code == 3
         assert "line 2" in captured.err
+
+    def test_three_divisor_kind(self, tmp_path, capsys):
+        # the census that sequence --kind three-divisor prints, checked as a b-file
+        terms = (EXPECTED / "threediv_ap12_250.txt").read_text().split()
+        bfile = tmp_path / "bthreediv.txt"
+        bfile.write_text("".join(f"{i} {t}\n" for i, t in enumerate(terms, start=1)))
+        code, out = run_cli(
+            shlex.split(f"oeis-check --kind three-divisor --arith ap:1,2 --limit 250 "
+                        f"--bfile {bfile}"),
+            capsys,
+        )
+        assert code == 0
+        assert "full match" in out
 
     def test_all_vendored_alignments_through_the_cli(self, capsys):
         cases = [

@@ -1,5 +1,7 @@
 """Prime covering sets: progression windows, residuals, generated analogues."""
 
+import json
+
 import pytest
 
 from karith import (
@@ -7,6 +9,7 @@ from karith import (
     Constant,
     DomainError,
     GeomProg,
+    Polynomial,
     k_primes_below,
     k_product,
     locate_power_of_two_cover,
@@ -16,6 +19,7 @@ from karith import (
     seq_residual_set,
     verify_witnesses,
 )
+from karith.cli import main
 
 
 def brute_force_residual(k, window_half, index_span=4000):
@@ -238,6 +242,10 @@ class TestGeneratedResiduals:
         for value, (p, n) in report.witnesses.items():
             assert seq_product(n, p, g) == value
 
+    def test_empty_polynomial_verifies_through_its_spec(self):
+        # verify_witnesses parses the report's arithmetic, poly:0
+        assert verify_witnesses(seq_residual_set(Polynomial(()), 5, 20))
+
     def test_constant_generator_routes_to_k_arithmetic(self):
         report = seq_residual_set(Constant(2), 30, 61)
         assert report.residual == (-1, 1)
@@ -259,8 +267,10 @@ class TestReportSerialization:
     def test_bracket_row(self):
         assert residual_set(2, 60).to_bracket_row() == "[-1 1]"
 
-    def test_json_dict_shape(self):
-        payload = residual_set(1, 20).to_json_dict()
+    def test_json_dict_shape(self, capsys):
+        # the CLI builds the coverage record from the report's fields
+        assert main(["coverage", "--arith", "const:1", "--window", "20", "--format", "json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
         assert payload["window"] == [-20, 20]
         assert payload["arithmetic"] == "const:1"
         assert payload["residual"] == [0]

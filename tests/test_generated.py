@@ -338,8 +338,12 @@ class TestGenerators:
         assert parse_generator(spec).divisor_factor == factor
 
     def test_spec_roundtrip(self):
-        for g in ALL_GENERATORS:
-            assert parse_generator(g.spec()) == g
+        # the empty polynomial prints poly:0, since poly: is no spec
+        edges = [Polynomial(()), Explicit(()), Constant(0), GeomProg(0, 0), GeomProg(2, 0),
+                 ArithProg(-3, 0)]
+        for g in ALL_GENERATORS + HIGHER_POLYNOMIALS + edges:
+            assert parse_generator(g.spec()) == g, g
+        assert Polynomial(()).spec() == "poly:0"
 
     def test_parse_rejects_junk(self):
         for bad in ("nope", "ap:1", "const:x", "poly:", "explicit:1,2"):
