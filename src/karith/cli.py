@@ -17,10 +17,10 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import TYPE_CHECKING
 
 from .core import DomainError
 
+TYPE_CHECKING = False  # read as true by type checkers; never imports typing
 if TYPE_CHECKING:
     from .generators import Generator
 

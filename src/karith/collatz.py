@@ -46,10 +46,9 @@ machine word.  Odd k keeps its closed form (see `goldbach_scan`).
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
 from enum import Enum
 
-from .core import DomainError, k_divides, k_primes_below, k_product, k_quotient
+from .core import DomainError, _record, k_divides, k_primes_below, k_product, k_quotient
 
 DEFAULT_MAGNITUDE_BOUND = 500_000
 DEFAULT_STEP_LIMIT = 1_000_000
@@ -63,7 +62,7 @@ class OrbitKind(Enum):
     STEP_LIMIT = "step_limit"
 
 
-@dataclass(frozen=True)
+@_record
 class OrbitOutcome:
     """Orbit prefix and how it terminated.
 
@@ -367,7 +366,7 @@ class _LoopCatalog:
 _catalog = _LoopCatalog()
 
 
-@dataclass(frozen=True)
+@_record
 class GoldbachReport:
     """Even targets in [6, limit] that are (or are not) sums of two k-primes."""
 
@@ -429,12 +428,8 @@ def goldbach_scan(k: int, limit: int, record_witnesses: bool = False) -> Goldbac
         if record_witnesses:
             decompositions = {
                 h: (p1, h - p1) for h in range(6, limit + 1, 2) if (p1 := least[h])}
-    return GoldbachReport(
-        k=k,
-        limit=limit,
-        counterexamples=tuple(counterexamples),
-        decompositions=decompositions if record_witnesses else None,
-    )
+    return GoldbachReport(k, limit, tuple(counterexamples),
+                          decompositions if record_witnesses else None)
 
 
 def _set_bits(x: int) -> list[int]:

@@ -17,13 +17,14 @@ above it, and Brent's rho splits proven composites.
 
 from __future__ import annotations
 
+import sys
 import threading
 from bisect import bisect_left
-from dataclasses import dataclass
 from itertools import compress
 from math import gcd, isqrt
-from typing import TYPE_CHECKING
+from operator import attrgetter
 
+TYPE_CHECKING = False  # read as true by type checkers; never imports typing
 if TYPE_CHECKING:
     from fractions import Fraction
 
@@ -32,7 +33,126 @@ class DomainError(ValueError):
     """An operation was called outside its defined domain."""
 
 
-@dataclass(frozen=True)
+_REQUIRED = object()  # the default of a field that has none
+_set = object.__setattr__  # keeps a fresh instance's attributes in its inline values
+
+
+def _record(cls):
+    """Make cls a frozen record of the fields it annotates, as
+    ``@dataclass(frozen=True)`` would, without generating code.
+
+    The record gets ``__init__`` (each field positionally or by keyword, then
+    ``__post_init__``), ``__repr__``, ``__eq__`` (same class only),
+    ``__hash__`` (of the field tuple), ``__match_args__``, ``__replace__`` on
+    Python 3.13+, and a ``__setattr__``/``__delattr__`` that raise
+    ``dataclasses.FrozenInstanceError``; a method the class defines is kept.
+    One positional value per field skips ``_bind`` and the keyword dict, so
+    the results built on every call pass their fields that way.
+    ``dataclasses`` is imported only on error paths and for the record's
+    ``__dataclass_fields__``, which a ``dataclasses.make_dataclass`` twin of
+    the same fields supplies on first read, so ``dataclasses.fields``,
+    ``replace`` and ``is_dataclass`` work.
+    """
+    own = cls.__dict__
+    fields = {name: own.get(name, _REQUIRED) for name in own.get("__annotations__", ())}
+    names = tuple(fields)
+    required = frozenset(name for name, default in fields.items() if default is _REQUIRED)
+    if len(names) > 1:
+        values = attrgetter(*names)
+    elif names:
+        one = attrgetter(*names)
+        values = lambda self: (one(self),)
+    else:
+        values = lambda self: ()
+    has_post_init = hasattr(cls, "__post_init__")
+
+    def __init__(self, *args, **kwargs):
+        if kwargs or len(args) != len(names):
+            args = _bind(cls, fields, required, args, kwargs)
+        for name, value in zip(names, args):
+            _set(self, name, value)
+        if has_post_init:
+            self.__post_init__()
+
+    def __repr__(self):
+        pairs = ", ".join(map("{}={!r}".format, names, values(self)))
+        return f"{self.__class__.__qualname__}({pairs})"
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return values(self) == values(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(values(self))
+
+    def __setattr__(self, name, value):
+        if type(self) is cls or name in fields:
+            from dataclasses import FrozenInstanceError
+            raise FrozenInstanceError(f"cannot assign to field {name!r}")
+        super(cls, self).__setattr__(name, value)
+
+    def __delattr__(self, name):
+        if type(self) is cls or name in fields:
+            from dataclasses import FrozenInstanceError
+            raise FrozenInstanceError(f"cannot delete field {name!r}")
+        super(cls, self).__delattr__(name)
+
+    def __replace__(self, /, **changes):
+        return self.__class__(**dict(zip(names, values(self)), **changes))
+
+    methods = [__init__, __repr__, __eq__, __hash__, __setattr__, __delattr__]
+    if sys.version_info >= (3, 13):
+        methods.append(__replace__)
+    for method in methods:
+        if method.__name__ not in own:
+            method.__qualname__ = f"{cls.__qualname__}.{method.__name__}"
+            setattr(cls, method.__name__, method)
+    if "__match_args__" not in own:
+        cls.__match_args__ = names
+    cls.__dataclass_fields__ = _DataclassView(cls, "__dataclass_fields__")
+    cls.__dataclass_params__ = _DataclassView(cls, "__dataclass_params__")
+    return cls
+
+
+def _bind(cls, fields, required, args, kwargs):
+    """Field values, in field order, of a record call that does not pass one
+    positional value per field: ``fields`` maps each name to its default.
+    A call that Python would refuse goes to the record's dataclass twin,
+    which refuses it with the same TypeError."""
+    given = {**dict(zip(fields, args)), **kwargs} if args else kwargs
+    if len(given) == len(args) + len(kwargs) and fields.keys() >= given.keys() >= required:
+        return {**fields, **given}.values()
+    return vars(_dataclass_twin(cls)(*args, **kwargs)).values()
+
+
+def _dataclass_twin(cls):
+    """A frozen dataclass, built by ``dataclasses``, of the record's fields
+    and defaults, under the record's name."""
+    import dataclasses
+
+    own = cls.__dict__
+    fields = [(name, annotation, own[name]) if name in own else (name, annotation)
+              for name, annotation in own.get("__annotations__", {}).items()]
+    return dataclasses.make_dataclass(cls.__name__, fields, frozen=True)
+
+
+class _DataclassView:
+    """One of a record's two ``dataclasses`` attributes, taken on first read
+    from the record's dataclass twin; both then replace their views."""
+
+    def __init__(self, cls, name):
+        self.cls, self.name = cls, name
+
+    def __get__(self, instance, owner=None):
+        cls = self.cls
+        twin = _dataclass_twin(cls)
+        cls.__dataclass_fields__ = twin.__dataclass_fields__
+        cls.__dataclass_params__ = twin.__dataclass_params__
+        return cls.__dict__[self.name]
+
+
+@_record
 class NotDivisible:
     """Failed exact quotient.  Carries the exact rational for diagnostics."""
 
@@ -42,7 +162,7 @@ class NotDivisible:
         return f"NotDivisible {self.ratio}"
 
 
-@dataclass(frozen=True)
+@_record
 class DivisorReport:
     """Positive divisors of ``subject`` in a given arithmetic.
 
@@ -59,7 +179,7 @@ class DivisorReport:
     search_bound: int | None = None
 
 
-@dataclass(frozen=True)
+@_record
 class Representation:
     """One way of writing an integer as a progression sum.
 
@@ -218,8 +338,7 @@ def _divisor_report(a, candidates, search_bound=None) -> DivisorReport:
         q, r = divmod(a - w, d)
         if r == 0:
             witnesses.append((d, q + d - 1))
-    return DivisorReport(subject=a, divisors=tuple(d for d, _ in witnesses),
-                         witnesses=tuple(witnesses), search_bound=search_bound)
+    return DivisorReport(a, tuple(d for d, _ in witnesses), tuple(witnesses), search_bound)
 
 
 def k_divisors(a: int, k: int) -> DivisorReport:
@@ -254,7 +373,7 @@ def representations(a: int, k: int) -> list[Representation]:
     for d, b in report.witnesses:
         first = b - d + 1
         terms = tuple(first + i * k for i in range(d))
-        reps.append(Representation(start=b, length=d, terms=terms))
+        reps.append(Representation(b, d, terms))  # start, length, terms
     return reps
 
 

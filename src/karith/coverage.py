@@ -9,14 +9,12 @@ k, {0} for odd k, and richer sets in sequence-generated arithmetics.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .core import DomainError, k_product, k_quotient
+from .core import DomainError, _record, k_product, k_quotient
 from .generated import primes_below, seq_product
 from .generators import Constant, Generator, parse_generator
 
 
-@dataclass(frozen=True)
+@_record
 class CoverageReport:
     """Window coverage by prime multiple sets.
 
@@ -106,13 +104,7 @@ def seq_residual_set(
     residual = tuple(
         x for x in range(-window_half, window_half + 1) if x not in witnesses
     )
-    return CoverageReport(
-        window_half=window_half,
-        arithmetic=g.spec(),
-        primes_used=tuple(primes),
-        witnesses=witnesses,
-        residual=residual,
-    )
+    return CoverageReport(window_half, g.spec(), tuple(primes), witnesses, residual)
 
 
 def verify_witnesses(report: CoverageReport, g: Generator | None = None) -> bool:

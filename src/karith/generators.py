@@ -19,12 +19,11 @@ Canonical textual forms, used by the CLI and config files:
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
 from itertools import accumulate, islice
 from math import comb, lcm
 from operator import mod
 
-from .core import DomainError, _sieved, nth_prime
+from .core import DomainError, _record, _sieved, nth_prime
 
 
 class PrefixExhaustedError(DomainError):
@@ -108,7 +107,7 @@ class Generator:
         # One memo per generator instance, created lazily; setdefault keeps
         # the first one stored when threads race to create it.  Generators are
         # immutable, so the memo never goes stale; it is stored through
-        # __dict__ because frozen dataclasses refuse attribute assignment.
+        # __dict__ because records (core._record) refuse attribute assignment.
         sums = self.__dict__.get("_sums")
         if sums is None:
             sums = self.__dict__.setdefault("_sums", PrefixSums(self))
@@ -183,7 +182,7 @@ class PrefixSums:
             memo.extend(islice(accumulate(plain, initial=memo[m - 1]), 2, None))  # W(m + 1), ...
 
 
-@dataclass(frozen=True)
+@_record
 class Constant(Generator):
     k: int
 
@@ -197,7 +196,7 @@ class Constant(Generator):
         return f"const:{self.k}"
 
 
-@dataclass(frozen=True)
+@_record
 class ArithProg(Generator):
     a1: int
     d: int
@@ -212,7 +211,7 @@ class ArithProg(Generator):
         return f"ap:{self.a1},{self.d}"
 
 
-@dataclass(frozen=True)
+@_record
 class GeomProg(Generator):
     a1: int
     r: int
@@ -232,7 +231,7 @@ class GeomProg(Generator):
         return f"gp:{self.a1},{self.r}"
 
 
-@dataclass(frozen=True)
+@_record
 class Polynomial(Generator):
     """Terms p(0), p(1), p(2), ... of the polynomial with the given
     coefficients (constant term first; none is the zero polynomial)."""
@@ -257,7 +256,7 @@ class Polynomial(Generator):
         return "poly:" + ",".join(str(c) for c in self.coeffs)
 
 
-@dataclass(frozen=True)
+@_record
 class UsualPrimes(Generator):
     def term(self, i: int) -> int:
         return nth_prime(i)
@@ -271,7 +270,7 @@ class UsualPrimes(Generator):
         return "primes"
 
 
-@dataclass(frozen=True)
+@_record
 class Explicit(Generator):
     """Finite prefix given verbatim; reading past it is an error."""
 
@@ -297,7 +296,7 @@ class Explicit(Generator):
         return "explicit:[" + ",".join(str(t) for t in self.terms) + "]"
 
 
-@dataclass(frozen=True)
+@_record
 class AlternatingOnes(Generator):
     """1, -1, 1, -1, ..."""
 
@@ -308,7 +307,7 @@ class AlternatingOnes(Generator):
         return "alt"
 
 
-@dataclass(frozen=True)
+@_record
 class ZeroOne(Generator):
     """0, 1, 0, 1, ..."""
 
@@ -319,7 +318,7 @@ class ZeroOne(Generator):
         return "zeroone"
 
 
-@dataclass(frozen=True)
+@_record
 class FurstPattern(Generator):
     """Blocks (1, -1, 0...0) whose zero runs have lengths 1, 3, 7, 15, ...
 

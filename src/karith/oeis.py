@@ -8,9 +8,13 @@ and indices must strictly increase.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+
+from .core import _record
+
+TYPE_CHECKING = False  # read as true by type checkers; never imports typing
+if TYPE_CHECKING:
+    from collections.abc import Sequence
 
 
 class BFileParseError(ValueError):
@@ -19,7 +23,7 @@ class BFileParseError(ValueError):
         self.line_number = line_number
 
 
-@dataclass(frozen=True)
+@_record
 class OeisFixture:
     sequence_id: str
     terms: tuple[tuple[int, int], ...]
@@ -68,7 +72,7 @@ def parse_bfile(path: str | Path, sequence_id: str | None = None) -> OeisFixture
     return parse_bfile_text(path.read_text(), sequence_id)
 
 
-@dataclass(frozen=True)
+@_record
 class PrefixComparison:
     """Result of aligning a generated prefix against a b-file."""
 

@@ -33,10 +33,11 @@ PUBLIC_NAMES = [
 MODULES = ("collatz", "core", "coverage", "generated", "generators", "oeis")
 
 
-def run_python(code: str) -> str:
-    """stdout of a fresh interpreter running code with karith on its path."""
-    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                            env={"PYTHONPATH": str(SRC)}, timeout=60)
+def run_python(code: str, *flags: str) -> str:
+    """stdout of a fresh interpreter, started with flags, running code with
+    karith on its path."""
+    result = subprocess.run([sys.executable, *flags, "-c", code], capture_output=True,
+                            text=True, env={"PYTHONPATH": str(SRC)}, timeout=60)
     assert result.returncode == 0, result.stderr
     return result.stdout
 
@@ -84,21 +85,42 @@ class TestNamespace:
 
 
 LOADED = ("karith.collatz", "karith.coverage", "karith.generated", "karith.generators",
-          "karith.oeis", "fractions", "json")
+          "karith.oeis", "fractions", "json", "dataclasses", "inspect", "typing")
+#: records are built without dataclasses and annotations never import typing
+NEVER_LOADED = {"dataclasses", "inspect", "typing"}
 
 
-def loaded_after(argv: list[str]) -> tuple[str, list[str]]:
-    """The CLI's stdout for argv in a fresh interpreter, and which of LOADED
-    are in sys.modules after it; the command must exit 0."""
+def loaded_after(argv: list[str], *flags: str) -> tuple[str, list[str]]:
+    """The CLI's stdout for argv in a fresh interpreter started with flags,
+    and which of LOADED importing the CLI and running it added to
+    sys.modules: a module interpreter start-up (say, a site hook) already
+    loaded is not counted.  The command must exit 0."""
     out = run_python(
         "import sys\n"
+        "before = set(sys.modules)\n"
         "from karith.cli import main\n"
         f"code = main({argv!r})\n"
-        f"print(code, *(m for m in {LOADED!r} if m in sys.modules))\n")
+        f"print(code, *(m for m in {LOADED!r} if m in sys.modules and m not in before))\n",
+        *flags)
     *text, status = out.splitlines(keepends=True)
     code, *loaded = status.split()
     assert code == "0"
     return "".join(text), loaded
+
+
+BFILE = SRC.parent / "tests" / "fixtures" / "oeis" / "b000225.txt"
+COMMANDS = {
+    "product": ["product", "3", "4"],
+    "quotient": ["quotient", "7", "2"],
+    "divisors": ["divisors", "120", "--arith", "ap:1,2", "--format", "json"],
+    "primes": ["primes", "50", "--arith", "const:2"],
+    "orbit": ["orbit", "--n", "7", "--k", "3"],
+    "coverage": ["coverage", "--arith", "const:2", "--window", "20"],
+    "sequence": ["sequence", "--kind", "squares", "--arith", "ap:0,1", "--count", "5"],
+    "oeis-check": ["oeis-check", "--kind", "squares", "--arith", "gp:1,2", "--count", "10",
+                   "--bfile", str(BFILE), "--offset", "1"],
+    "goldbach": ["goldbach", "--k", "1", "--limit", "20"],
+}
 
 
 class TestCommandImports:
@@ -117,3 +139,22 @@ class TestCommandImports:
         out, loaded = loaded_after(["quotient", "7", "2"])
         assert out == "NotDivisible 7/2\n"
         assert "fractions" in loaded
+
+    @pytest.mark.parametrize("flags", [(), ("-S",)], ids=["site", "no-site"])
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_no_command_loads_dataclasses_inspect_or_typing(self, command, flags):
+        # -S: a stock start-up, where no site hook has preloaded typing
+        _, loaded = loaded_after(COMMANDS[command], *flags)
+        assert not NEVER_LOADED & set(loaded), loaded
+
+    def test_dataclasses_view_loads_dataclasses_on_first_read(self):
+        out = run_python(
+            "import sys, karith\n"
+            "report = karith.k_divisors(12, 2)\n"
+            "report == karith.k_divisors(12, 2), hash(report), repr(report)\n"
+            "print('dataclasses' in sys.modules)\n"
+            "karith.DivisorReport.__dataclass_fields__\n"
+            "print('dataclasses' in sys.modules)\n"
+            "import dataclasses\n"
+            "print(*(f.name for f in dataclasses.fields(report)))\n", "-S")
+        assert out == "False\nTrue\nsubject divisors witnesses search_bound\n"
