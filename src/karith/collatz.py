@@ -132,28 +132,18 @@ def orbit(
     applied = 0
     while True:
         if abs(current) >= magnitude_bound:
-            return OrbitOutcome(
-                trajectory=tuple(seen),
-                kind=OrbitKind.MAGNITUDE_EXCEEDED,
-                bound=magnitude_bound,
-            )
+            return OrbitOutcome(tuple(seen), OrbitKind.MAGNITUDE_EXCEEDED,
+                                None, None, None, None, magnitude_bound, None)
         first = seen.setdefault(current, applied)
         if first != applied:
             fixed = applied - first == 1  # a loop of length one
             return OrbitOutcome(
-                trajectory=(*seen, current),
-                kind=OrbitKind.FIXED_POINT if fixed else OrbitKind.CYCLE,
-                pre_period=first,
-                cycle_length=applied - first,
-                cycle_entry=None if fixed else current,
-                fixed_value=current if fixed else None,
-            )
+                (*seen, current), OrbitKind.FIXED_POINT if fixed else OrbitKind.CYCLE,
+                first, applied - first, None if fixed else current,
+                current if fixed else None, None, None)
         if applied >= step_limit:
-            return OrbitOutcome(
-                trajectory=tuple(seen),
-                kind=OrbitKind.STEP_LIMIT,
-                steps=applied,
-            )
+            return OrbitOutcome(tuple(seen), OrbitKind.STEP_LIMIT,
+                                None, None, None, None, None, applied)
         d = current - halving_offset
         current = 3 * current + tripling_offset if d & 1 else d >> 1
         applied += 1

@@ -5,6 +5,11 @@ For a fixed arithmetic, the multiples of a prime p form the progression
 Unioning them over the primes below ``Generator.prime_limit(N)`` and
 subtracting from a window [-N, N] leaves the residual set: {-1, 1} for even
 k, {0} for odd k, and richer sets in sequence-generated arithmetics.
+
+Each prime's progression is marked in a bytearray over the window with one
+slice assignment, and the residual is read from the unmarked bytes.  The
+witness map (covered value -> (prime, index)) is built only when
+``CoverageReport.witnesses`` is first read, which the CLI never does.
 """
 
 from __future__ import annotations
@@ -18,20 +23,36 @@ from .generators import Constant, Generator, parse_generator
 class CoverageReport:
     """Window coverage by prime multiple sets.
 
-    ``witnesses`` maps each covered value to one (prime, index) pair whose
-    product lands on it; ``residual`` is everything in the window no prime
-    progression reaches.
+    ``offsets`` holds product(0, p) for each prime p of ``primes_used``, so
+    the multiples of p are p*n + offset; ``residual`` is everything in the
+    window no prime progression reaches.  ``witnesses`` maps each covered
+    value to one (prime, index) pair whose product lands on it, the first
+    prime in ascending order; it is built on first read and cached, so a
+    report the CLI renders never builds it.  ``covered`` builds no map.
     """
 
     window_half: int
     arithmetic: str
     primes_used: tuple[int, ...]
-    witnesses: dict[int, tuple[int, int]]
+    offsets: tuple[int, ...]
     residual: tuple[int, ...]
 
     @property
+    def witnesses(self) -> dict[int, tuple[int, int]]:
+        # cached through __dict__, as Generator.prefix_sums caches its memo;
+        # setdefault hands every racing first reader the same map
+        witnesses = self.__dict__.get("_witnesses")
+        if witnesses is None:
+            witnesses = {}
+            for p, offset in zip(self.primes_used, self.offsets):
+                _mark_progression(witnesses, p, offset, self.window_half)
+            witnesses = self.__dict__.setdefault("_witnesses", witnesses)
+        return witnesses
+
+    @property
     def covered(self) -> set[int]:
-        return set(self.witnesses)
+        window = range(-self.window_half, self.window_half + 1)
+        return set(window).difference(self.residual)
 
     def to_bracket_row(self) -> str:
         return "[" + " ".join(str(x) for x in self.residual) + "]"
@@ -96,15 +117,20 @@ def seq_residual_set(
         raise DomainError(f"window half-width must be at least 2, got {window_half}")
     if prime_limit < 2:
         raise DomainError(f"prime limit must be at least 2, got {prime_limit}")
-    primes = primes_below(prime_limit, g, bound_factor)
-    witnesses: dict[int, tuple[int, int]] = {}
-    for p in primes:
-        # product(n, p) = p*n + product(0, p): linear in the start value
-        _mark_progression(witnesses, p, seq_product(0, p, g), window_half)
-    residual = tuple(
-        x for x in range(-window_half, window_half + 1) if x not in witnesses
-    )
-    return CoverageReport(window_half, g.spec(), tuple(primes), witnesses, residual)
+    primes = tuple(primes_below(prime_limit, g, bound_factor))
+    # product(n, p) = p*n + product(0, p): linear in the start value
+    offsets = tuple(seq_product(0, p, g) for p in primes)
+    width = 2 * window_half + 1
+    covered = bytearray(width)  # index i stands for the value i - N
+    for p, offset in zip(primes, offsets):
+        start = (window_half + offset) % p
+        covered[start::p] = b"\1" * len(range(start, width, p))
+    residual = []
+    i = covered.find(0)
+    while i >= 0:
+        residual.append(i - window_half)
+        i = covered.find(0, i + 1)
+    return CoverageReport(window_half, g.spec(), primes, offsets, tuple(residual))
 
 
 def verify_witnesses(report: CoverageReport, g: Generator | None = None) -> bool:

@@ -61,7 +61,7 @@ def parse_bfile_text(text: str, sequence_id: str = "") -> OeisFixture:
         terms.append((index, value))
     if not terms:
         raise BFileParseError("no terms found", 1)
-    return OeisFixture(sequence_id=sequence_id, terms=tuple(terms))
+    return OeisFixture(sequence_id, tuple(terms))
 
 
 def parse_bfile(path: str | Path, sequence_id: str | None = None) -> OeisFixture:
@@ -87,25 +87,16 @@ def compare_prefix(
 ) -> PrefixComparison:
     """Compare values[j] against the fixture term at index offset + j; no values, no match."""
     if not values:
-        return PrefixComparison(matched=False, compared=0, detail="no generated terms to compare")
+        return PrefixComparison(False, 0, None, "no generated terms to compare")
     index_map = dict(fixture.terms)
     for j, got in enumerate(values):
         index = offset + j
         expected = index_map.get(index)
         if expected is None:
             return PrefixComparison(
-                matched=False,
-                compared=j,
-                detail=f"{fixture.sequence_id or 'fixture'} has no term at index {index}",
-            )
+                False, j, None, f"{fixture.sequence_id or 'fixture'} has no term at index {index}")
         if expected != got:
             return PrefixComparison(
-                matched=False,
-                compared=j,
-                first_mismatch=(index, got, expected),
-                detail=(
-                    f"first mismatch at index {index}: "
-                    f"got {got}, expected {expected}"
-                ),
-            )
-    return PrefixComparison(matched=True, compared=len(values), detail="full match")
+                False, j, (index, got, expected),
+                f"first mismatch at index {index}: got {got}, expected {expected}")
+    return PrefixComparison(True, len(values), None, "full match")

@@ -1,8 +1,14 @@
 """Prime covering sets: progression windows, residuals, generated analogues."""
 
+import copy
 import json
+import pickle
+import sys
+import threading
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from karith import (
     ArithProg,
@@ -19,7 +25,10 @@ from karith import (
     seq_residual_set,
     verify_witnesses,
 )
+from karith import coverage
 from karith.cli import main
+from karith.generated import primes_below
+from karith.generators import parse_generator
 
 
 def brute_force_residual(k, window_half, index_span=4000):
@@ -275,3 +284,135 @@ class TestReportSerialization:
         assert payload["arithmetic"] == "const:1"
         assert payload["residual"] == [0]
         assert all(isinstance(p, int) for p in payload["primes"])
+
+
+def setdefault_oracle(g, window_half, prime_limit, bound_factor=None):
+    """The per-value marking the bytearray slices replaced: one setdefault
+    per covered value over each prime's solved index interval, in ascending
+    prime order, so the first prime wins.  Returns (primes, witnesses,
+    residual)."""
+    primes = tuple(primes_below(prime_limit, g, bound_factor))
+    witnesses = {}
+    for p in primes:
+        offset = seq_product(0, p, g)
+        lo = -((window_half + offset) // p)
+        hi = (window_half - offset) // p
+        for n in range(lo, hi + 1):
+            witnesses.setdefault(p * n + offset, (p, n))
+    residual = tuple(
+        x for x in range(-window_half, window_half + 1) if x not in witnesses
+    )
+    return primes, witnesses, residual
+
+
+EXPLICIT = "explicit:[" + ",".join(str(i * i % 7 - 2) for i in range(1, 800)) + "]"
+#: (spec, bound factor) pairs; negative offsets product(0, p) occur in most
+ARITHMETICS = [
+    ("ap:2,1", None), ("ap:5,-2", None), ("ap:-3,2", 4), ("ap:1,2", 4),
+    ("poly:0,3", None), ("poly:1,0,1", None), ("poly:-2,1,1", None),
+    (EXPLICIT, 2), (EXPLICIT, 3),
+    ("primes", 1), ("primes", 2), ("alt", 1), ("alt", 2), ("zeroone", 1), ("zeroone", 4),
+]
+
+
+def prime_limits(window_half):
+    """Limits below, at and above 2N + 1."""
+    return (window_half + 1, 2 * window_half + 1, 3 * window_half + 7)
+
+
+def assert_matches_oracle(g, window_half, prime_limit, bound_factor=None):
+    report = seq_residual_set(g, window_half, prime_limit, bound_factor)
+    primes, witnesses, residual = setdefault_oracle(g, window_half, prime_limit, bound_factor)
+    assert report.primes_used == primes
+    assert report.residual == residual
+    assert list(report.witnesses.items()) == list(witnesses.items())  # and their order
+    assert verify_witnesses(report, g)
+
+
+class TestMarkingOracle:
+    @pytest.mark.parametrize("k", range(-6, 13))
+    def test_k_grid(self, k):
+        g = Constant(k)
+        for window_half in range(2, 81):
+            for prime_limit in prime_limits(window_half):
+                assert_matches_oracle(g, window_half, prime_limit)
+
+    @pytest.mark.parametrize("spec, factor", ARITHMETICS, ids=lambda v: str(v)[:12])
+    def test_generated_grid(self, spec, factor):
+        g = parse_generator(spec)
+        for window_half in (2, 3, 7, 20, 41, 80):
+            for prime_limit in prime_limits(window_half):
+                assert_matches_oracle(g, window_half, prime_limit, factor)
+
+    @given(k=st.integers(-6, 12), window_half=st.integers(2, 80), data=st.data())
+    def test_k_arithmetics(self, k, window_half, data):
+        prime_limit = data.draw(st.integers(2, 3 * window_half + 7))
+        assert_matches_oracle(Constant(k), window_half, prime_limit)
+
+    @given(case=st.sampled_from(ARITHMETICS), window_half=st.integers(2, 80), data=st.data())
+    def test_generated_arithmetics(self, case, window_half, data):
+        spec, factor = case
+        prime_limit = data.draw(st.integers(2, 3 * window_half + 7))
+        assert_matches_oracle(parse_generator(spec), window_half, prime_limit, factor)
+
+
+class TestLazyWitnesses:
+    """The witness map is built on first read; the report must not show it."""
+
+    def reports(self):
+        return [residual_set(2, 30), residual_set(-3, 25),
+                seq_residual_set(ArithProg(2, 1), 40, 100)]
+
+    def test_equal_whether_or_not_read(self):
+        for fresh, read in zip(self.reports(), self.reports()):
+            assert read.witnesses
+            assert fresh == read and read == fresh
+            assert hash(fresh) == hash(read)
+            assert repr(fresh) == repr(read)
+
+    def test_copy_and_pickle_before_and_after_first_read(self):
+        for report in self.reports():
+            expected = list(setdefault_oracle(
+                parse_generator(report.arithmetic), report.window_half,
+                report.primes_used[-1] + 1)[1].items())
+            for read_first in (False, True):
+                if read_first:
+                    assert list(report.witnesses.items()) == expected
+                for twin in (copy.copy(report), pickle.loads(pickle.dumps(report))):
+                    assert type(twin) is type(report) and twin == report
+                    assert list(twin.witnesses.items()) == expected
+
+    def test_covered_builds_no_map(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("covered built the witness map")
+
+        monkeypatch.setattr(coverage, "_mark_progression", refuse)
+        for report in self.reports():
+            window = set(range(-report.window_half, report.window_half + 1))
+            assert report.covered == window - set(report.residual)
+
+    def test_concurrent_first_reads_agree(self):
+        expected = setdefault_oracle(ArithProg(2, 1), 80, 300)[1]
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(20):
+                report = seq_residual_set(ArithProg(2, 1), 80, 300)
+                barrier = threading.Barrier(4)
+                seen = []
+
+                def read():
+                    barrier.wait(timeout=10)
+                    seen.append(report.witnesses)
+
+                threads = [threading.Thread(target=read) for _ in range(4)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=10)
+                    assert not thread.is_alive()
+                assert len(seen) == 4
+                assert all(witnesses is seen[0] for witnesses in seen)
+                assert list(seen[0].items()) == list(expected.items())
+        finally:
+            sys.setswitchinterval(switch)

@@ -51,9 +51,9 @@ RECORDS = {
         (2, 10, (), None), (1, 20, (14,), {6: (2, 4)})),
     coverage.CoverageReport: (
         [("window_half", REQUIRED), ("arithmetic", REQUIRED), ("primes_used", REQUIRED),
-         ("witnesses", REQUIRED), ("residual", REQUIRED)],
-        (2, "const:2", (2,), {0: (2, 0), 2: (2, 1)}, (-1, 1)),
-        (1, "const:1", (2,), {1: (2, 0)}, (0,))),
+         ("offsets", REQUIRED), ("residual", REQUIRED)],
+        (2, "const:2", (2,), (0,), (-1, 1)),
+        (1, "const:1", (2,), (-1,), (0,))),
     oeis.OeisFixture: (
         [("sequence_id", REQUIRED), ("terms", REQUIRED)],
         ("A000225", ((0, 0), (1, 1))), ("", ((1, 1),))),
