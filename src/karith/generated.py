@@ -19,11 +19,12 @@ one-entry ``differences``) they call the k-arithmetic's closed forms
 ``k_divisors`` and ``k_primes_below`` instead.
 
 Both divisor-count censuses, primes and numbers with exactly c divisors
-below a limit, are one call to ``_census``, which inverts the scan into a
-sieve: each term count d marks the subjects congruent to W(d) modulo d,
-O(limit log limit + factor * limit) in all, where a scan per subject would
-take O(factor * limit**2).  A term count at or past the limit reaches at
-most the subject W(d) mod d, and costs one table read.
+below a limit, are one call to ``_census``.  It reads how many term counts
+d <= factor * n divide each subject n from the memo's divisor-count table
+(``PrefixSums.divisor_counts``), one per bound factor, grown only over the
+subjects no census has reached by inverting the scan into a sieve: each term
+count d marks the subjects congruent to W(d) modulo d, O(limit log limit +
+factor * limit) where a scan per subject would take O(factor * limit**2).
 """
 
 from __future__ import annotations
@@ -84,19 +85,6 @@ def _scanned_divisors(a: int, residues: list[int]) -> list[int]:
         return found
 
 
-def _readable_residues(g: Generator, bound: int) -> list[int]:
-    """[0, W(1) mod 1, ..., W(D) mod D] for the largest D <= bound that g's
-    prefix allows.
-
-    W(D) reads the first D - 1 terms, so a prefix of P terms allows P + 1.
-    A scan that stops early, once a subject has too many divisors, may
-    succeed on a prefix that a full read up to the bound would exhaust.
-    """
-    if g.prefix_length is not None:
-        bound = min(bound, g.prefix_length + 1)
-    return g.prefix_sums().residues_upto(bound)
-
-
 def seq_is_prime(p: int, g: Generator, search_bound: int | None = None) -> bool:
     """True when p > 1 has exactly two divisors within the search bound:
     among the usual divisors of L * p for polynomial terms, as in
@@ -109,11 +97,13 @@ def seq_is_prime(p: int, g: Generator, search_bound: int | None = None) -> bool:
         raise DomainError(f"search bound must be positive, got {search_bound}")
     if g.divisor_factor is not None:
         return len(seq_divisors(p, g, search_bound).divisors) == 2
-    residues = _readable_residues(g, search_bound)
-    hits = len(_scanned_divisors(p, residues))
-    if hits <= 2 and len(residues) - 1 < search_bound:
-        # a scan with at most two divisors so far reads on past the prefix
-        g.prefix_sums().residues_upto(search_bound)
+    # a scan that stops at a third divisor may succeed within a prefix that a
+    # read up to the bound would exhaust; one with fewer divisors reads on
+    sums = g.prefix_sums()
+    readable = sums.readable(search_bound)
+    hits = len(_scanned_divisors(p, sums.residues_upto(readable)))
+    if hits <= 2 and readable < search_bound:
+        sums.residues_upto(search_bound)  # raises the prefix's error
     return hits == 2
 
 
@@ -121,32 +111,23 @@ def _census(limit: int, g: Generator, factor: int, cap: int) -> list[int]:
     """Ascending subjects 1 < n < limit with exactly ``cap`` divisors
     d <= factor * n; [] for a limit of 2 or less.
 
-    Inverted sieve: term count d divides exactly the subjects n congruent to
-    W(d) modulo d, and it is in n's scan range when n >= d / factor; for
-    d >= limit the only candidate below the limit is n = W(d) mod d.  When
-    g's prefix ends before factor * (limit - 1), the prefix's error is raised
-    if some subject whose range reaches past the prefix has at most ``cap``
-    divisors within it, since a per-subject scan capped at ``cap`` would have
-    read on; otherwise the counts it has are complete up to ``cap``.
+    The counts come from the memo's divisor-count table, which reads no
+    term past g's prefix (``PrefixSums.readable``).  When that prefix ends
+    before factor * (limit - 1), the prefix's error is raised if some
+    subject whose range reaches past it has at most ``cap`` divisors within
+    it, since a per-subject scan capped at ``cap`` would have read on;
+    otherwise the counts are complete.
     """
     if limit <= 2:
         return []
-    counts = [0] * limit
+    sums = g.prefix_sums()
+    counts = sums.divisor_counts(factor, limit)
     bound = factor * (limit - 1)
-    residues = _readable_residues(g, bound)
-    readable = len(residues) - 1
-    split = min(readable, limit - 1)
-    for d in range(1, split + 1):
-        lo = max(2, -(-d // factor))
-        for n in range(lo + (residues[d] - lo) % d, limit, d):
-            counts[n] += 1
-    for d, n in zip(range(split + 1, readable + 1), residues[split + 1:]):
-        if 2 <= n < limit and d <= factor * n:
-            counts[n] += 1
+    readable = sums.readable(bound)
     if readable < bound:
         cut_short = range(max(2, readable // factor + 1), limit)
         if any(counts[n] <= cap for n in cut_short):
-            g.prefix_sums().residues_upto(bound)  # raises the prefix's error
+            sums.residues_upto(bound)  # raises the prefix's error
     return [n for n in range(2, limit) if counts[n] == cap]
 
 

@@ -124,9 +124,11 @@ class Generator:
 
 
 class PrefixSums:
-    """Cached weighted partial sums W(n) for one generator, and their residues.
+    """Cached weighted partial sums W(n) for one generator, their residues
+    and the divisor counts a census reads.
 
-    Two reads: ``weighted(n)`` and the residue table's ``residues_upto(n)``.
+    Three reads: ``weighted(n)``, the residue table's ``residues_upto(n)``
+    and the divisor-count table's ``divisor_counts(factor, limit)``.
     W(1) = 0 and W(n + 1) - W(n) = S(n), the sum of the first n terms, so
     the memo grows from its last two entries: one ``term_range`` read, then
     one ``accumulate`` pass for S from S(m - 1) = W(m) - W(m - 1) and one for
@@ -139,14 +141,17 @@ class PrefixSums:
     a divisor scan or census needs from W(d).  Only ``residues_upto`` grows
     it, from W values the memo already holds, so products, quotients and
     self-products never build it.  A list of small ints, it costs about 40
-    bytes per entry on top of the memo (40 MB at 10⁶ term counts).
+    bytes per entry on top of the memo (40 MB at 10⁶ term counts).  A
+    census's divisor-count table, one per bound factor, costs 8 bytes per
+    subject and reads residues up to factor * limit.
     """
 
     def __init__(self, generator: Generator):
         self.generator = generator
         self._weighted = [0, 0]  # _weighted[n] = W(n); index 0 unused
         self._residues = [0]  # _residues[d] = W(d) mod d; index 0 unused
-        self._lock = threading.Lock()
+        self._counts = {}  # _counts[factor][n]: see divisor_counts; 0 and 1 unused
+        self._lock = threading.RLock()
 
     def weighted(self, n: int) -> int:
         """W(n) for n >= 1."""
@@ -173,6 +178,43 @@ class PrefixSums:
         elif n < 0:
             raise DomainError(f"prefix length must be >= 0, got {n}")
         return table[: n + 1]
+
+    def readable(self, n: int) -> int:
+        """The largest D <= n whose W(D) the terms allow: W(D) reads the first
+        D - 1 terms, so a prefix of P terms allows P + 1."""
+        prefix = self.generator.prefix_length
+        return n if prefix is None else min(n, prefix + 1)
+
+    def divisor_counts(self, factor: int, limit: int) -> list[int]:
+        """A table whose entry n, for 2 <= n < limit, counts the term counts
+        d <= factor * n that ``readable`` allows with W(d) ≡ n (mod d).
+        Entries never change, so the table grows under the lock to the limit
+        asked, over the new subjects only, and is published by one ``extend``:
+        a read that sees the length also sees final counts."""
+        counts = self._counts.get(factor)
+        if counts is None or len(counts) < limit:
+            with self._lock:
+                counts = self._counts.setdefault(factor, [0, 0])
+                if len(counts) < limit:
+                    counts.extend(self._sieve(factor, len(counts), limit))
+        return counts
+
+    def _sieve(self, factor: int, low: int, limit: int) -> list[int]:
+        """Entries low..limit - 1 of the table, low >= 2.  Term count d divides
+        exactly the n ≡ W(d) (mod d), and reaches those with n >= d / factor;
+        a d past the last subject reaches at most n = W(d) mod d, one read."""
+        readable = self.readable(factor * (limit - 1))
+        residues = self.residues_upto(readable)  # the lock is reentrant
+        grown = [0] * (limit - low)  # grown[n - low] counts subject n
+        split = min(readable, limit - 1)
+        for d in range(1, split + 1):
+            lo = max(low, -(-d // factor))
+            for i in range(lo + (residues[d] - lo) % d - low, limit - low, d):
+                grown[i] += 1
+        for d, n in zip(range(split + 1, readable + 1), residues[split + 1:]):
+            if low <= n < limit and d <= factor * n:
+                grown[n - low] += 1
+        return grown
 
     def _extend(self, upto: int) -> None:
         memo = self._weighted

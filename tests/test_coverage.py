@@ -356,6 +356,28 @@ class TestMarkingOracle:
         assert_matches_oracle(parse_generator(spec), window_half, prime_limit, factor)
 
 
+# every spelling of the constant sequence k, as in test_generated's
+# CONSTANT_SPELLINGS, for k = -3..12, and gp:0,r for k = 0
+CONSTANT_SPELLINGS = [
+    spec for k in range(-3, 13)
+    for spec in (f"const:{k}", f"ap:{k},0", f"poly:{k}", f"poly:{k},0,0", f"gp:{k},1")
+] + ["gp:0,5"]
+
+
+@pytest.mark.parametrize("spec", CONSTANT_SPELLINGS)
+def test_constant_offsets_match_the_product_route(spec):
+    # a constant sequence takes product(0, p) in closed form; the general
+    # seq_product route is the oracle
+    g = parse_generator(spec)
+    for window_half in (2, 37, 500):
+        report = seq_residual_set(g, window_half, g.prime_limit(window_half)[0])
+        primes, witnesses, residual = setdefault_oracle(g, window_half, 2 * window_half + 1)
+        assert report.primes_used == primes
+        assert report.offsets == tuple(seq_product(0, p, g) for p in primes)
+        assert report.residual == residual
+        assert list(report.witnesses.items()) == list(witnesses.items())
+
+
 class TestLazyWitnesses:
     """The witness map is built on first read; the report must not show it."""
 

@@ -19,6 +19,7 @@ from karith import (
     AlternatingOnes,
     ArithProg,
     Constant,
+    CoverageReport,
     DomainError,
     Explicit,
     FurstPattern,
@@ -44,6 +45,7 @@ from karith import (
     seq_primes_below,
     seq_product,
     seq_quotient,
+    seq_residual_set,
     squares_sequence,
 )
 from karith import core, generated
@@ -991,17 +993,27 @@ class TestScansAgainstPerSubjectOracle:
         import sys
         import threading
 
-        want = [_oracle_census(3, 40 + 10 * i, ZeroOne(), 2) for i in range(6)]
+        # six threads grow factor 2's divisor-count table; the others mix
+        # factors 1, 2 and 6 and counts 2 and 3, some reading subjects that a
+        # thread with their factor grows meanwhile
+        plans = [(3, 40 + 10 * i, 2) for i in range(6)] + [
+            (count, limit, factor) for factor in (1, 2, 6) for count, limit in
+            ((3, 25), (2, 55), (3, 85), (2, 30))]
+        want = [_oracle_census(count, limit, ZeroOne(), factor)
+                for count, limit, factor in plans]
         g = ZeroOne()  # one cold memo grown by every thread at once
-        results = [None] * 6
+        results = [None] * len(plans)
+        start = threading.Barrier(len(plans))
 
         def worker(slot):
-            results[slot] = exact_divisor_count_numbers(3, 40 + 10 * slot, g, 2)
+            count, limit, factor = plans[slot]
+            start.wait(timeout=30)
+            results[slot] = exact_divisor_count_numbers(count, limit, g, factor)
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            threads = [threading.Thread(target=worker, args=(i,)) for i in range(6)]
+            threads = [threading.Thread(target=worker, args=(i,)) for i in range(len(plans))]
             for t in threads:
                 t.start()
             for t in threads:
@@ -1100,6 +1112,105 @@ class TestResidueTable:
         assert len(g.prefix_sums()._residues) == 91
         exact_divisor_count_numbers(3, 60, g, 2)
         assert len(g.prefix_sums()._residues) == 119
+
+
+def _requests(g, limits):
+    """(limit, factor) pairs over ascending, descending and shuffled limits,
+    cycling through the factors 1, 2, 3, 6, 13 and g's L, if it has one."""
+    factors = [1, 2, 3, 6, 13] + [g.divisor_factor] * (g.divisor_factor is not None)
+    order = [*limits, *reversed(limits), *random.Random(g.spec()).sample(limits, len(limits))]
+    return [(limit, factors[i % len(factors)]) for i, limit in enumerate(order)]
+
+
+class TestDivisorCountTable:
+    """``PrefixSums.divisor_counts``, grown by censuses in any order, against
+    the per-subject oracle."""
+
+    @pytest.mark.parametrize("g", ORACLE_GENERATORS, ids=lambda g: g.spec())
+    def test_one_instance_grown_in_any_order(self, g):
+        top = 40
+        g = dataclasses.replace(g)  # a cold memo, shared by every request below
+        requests = _requests(g, list(range(2, top + 1)))
+        # a census below the limit is the top census cut at the limit
+        want = {(count, factor): _oracle_census(count, top, g, factor)
+                for factor in {f for _, f in requests} for count in (1, 2, 3, 4)}
+        for limit, factor in requests:
+            for count in (1, 2, 3, 4):
+                cut = [n for n in want[count, factor] if n < limit]
+                assert exact_divisor_count_numbers(count, limit, g, factor) == cut, \
+                    (count, limit, factor)
+            assert seq_primes_below(limit, g, factor) == [
+                n for n in want[2, factor] if n < limit], (limit, factor)
+        assert sorted(g.prefix_sums()._counts) == sorted({f for _, f in requests})
+
+    def test_short_prefixes_cold_and_warm(self):
+        for g in SHORT_PREFIXES:
+            warm = dataclasses.replace(g)
+            for limit, factor in _requests(g, list(range(2, 9))):
+                # ascending caps: the table a census built is read at larger caps
+                for count in (1, 2, 3, 4):
+                    want = _outcome(_oracle_census, count, limit, g, factor)
+                    cold = dataclasses.replace(g)
+                    assert _outcome(exact_divisor_count_numbers, count, limit, cold, factor) \
+                        == want, (g.spec(), count, limit, factor)
+                    assert _outcome(exact_divisor_count_numbers, count, limit, warm, factor) \
+                        == want, (g.spec(), count, limit, factor)
+                assert _outcome(seq_primes_below, limit, warm, factor) \
+                    == _outcome(_oracle_census, 2, limit, g, factor)
+
+    def test_a_warm_table_raises_at_a_larger_cap(self):
+        g = Explicit((-1,))
+        assert exact_divisor_count_numbers(1, 4, g, 1) == [2]  # builds the table
+        for h in (g, Explicit((-1,))):
+            with pytest.raises(PrefixExhaustedError,
+                               match=r"^explicit prefix has 1 terms, index 2 requested$"):
+                exact_divisor_count_numbers(2, 4, h, 1)
+        assert exact_divisor_count_numbers(1, 4, g, 1) == [2]
+
+    @pytest.mark.parametrize("spec", ["alt", "zeroone", "primes", "gp:1,2", "ap:2,1",
+                                      "poly:1,0,1", "explicit:[3,-2,0,5,1,-4]"])
+    def test_coverage_reads_the_same_from_cold_and_warm_memos(self, spec):
+        warm = parse_generator(spec)
+        for limit, factor in _requests(warm, [3, 17, 40, 61]):
+            _outcome(seq_primes_below, limit, warm, factor)
+        for window_half, prime_limit, factor in itertools.product((2, 9, 30), (3, 20, 61),
+                                                                  (1, 2, 6)):
+            cold = _outcome(seq_residual_set, parse_generator(spec), window_half,
+                            prime_limit, factor)
+            got = _outcome(seq_residual_set, warm, window_half, prime_limit, factor)
+            assert got == cold, (window_half, prime_limit, factor)
+            if isinstance(cold, CoverageReport):
+                assert got.witnesses == cold.witnesses
+
+    def test_a_covered_census_reads_nothing(self, monkeypatch):
+        reads = {"residues_upto": [], "term_range": []}
+        sums = generators.PrefixSums
+        residues_upto, term_range = sums.residues_upto, ZeroOne.term_range
+
+        def counted_residues(self, n):
+            reads["residues_upto"].append(n)
+            return residues_upto(self, n)
+
+        def counted_terms(self, lo, hi):
+            reads["term_range"].append((lo, hi))
+            return term_range(self, lo, hi)
+
+        monkeypatch.setattr(sums, "residues_upto", counted_residues)
+        monkeypatch.setattr(ZeroOne, "term_range", counted_terms)
+        g = ZeroOne()
+        assert exact_divisor_count_numbers(3, 60, g, 2) == _oracle_census(3, 60, g, 2)
+        # a cold census reads the residue table once, up to 2 * 59
+        assert reads == {"residues_upto": [118], "term_range": [(1, 118)]}
+        for count, limit in ((3, 60), (2, 60), (4, 30), (3, 3), (2, 59)):
+            assert exact_divisor_count_numbers(count, limit, g, 2) \
+                == _oracle_census(count, limit, g, 2), (count, limit)
+            assert seq_primes_below(limit, g, 2) == _oracle_census(2, limit, g, 2)
+        assert reads == {"residues_upto": [118], "term_range": [(1, 118)]}
+        assert len(g.prefix_sums().divisor_counts(2, 10)) == 60  # grown exactly to 60
+        seq_primes_below(70, g, 2)  # grows the table over subjects 60..69 only
+        assert reads == {"residues_upto": [118, 138], "term_range": [(1, 118), (118, 138)]}
+        seq_primes_below(50, g, 6)  # another factor, another table
+        assert reads["residues_upto"][2:] == [294]
 
 
 SQUARE_CASES = [
