@@ -11,8 +11,9 @@ precision: no floats anywhere, failed quotients carry their exact rational.
 
 Divisor reports rest on usual factorization.  Strong-probable-prime tests on
 the bases 2, 3, ..., 41 are exact below psi_13 = 3317044064679887385961981
-(Sorenson & Webster 2015), with trial division confirming any probable prime
-above it, and Brent's rho splits proven composites.
+(Sorenson & Webster 2015).  Above it the primes 43 to 97 are tried too: a
+probable prime there is refused as unproven, and Brent's rho splits proven
+composites.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from __future__ import annotations
 import sys
 import threading
 from bisect import bisect_left
+from functools import cache
 from itertools import compress
 from math import gcd, isqrt
 from operator import attrgetter
@@ -33,7 +35,6 @@ class DomainError(ValueError):
     """An operation was called outside its defined domain."""
 
 
-_REQUIRED = object()  # the default of a field that has none
 _set = object.__setattr__  # keeps a fresh instance's attributes in its inline values
 
 
@@ -46,17 +47,16 @@ def _record(cls):
     ``__hash__`` (of the field tuple), ``__match_args__``, ``__replace__`` on
     Python 3.13+, and a ``__setattr__``/``__delattr__`` that raise
     ``dataclasses.FrozenInstanceError``; a method the class defines is kept.
-    One positional value per field skips ``_bind`` and the keyword dict, so
-    the results built on every call pass their fields that way.
-    ``dataclasses`` is imported only on error paths and for the record's
-    ``__dataclass_fields__``, which a ``dataclasses.make_dataclass`` twin of
-    the same fields supplies on first read, so ``dataclasses.fields``,
-    ``replace`` and ``is_dataclass`` work.
+    One positional value per field is ``__init__``'s only path of its own, so
+    the results built on every call pass their fields that way.  Any other
+    call (keywords, omitted defaults, a call Python would refuse) is bound,
+    or refused with its ``TypeError``, by the record's dataclass twin, which
+    also supplies ``__dataclass_fields__`` and ``__dataclass_params__``, so
+    ``dataclasses.fields``, ``replace`` and ``is_dataclass`` work.
+    ``dataclasses`` is imported only on those paths.
     """
     own = cls.__dict__
-    fields = {name: own.get(name, _REQUIRED) for name in own.get("__annotations__", ())}
-    names = tuple(fields)
-    required = frozenset(name for name, default in fields.items() if default is _REQUIRED)
+    names = tuple(own.get("__annotations__", ()))
     if len(names) > 1:
         values = attrgetter(*names)
     elif names:
@@ -68,7 +68,7 @@ def _record(cls):
 
     def __init__(self, *args, **kwargs):
         if kwargs or len(args) != len(names):
-            args = _bind(cls, fields, required, args, kwargs)
+            args = vars(_dataclass_twin(cls)(*args, **kwargs)).values()
         for name, value in zip(names, args):
             _set(self, name, value)
         if has_post_init:
@@ -87,13 +87,13 @@ def _record(cls):
         return hash(values(self))
 
     def __setattr__(self, name, value):
-        if type(self) is cls or name in fields:
+        if type(self) is cls or name in names:
             from dataclasses import FrozenInstanceError
             raise FrozenInstanceError(f"cannot assign to field {name!r}")
         super(cls, self).__setattr__(name, value)
 
     def __delattr__(self, name):
-        if type(self) is cls or name in fields:
+        if type(self) is cls or name in names:
             from dataclasses import FrozenInstanceError
             raise FrozenInstanceError(f"cannot delete field {name!r}")
         super(cls, self).__delattr__(name)
@@ -115,20 +115,10 @@ def _record(cls):
     return cls
 
 
-def _bind(cls, fields, required, args, kwargs):
-    """Field values, in field order, of a record call that does not pass one
-    positional value per field: ``fields`` maps each name to its default.
-    A call that Python would refuse goes to the record's dataclass twin,
-    which refuses it with the same TypeError."""
-    given = {**dict(zip(fields, args)), **kwargs} if args else kwargs
-    if len(given) == len(args) + len(kwargs) and fields.keys() >= given.keys() >= required:
-        return {**fields, **given}.values()
-    return vars(_dataclass_twin(cls)(*args, **kwargs)).values()
-
-
+@cache
 def _dataclass_twin(cls):
-    """A frozen dataclass, built by ``dataclasses``, of the record's fields
-    and defaults, under the record's name."""
+    """A frozen dataclass, built by ``dataclasses`` once per record, of the
+    record's fields and defaults, under the record's name."""
     import dataclasses
 
     own = cls.__dict__
@@ -138,18 +128,14 @@ def _dataclass_twin(cls):
 
 
 class _DataclassView:
-    """One of a record's two ``dataclasses`` attributes, taken on first read
-    from the record's dataclass twin; both then replace their views."""
+    """One of a record's two ``dataclasses`` attributes, read from the
+    record's dataclass twin."""
 
     def __init__(self, cls, name):
         self.cls, self.name = cls, name
 
     def __get__(self, instance, owner=None):
-        cls = self.cls
-        twin = _dataclass_twin(cls)
-        cls.__dataclass_fields__ = twin.__dataclass_fields__
-        cls.__dataclass_params__ = twin.__dataclass_params__
-        return cls.__dict__[self.name]
+        return getattr(_dataclass_twin(self.cls), self.name)
 
 
 @_record
@@ -250,14 +236,17 @@ def k_divides(d: int, a: int, k: int) -> bool:
 
 # Strong-probable-prime bases: together they make Miller-Rabin exact below
 # psi_13 (Sorenson & Webster 2015).  Twelve bases do not suffice there:
-# psi_12 = 399165290221 * 798330580441 passes every base up to 37.
+# psi_12 = 399165290221 * 798330580441 passes every base up to 37.  At or
+# above psi_13 the primes 43 to 97 are tried as well; a failing base still
+# proves compositeness (base 43 refutes psi_13 itself), but passing proves nothing.
 _BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MORE_BASES = (43, 47, 53, 59, 61, 67, 71, 73, 79, 83, 89, 97)
 _PROVEN_BELOW = 3_317_044_064_679_887_385_961_981
 
 
 def _is_prime(n: int) -> bool:
     """Exact primality of n.  A composite verdict is a proof at any size; a
-    probable prime at or above _PROVEN_BELOW is confirmed by trial division."""
+    probable prime at or above _PROVEN_BELOW is a DomainError, not a verdict."""
     if n < 2:
         return False
     for p in _BASES:
@@ -265,7 +254,8 @@ def _is_prime(n: int) -> bool:
             return n == p
     s = ((n - 1) & (1 - n)).bit_length() - 1
     d = (n - 1) >> s
-    for a in _BASES:
+    unproven = n >= _PROVEN_BELOW
+    for a in _BASES + _MORE_BASES if unproven else _BASES:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue
@@ -275,7 +265,10 @@ def _is_prime(n: int) -> bool:
                 break
         else:
             return False
-    return n < _PROVEN_BELOW or all(n % f for f in range(3, isqrt(n) + 1, 2))
+    if unproven:
+        raise DomainError(f"primality of {n} is not proven: it is a strong probable "
+                          f"prime to every prime base up to {_MORE_BASES[-1]}")
+    return True
 
 
 def _split(m: int) -> int:

@@ -383,6 +383,24 @@ def test_divisors_of_a_subject_past_trial_division(k, count, capsys):
     assert all(k_product(b, d, k) == a for d, b in record["witnesses"])
 
 
+@pytest.mark.parametrize("subject,code,out", [
+    (3317044064679887385961981, 0, "1 1287836182261 2575672364521 3317044064679887385961981\n"),
+    (2**89 - 1, 3, ""),
+], ids=["psi_13", "prime_2**89-1"])
+def test_divisors_at_psi_13_and_above_finish(subject, code, out):
+    # psi_13 passes the bases up to 41 and is refuted by base 43; the prime
+    # 2**89 - 1 passes every base and is refused, not trial-divided
+    result = subprocess.run(
+        [sys.executable, "-m", "karith", "divisors", str(subject)],
+        capture_output=True, text=True, timeout=60,
+        env={"PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")},
+    )
+    assert (result.returncode, result.stdout) == (code, out)
+    if code:
+        assert result.stderr.startswith("domain error: primality of")
+        assert len(result.stderr.splitlines()) == 1
+
+
 @pytest.mark.parametrize("spec", ["ap:3,0", "poly:3", "poly:3,0,0", "gp:3,1"])
 def test_every_spelling_of_a_constant_takes_the_closed_routes(spec, capsys):
     # the arithmetic of the sequence 3, 3, 3, ... whatever its spelling

@@ -445,14 +445,21 @@ class TestFactorizationKernel:
         assert usual_divisors(n) == divisors_from_factors(factors)
         assert not is_k_prime_by_characterization(n, 2)
 
-    def test_unproven_probable_primes_fall_back_to_trial_division(self, monkeypatch):
-        # 2047 passes base 2; above the bound only trial division can refute it
+    def test_unproven_probable_primes_are_refused(self, monkeypatch):
+        # 2047 passes base 2; above the bound the bases 43 to 97 refute a
+        # composite, and a prime is refused as unproven
         monkeypatch.setattr(core, "_BASES", (2,))
         monkeypatch.setattr(core, "_PROVEN_BELOW", 2047)
         assert usual_divisors(2047) == [1, 23, 89, 2047]
         assert not is_k_prime_by_characterization(2047, 2)
         for n in range(1, 30001):
-            assert usual_divisors(n) == trial_divisors(n), n
+            if max(trial_factorization(n), default=1) < 2047:
+                assert usual_divisors(n) == trial_divisors(n), n
+            else:
+                with pytest.raises(DomainError, match="^primality of [0-9]+ is not proven"):
+                    usual_divisors(n)
+        with pytest.raises(DomainError, match="^primality of 2053 is not proven"):
+            is_k_prime_by_characterization(2053, 2)
 
 
 def test_usual_divisors_requires_positive():

@@ -6,11 +6,13 @@ methods the record's own class body defines (``__post_init__``, ``term``,
 properties): what the dataclass decorator would have made of that body.
 """
 
+import ast
 import copy
 import dataclasses
 import pickle
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -179,6 +181,27 @@ class TestRecordParity:
             assert got == outcome(lambda: delattr(twin, name))
         assert summary(value) == summary(twin)
 
+    def test_undecorated_subclass(self, record):
+        fields, values, _ = RECORDS[record]
+        twin_record = twin_of(record)
+        sub, twin_sub = (type("Sub", (base,), {}) for base in (record, twin_record))
+        value, twin = sub(*values), twin_sub(*values)
+        assert summary(value) == summary(twin)
+        for name in [name for name, _ in fields] + ["extra", "extra"]:
+            for act in (lambda v: setattr(v, name, 0), lambda v: delattr(v, name)):
+                assert outcome(lambda: act(value)) == outcome(lambda: act(twin)), name
+                assert summary(value) == summary(twin)
+        assert dataclasses.is_dataclass(sub) and dataclasses.is_dataclass(value)
+        assert [(f.name, f.default) for f in dataclasses.fields(sub)] == fields
+        assert [(f.name, f.default) for f in dataclasses.fields(value)] == fields
+        assert [(f.name, f.default) for f in dataclasses.fields(twin_sub)] == fields
+        assert summary(dataclasses.replace(value)) == summary(dataclasses.replace(twin))
+        assert type(dataclasses.replace(value)) is sub
+        parent, twin_parent = record(*values), twin_record(*values)
+        assert (value == parent, parent == value, value != parent) \
+            == (twin == twin_parent, twin_parent == twin, twin != twin_parent) \
+            == (False, False, True)
+
     def test_replace(self, record):
         fields, values, other = RECORDS[record]
         value, twin = record(*values), twin_of(record)(*values)
@@ -208,3 +231,51 @@ class TestRecordParity:
     def test_generator_base_is_no_record(self):
         assert not dataclasses.is_dataclass(generators.Generator)
         assert "differences" not in {f.name for f in dataclasses.fields(generators.Constant)}
+
+
+def test_one_dataclass_twin_per_record(monkeypatch):
+    built = []
+    make_dataclass = dataclasses.make_dataclass
+
+    def counting(name, *args, **kwargs):
+        built.append(name)
+        return make_dataclass(name, *args, **kwargs)
+
+    monkeypatch.setattr(dataclasses, "make_dataclass", counting)
+    core._dataclass_twin.cache_clear()
+    for record, (fields, values, _) in RECORDS.items():
+        names = [name for name, _ in fields]
+        for _ in range(3):
+            assert record(**dict(zip(names, values))) == record(*values)
+            assert outcome(lambda: record(*values, 0))[0] is TypeError
+            assert outcome(lambda: record(zzz_unknown=0))[0] is TypeError
+            assert [f.name for f in dataclasses.fields(record)] == names
+            assert record.__dataclass_params__.frozen
+            assert dataclasses.replace(record(*values)) == record(*values)
+    assert sorted(built) == sorted(IDS)
+
+
+def test_the_library_builds_records_positionally():
+    # any other call goes through the dataclass twin and imports dataclasses
+    trees = {path.name: ast.parse(path.read_text(), path.name)
+             for path in sorted(Path(core.__file__).parent.glob("*.py"))}
+    arities = {node.name: sum(isinstance(line, ast.AnnAssign) for line in node.body)
+               for tree in trees.values() for node in ast.walk(tree)
+               if isinstance(node, ast.ClassDef)
+               and any(isinstance(d, ast.Name) and d.id == "_record" for d in node.decorator_list)}
+    assert sorted(arities) == sorted(IDS)
+    called, refused = set(), []
+    for module, tree in trees.items():
+        for node in ast.walk(tree):
+            name = isinstance(node, ast.Call) and (
+                getattr(node.func, "id", None) or getattr(node.func, "attr", None))
+            if name not in arities:
+                continue
+            called.add(name)
+            if node.keywords or len(node.args) != arities[name] \
+                    or any(isinstance(arg, ast.Starred) for arg in node.args):
+                refused.append(f"{module}:{node.lineno} {name}")
+    assert refused == []
+    # every result record is built by a call the guard sees
+    assert {"NotDivisible", "DivisorReport", "Representation", "OrbitOutcome",
+            "GoldbachReport", "CoverageReport", "OeisFixture", "PrefixComparison"} <= called
