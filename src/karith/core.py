@@ -24,7 +24,6 @@ from bisect import bisect_left
 from functools import cache
 from itertools import compress
 from math import gcd, isqrt
-from operator import attrgetter
 
 TYPE_CHECKING = False  # read as true by type checkers; never imports typing
 if TYPE_CHECKING:
@@ -38,32 +37,28 @@ class DomainError(ValueError):
 _set = object.__setattr__  # keeps a fresh instance's attributes in its inline values
 
 
+#: what a record reads from its dataclass twin
+_TWIN_NAMES = ("__repr__", "__eq__", "__hash__", "__match_args__", "__dataclass_fields__",
+               "__dataclass_params__") + (("__replace__",) if sys.version_info >= (3, 13) else ())
+
+
 def _record(cls):
     """Make cls a frozen record of the fields it annotates, as
-    ``@dataclass(frozen=True)`` would, without generating code.
+    ``@dataclass(frozen=True)`` would, without importing ``dataclasses`` to
+    build a record or read its fields.
 
-    The record gets ``__init__`` (each field positionally or by keyword, then
-    ``__post_init__``), ``__repr__``, ``__eq__`` (same class only),
-    ``__hash__`` (of the field tuple), ``__match_args__``, ``__replace__`` on
-    Python 3.13+, and a ``__setattr__``/``__delattr__`` that raise
-    ``dataclasses.FrozenInstanceError``; a method the class defines is kept.
-    One positional value per field is ``__init__``'s only path of its own, so
-    the results built on every call pass their fields that way.  Any other
-    call (keywords, omitted defaults, a call Python would refuse) is bound,
-    or refused with its ``TypeError``, by the record's dataclass twin, which
-    also supplies ``__dataclass_fields__`` and ``__dataclass_params__``, so
-    ``dataclasses.fields``, ``replace`` and ``is_dataclass`` work.
-    ``dataclasses`` is imported only on those paths.
+    The record writes three methods: ``__init__``, whose one path of its own
+    is one positional value per field, then ``__post_init__``, so the results
+    built on every call pass their fields that way; and a
+    ``__setattr__``/``__delattr__`` that raise
+    ``dataclasses.FrozenInstanceError``.  The rest is the record's dataclass
+    twin's: it binds, or refuses with its ``TypeError``, any other
+    ``__init__`` call (keywords, omitted defaults, a call Python would
+    refuse), and its own ``_TWIN_NAMES`` are copied onto the record on their
+    first read.  A name the class defines itself is kept.
     """
     own = cls.__dict__
     names = tuple(own.get("__annotations__", ()))
-    if len(names) > 1:
-        values = attrgetter(*names)
-    elif names:
-        one = attrgetter(*names)
-        values = lambda self: (one(self),)
-    else:
-        values = lambda self: ()
     has_post_init = hasattr(cls, "__post_init__")
 
     def __init__(self, *args, **kwargs):
@@ -73,18 +68,6 @@ def _record(cls):
             _set(self, name, value)
         if has_post_init:
             self.__post_init__()
-
-    def __repr__(self):
-        pairs = ", ".join(map("{}={!r}".format, names, values(self)))
-        return f"{self.__class__.__qualname__}({pairs})"
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return values(self) == values(other)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(values(self))
 
     def __setattr__(self, name, value):
         if type(self) is cls or name in names:
@@ -98,20 +81,13 @@ def _record(cls):
             raise FrozenInstanceError(f"cannot delete field {name!r}")
         super(cls, self).__delattr__(name)
 
-    def __replace__(self, /, **changes):
-        return self.__class__(**dict(zip(names, values(self)), **changes))
-
-    methods = [__init__, __repr__, __eq__, __hash__, __setattr__, __delattr__]
-    if sys.version_info >= (3, 13):
-        methods.append(__replace__)
-    for method in methods:
+    for method in (__init__, __setattr__, __delattr__):
         if method.__name__ not in own:
             method.__qualname__ = f"{cls.__qualname__}.{method.__name__}"
             setattr(cls, method.__name__, method)
-    if "__match_args__" not in own:
-        cls.__match_args__ = names
-    cls.__dataclass_fields__ = _DataclassView(cls, "__dataclass_fields__")
-    cls.__dataclass_params__ = _DataclassView(cls, "__dataclass_params__")
+    for name in _TWIN_NAMES:
+        if name not in own:
+            setattr(cls, name, _FromTwin(cls, name))
     return cls
 
 
@@ -127,15 +103,18 @@ def _dataclass_twin(cls):
     return dataclasses.make_dataclass(cls.__name__, fields, frozen=True)
 
 
-class _DataclassView:
-    """One of a record's two ``dataclasses`` attributes, read from the
-    record's dataclass twin."""
+class _FromTwin:
+    """A record's attribute that its dataclass twin supplies.  The first read
+    sets the twin's own value on the record class in this descriptor's place;
+    a function is bound to the instance it is read from."""
 
     def __init__(self, cls, name):
         self.cls, self.name = cls, name
 
     def __get__(self, instance, owner=None):
-        return getattr(_dataclass_twin(self.cls), self.name)
+        value = getattr(_dataclass_twin(self.cls), self.name)
+        setattr(self.cls, self.name, value)
+        return value.__get__(instance, owner) if callable(value) else value
 
 
 @_record

@@ -192,5 +192,6 @@ def squares_sequence(count: int, g: Generator) -> list[int]:
 
 
 def cubes_sequence(count: int, g: Generator) -> list[int]:
-    """Triple self-products (i*i)*i for i = 1..count."""
-    return [seq_product(s, i, g) for i, s in enumerate(squares_sequence(count, g), 1)]
+    """Triple self-products (i*i)*i for i = 1..count.  The square s = i + W(i)
+    already holds W(i), so (i*i)*i = (s - i + 1)*i + (s - i)."""
+    return [(s - i + 1) * i + s - i for i, s in enumerate(squares_sequence(count, g), 1)]

@@ -1263,6 +1263,15 @@ class TestSquaresAndCubes:
         monkeypatch.setattr(ZeroOne, "term_range", counted)
         assert fn(300, ZeroOne()) == want
         assert reads == [(1, 300)]
+        # every generator: the oracle's values from one bulk read and one W(i) per i
+        weighted = generators.Generator.weighted
+        monkeypatch.setattr(generators.Generator, "weighted",
+                            lambda self, n: reads.append(n) or weighted(self, n))
+        for g in ALL_GENERATORS:
+            want = [per_index(i, g) for i in range(1, 41)]
+            reads.clear()
+            assert fn(40, g) == want, g.spec()
+            assert len(reads) == 41, g.spec()
 
     @pytest.mark.parametrize("fn,per_index", PER_INDEX, ids=["squares", "cubes"])
     def test_prefix_runs_out_as_a_read_per_index_would(self, fn, per_index):

@@ -4,6 +4,7 @@ modules it runs."""
 import json
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -83,6 +84,21 @@ class TestNamespace:
                          "print(sorted(m for m in sys.modules if m.startswith('karith.')))")
         assert out == "[]\n"
 
+    def test_dir_loads_no_module(self):
+        out = run_python("import json, sys, karith\n"
+                         "names = dir(karith)\n"
+                         "print(json.dumps([sorted(set(karith.__all__) - set(names)),\n"
+                         "                  sorted(m for m in sys.modules if m.startswith('karith.'))]))",
+                         "-S")
+        assert json.loads(out) == [[], []]
+
+    def test_module_name_loads_that_module_and_its_imports(self):
+        out = run_python("import sys, karith\n"
+                         "module = karith.collatz\n"
+                         "print(module is sys.modules['karith.collatz'] is vars(karith)['collatz'],\n"
+                         "      *sorted(m for m in sys.modules if m.startswith('karith.')))", "-S")
+        assert out == "True karith.collatz karith.core\n"
+
 
 LOADED = ("karith.collatz", "karith.coverage", "karith.generated", "karith.generators",
           "karith.oeis", "fractions", "json", "dataclasses", "inspect", "typing")
@@ -148,13 +164,45 @@ class TestCommandImports:
         assert not NEVER_LOADED & set(loaded), loaded
 
     def test_dataclasses_view_loads_dataclasses_on_first_read(self):
+        # built positionally and read field by field, records need no dataclasses;
+        # the first read of a name their dataclass twin supplies imports it
         out = run_python(
             "import sys, karith\n"
             "report = karith.k_divisors(12, 2)\n"
-            "report == karith.k_divisors(12, 2), hash(report), repr(report)\n"
+            "rep = karith.representations(7, 2)[0]\n"
+            "g = karith.ArithProg(1, 2)\n"
+            "outcome = karith.orbit(7, 3)\n"
+            "report.divisors, report.witnesses, rep.terms, g.a1, g.differences, outcome.kind\n"
             "print('dataclasses' in sys.modules)\n"
-            "karith.DivisorReport.__dataclass_fields__\n"
+            "repr(report)\n"
             "print('dataclasses' in sys.modules)\n"
             "import dataclasses\n"
             "print(*(f.name for f in dataclasses.fields(report)))\n", "-S")
         assert out == "False\nTrue\nsubject divisors witnesses search_bound\n"
+
+
+#: what a record reads from its dataclass twin rather than writing itself
+TWIN_SUPPLIED = ["__repr__", "__eq__", "__hash__", "__match_args__", "__dataclass_fields__",
+                 "__dataclass_params__"] + ["__replace__"] * (sys.version_info >= (3, 13))
+
+
+def test_twin_supplied_names_are_the_twins_own():
+    # a fresh child, so each name's first read is the one made here, from the class
+    out = run_python(textwrap.dedent(f"""
+        import json, karith
+        from karith import core
+        records = {{value for module in {MODULES!r}
+                   for value in vars(getattr(karith, module)).values()
+                   if isinstance(value, type)
+                   and isinstance(vars(value).get("__dataclass_fields__"), core._FromTwin)}}
+        differ = []
+        for record in records:
+            twin = core._dataclass_twin(record)
+            for name in {TWIN_SUPPLIED!r}:
+                got, want = getattr(record, name), getattr(twin, name)
+                if not (got is want if callable(want) else got == want) \\
+                        or vars(record)[name] is not want:
+                    differ.append(f"{{record.__name__}}.{{name}}")
+        print(json.dumps([len(records), differ]))
+        """), "-S")
+    assert json.loads(out) == [17, []]
