@@ -27,16 +27,20 @@ machine, Python 3.11.7).
 
 Every odd-q orbit that stays bounded ends in one of the map's few loops
 (Lagarias's rational cycles of 3x + 1), so the scan keeps a process-wide
-catalog of the loops it has closed, per q: each odd value v on a loop maps
-to t_v, the halvings into v from its odd predecessor on the loop, the loop
-length p, and the loop's reach, its largest |c|.  A walk stops at the first
-odd value it finds there whose loop stays inside the bound, at index i with
-g the index of the odd value before it (-1 for none): ns = max(g + 1,
-i - t_v) + p.  A q's loops are admitted only from its second visit on, and
-visit marks plus entries stop at _LOOP_CAP; past it a walk builds no entries,
-so it costs what a cold walk costs.  For even q (odd k) an odd m
-stays odd and m + q/2 triples at every step, so the only loops are the
-fixed points m = -q/2 and m = 0, and that walk keeps no dict at all.
+catalog per q of the loops it has closed and of the orbit tails into them:
+each odd value v on a loop maps to t_v, the halvings into v from its odd
+predecessor on the loop, the loop length p, and the loop's reach, its
+largest |c|; each odd value v a finished walk passed off its loop maps to
+t = p - rest, rest being the orbit length from v, to p and to v's reach,
+the largest |c| from v on.  A walk stops at the first odd value it finds
+there whose reach stays inside the bound, at index i with g the index of
+the odd value before it (-1 for none): ns = max(g + 1, i - t) + p, which
+for a tail is i + rest.  A q's entries are admitted only from its second
+visit on, and visit marks plus entries stop at _LOOP_CAP; past it a walk
+builds no entries, so it costs what a cold walk costs.  For even q (odd k)
+an odd m stays odd and m + q/2 triples at every step, so the only loops
+are the fixed points m = -q/2 and m = 0, and that walk keeps no dict at
+all.
 
 `goldbach_scan` sweeps the first prime, not the target, for even k: one
 shift of the prime bitset per first prime settles about 64 targets to a
@@ -47,6 +51,7 @@ from __future__ import annotations
 
 import threading
 from enum import Enum
+from itertools import islice
 
 from .core import DomainError, _record, k_divides, k_primes_below, k_product, k_quotient
 
@@ -223,10 +228,19 @@ def _orbit_end(n: int, k: int, bound: int, step_limit: int) -> tuple[int | None,
     two-runs argument gives mu = max(g + 1, i - t_v) and ns = mu + p.  No
     earlier odd value lies on that loop, since the catalog holds every odd
     value of each loop it lists.  ns > i, so ns > step_limit reports
-    "step_limit" exactly as `orbit` does.  A walk that closes a loop the
-    usual way offers it to the catalog only while it fits under _LOOP_CAP,
-    and the catalog admits it only from the q's second visit on.  Even
-    q (odd k) walks without a dict (see `_tripling_end`).
+    "step_limit" exactly as `orbit` does.
+
+    A walk that ends in a loop, its own or a catalog hit's, after ns steps
+    also offers each odd value v it passed off the loop, at index a, as a
+    tail entry (p - rest, p, reach_v) with rest = ns - a (see
+    `_tail_entries`).  rest > p, so a later hit on v at index i gives
+    ns = max(g + 1, i + rest - p) + p = i + rest with no branch of its own.
+    The orbit from v does not depend on what came before it, because no
+    value before v can lie on the loop v leads to: v would then lie on it
+    too.  Walks offer entries only while the catalog is below _LOOP_CAP, a
+    loop only while it fits, and the catalog admits them only from the q's
+    second visit on.  Even q (odd k) walks without a dict (see
+    `_tripling_end`).
     """
     shift, q = k - 2, k - 1
     lo, hi = shift - bound, shift + bound  # |c| < bound  <=>  lo < m < hi
@@ -255,17 +269,24 @@ def _orbit_end(n: int, k: int, bound: int, step_limit: int) -> tuple[int | None,
             if reach < bound:
                 g = next(reversed(seen.values()), -1)
                 ns = max(g + 1, i - t_v) + p
+                if seen and _catalog.size < _LOOP_CAP:
+                    _catalog.admit(q, {}, _tail_entries(
+                        list(seen), list(seen.values()), ns, p, reach, q, shift))
                 if ns > step_limit:
                     return None, "step_limit"
                 return ns, "fixed_point" if p == 1 else "cycle"
         f = seen.setdefault(m, i)
         if f != i:
-            starts = list(seen.values())
+            values, starts = list(seen), list(seen.values())
             r = starts.index(f)
             p = i - f
-            if known is not None and _catalog.size + len(starts) - r <= _LOOP_CAP:
-                _catalog.admit(q, _loop_entries(list(seen)[r:], starts[r:], p, q, shift))
             ns = max(starts[r - 1] + 1 if r else 0, starts[-1] - p + 1) + p
+            if known is not None and _catalog.size < _LOOP_CAP:
+                reach = _reach(values[r:], q, shift)
+                loop = (_loop_entries(values[r:], starts[r:], p, reach)
+                        if _catalog.size + len(values) - r <= _LOOP_CAP else {})
+                _catalog.admit(q, loop, _tail_entries(
+                    values[:r], starts[:r], ns, p, reach, q, shift))
             if ns > step_limit:
                 return None, "step_limit"
             return ns, "fixed_point" if p == 1 else "cycle"
@@ -298,36 +319,62 @@ def _tripling_end(m: int, q: int, lo: int, hi: int, step_limit: int) -> tuple[in
     return None, "magnitude_exceeded" if i <= step_limit else "step_limit"
 
 
-def _loop_entries(values: list[int], starts: list[int], p: int, q: int,
-                  shift: int) -> dict[int, tuple[int, int, int]]:
+def _reach(values: list[int], q: int, shift: int) -> int:
+    """The largest |c| = |m - shift| on the orbit segment through the odd
+    values given: halving runs are monotone in c, so the largest sits at an
+    odd v or at a run's top 3v + q."""
+    return max(max(abs(v - shift), abs(3 * v + q - shift)) for v in values)
+
+
+def _loop_entries(values: list[int], starts: list[int], p: int,
+                  reach: int) -> dict[int, tuple[int, int, int]]:
     """Catalog entries v -> (t_v, p, reach) for the loop whose odd values,
     one period of them, the walk reached in order at the indices in starts.
 
-    t_v is the halving steps into v from its odd predecessor on the loop.
-    reach is the largest |c| = |m - shift| on the loop: its halving runs
-    are monotone in c, so the largest sits at an odd v or at a run's top
-    3v + q.
+    t_v is the halving steps into v from its odd predecessor on the loop;
+    reach is the loop's `_reach`.
     """
-    reach = max(max(abs(v - shift), abs(3 * v + q - shift)) for v in values)
     previous = [starts[-1] - p, *starts[:-1]]
     return {v: (at - before - 1, p, reach) for v, at, before in zip(values, starts, previous)}
 
 
-# The most entries, visit marks and loop values together, that the catalog
+def _tail_entries(values: list[int], starts: list[int], ns: int, p: int, reach: int,
+                  q: int, shift: int) -> dict[int, tuple[int, int, int]]:
+    """Catalog entries v -> (p - rest, p, reach_v) for odd values that a walk
+    reached off its loop, in order at the indices in starts, before it ended
+    with ns steps in a loop of length p whose orbit past the last of them
+    reaches `reach`.
+
+    rest = ns - a is the orbit length from v, reached at index a, and
+    reach_v the largest |c| from v on.  The entries run from the last value
+    back, so a catalog short of room keeps those nearest the loop.
+    """
+    entries = {}
+    for v, a in zip(reversed(values), reversed(starts)):
+        reach = max(reach, abs(v - shift), abs(3 * v + q - shift))
+        entries[v] = (p - ns + a, p, reach)
+    return entries
+
+
+# The most entries, visit marks plus loop and tail values, that the catalog
 # keeps: past it, walks build no entries and cost what a cold walk costs.
-_LOOP_CAP = 1 << 15
+_LOOP_CAP = 1 << 14
 _NO_LOOPS: dict[int, tuple[int, int, int]] = {}  # a visited q with no loop yet
 
 
 class _LoopCatalog:
-    """Closed loops of the odd-q maps m -> m/2, 3m + q, keyed by q.
+    """Closed loops and the orbit tails into them of the odd-q maps
+    m -> m/2, 3m + q, keyed by q.
 
     loops[q] maps each odd value v on a closed loop to (t_v, p, reach)
-    (see `_loop_entries`).  A published dict is never changed: admit binds
-    a new one, so a walk that reads loops[q] once sees whole loops or
-    nothing, and reads take no lock.  A q's loops are admitted only from
-    its second visit on, so a scan over k values it never sees again pays
-    for no entries.  Visit marks and entries together stop at _LOOP_CAP.
+    (see `_loop_entries`), and each odd value v a finished walk passed off
+    its loop to (p - rest, p, reach_v) (see `_tail_entries`).  A published
+    dict is never changed: admit binds a new one, so a walk that reads
+    loops[q] once sees whole loops or nothing, and reads take no lock.  A
+    q's entries are admitted only from its second visit on, so a scan over
+    k values it never sees again pays for no entries.  Visit marks and
+    entries together stop at _LOOP_CAP: a loop is admitted whole or not at
+    all, and tails take whatever room is left.
     """
 
     def __init__(self) -> None:
@@ -336,7 +383,7 @@ class _LoopCatalog:
         self.lock = threading.Lock()
 
     def visit(self, q: int) -> dict[int, tuple[int, int, int]] | None:
-        """q's published loops, or None on its first visit."""
+        """q's published entries, or None on its first visit."""
         known = self.loops.get(q)
         if known is None:
             with self.lock:
@@ -345,12 +392,20 @@ class _LoopCatalog:
                     self.size += 1
         return known
 
-    def admit(self, q: int, entries: dict[int, tuple[int, int, int]]) -> None:
+    def admit(self, q: int, loop: dict[int, tuple[int, int, int]],
+              tails: dict[int, tuple[int, int, int]]) -> None:
+        """Add the loop to q's entries if it is new and fits, then the tail
+        entries q lacks, in order, while room is left."""
         with self.lock:
             old = self.loops[q]
-            if self.size + len(entries) <= _LOOP_CAP and next(iter(entries)) not in old:
-                self.loops[q] = {**old, **entries}
-                self.size += len(entries)
+            room = _LOOP_CAP - self.size
+            if len(loop) > room or next(iter(loop), None) in old:
+                loop = {}
+            new = dict(islice(((v, e) for v, e in tails.items() if v not in old),
+                              room - len(loop)))
+            if loop or new:
+                self.loops[q] = {**old, **loop, **new}
+                self.size += len(loop) + len(new)
 
 
 _catalog = _LoopCatalog()

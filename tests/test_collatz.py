@@ -369,13 +369,44 @@ class TestScanAgainstOrbit:
 
 
 def catalog_size(catalog):
-    """Visit marks plus loop entries: what the catalog counts against its cap."""
+    """Visit marks plus loop and tail entries: what the catalog counts
+    against its cap."""
     return len(catalog.loops) + sum(map(len, catalog.loops.values()))
 
 
+def catalog_entry(v, q):
+    """The catalog entry of the odd value v of m -> m/2, 3m + q, read off
+    `orbit` from v: (t_v, p, reach) on a loop, where t_v counts the halvings
+    into v, and (p - ns, p, reach) off it."""
+    k = q + 1
+    outcome = orbit(v - (k - 2), k, 10**12, 10**6)
+    p, ns = outcome.cycle_length, outcome.ns
+    reach = max(map(abs, outcome.trajectory))
+    if outcome.pre_period:
+        return (p - ns, p, reach)
+    halvings = 0
+    while (outcome.trajectory[p - 1 - halvings] + k - 2) % 2 == 0:
+        halvings += 1
+    return (halvings, p, reach)
+
+
+def assert_catalog_sound(catalog):
+    """Every entry is what `orbit` gives for its value, and every loop the
+    catalog lists is there with all its odd values."""
+    for q, entries in catalog.loops.items():
+        for v, entry in entries.items():
+            assert entry == catalog_entry(v, q), (q, v)
+            if entry[0] >= 0:
+                shift = q - 1
+                for c in orbit(v - shift, q + 1, 10**12, 10**6).trajectory:
+                    if (c + shift) & 1:
+                        assert entries.get(c + shift, (-1,))[0] >= 0, (q, v, c + shift)
+
+
 class TestLoopCatalog:
-    """Even-k scans stop at a loop the process has already closed; the rows
-    must not depend on what the catalog holds, the k order or the threads."""
+    """Even-k scans stop at a loop the process has already closed or at an
+    orbit tail into one; the rows must not depend on what the catalog
+    holds, the k order or the threads."""
 
     @pytest.fixture(autouse=True)
     def cold(self, monkeypatch):
@@ -386,17 +417,60 @@ class TestLoopCatalog:
         assert orbit_length_scan(27, [2]) == [orbit_row(27, 2, 500_000, 10**6)]
         assert collatz._catalog.loops == {1: {}}
         assert orbit_length_scan(27, [2]) == [orbit_row(27, 2, 500_000, 10**6)]
+        loops = collatz._catalog.loops[1]
         # 1 is entered from 4 by two halvings; the loop has 3 steps and
         # reaches |c| = 4
-        assert collatz._catalog.loops == {1: {1: (2, 3, 4)}}
-        assert collatz._catalog.size == 2
+        assert loops[1] == (2, 3, 4)
+        # the tail 5, 16, 8, 4, 2, 1, 4 has 6 steps and reaches 16
+        assert loops[5] == (-3, 3, 16)
+        # 27's walk passed every other odd value of its orbit off the loop
+        assert set(loops) == {v for v in orbit(27, 2).trajectory if v & 1}
+        assert all(entry == catalog_entry(v, 1) for v, entry in loops.items())
+        assert collatz._catalog.size == catalog_size(collatz._catalog) == 1 + len(loops)
+
+    def test_first_visits_build_no_entries(self, monkeypatch):
+        # an `orbit --scan` child visits each q once: it pays for no entry
+        built = []
+        for name in ("_loop_entries", "_tail_entries"):
+            monkeypatch.setattr(collatz, name, lambda *args, name=name: built.append(name))
+        ks = list(range(2, 402, 2))
+        assert orbit_length_scan(27, ks, 5_000_000) == [
+            orbit_row(27, k, 5_000_000, 10**6) for k in ks]
+        assert collatz._catalog.loops == {k - 1: {} for k in ks}
+        assert collatz._catalog.size == len(ks)
+        assert built == []
 
     def test_hit_ends_the_walk_only_inside_the_bound(self):
         orbit_length_scan(1, [2])  # the visit that lets q = 1 admit loops
-        collatz._catalog.admit(1, {1: (2, 99, 4)})  # a false period, to see it used
+        collatz._catalog.admit(1, {1: (2, 99, 4)}, {})  # a false period, to see it used
         assert orbit_length_scan(1, [2], 5) == [(2, 99, "cycle")]
         collatz._catalog.loops[1] = {1: (2, 99, 5)}  # reaches the bound: walk on
         assert orbit_length_scan(1, [2], 5) == [orbit_row(1, 2, 5, 10**6)] == [(2, 3, "cycle")]
+
+    def test_tail_hit_ends_the_walk_only_inside_the_bound(self):
+        for _ in range(2):  # the second scan admits 27's tails, 5 among them
+            orbit_length_scan(27, [2])
+        loops = collatz._catalog.loops
+        assert loops[1][5] == (-3, 3, 16)
+        # 10, 5, 16, ...: 5 reaches the bound 16, so the walk goes on past it
+        assert orbit_length_scan(10, [2], 16) == [orbit_row(10, 2, 16, 10**6)] == [
+            (2, None, "magnitude_exceeded")]
+        loops[1] = {**loops[1], 5: (-96, 3, 16)}  # a false rest of 99, to see it used
+        assert orbit_length_scan(10, [2], 17) == [(2, 100, "cycle")]
+        loops[1] = {**loops[1], 5: (-96, 3, 17)}  # reaches the bound: walk on
+        assert orbit_length_scan(10, [2], 17) == [orbit_row(10, 2, 17, 10**6)] == [(2, 7, "cycle")]
+
+    def test_tail_hit_past_the_step_limit(self):
+        for _ in range(2):
+            orbit_length_scan(27, [2])
+        # 10, 5, 16, 8, 4, 2, 1, 4: the hit at index 1 has 6 steps to go
+        for step_limit, row in ((6, (2, None, "step_limit")), (7, (2, 7, "cycle"))):
+            assert orbit_length_scan(10, [2], 500_000, step_limit) == [
+                orbit_row(10, 2, 500_000, step_limit)] == [row]
+        loops = collatz._catalog.loops
+        loops[1] = {**loops[1], 5: (-96, 3, 16)}  # a false rest of 99: i + rest = 100
+        assert orbit_length_scan(10, [2], 500_000, 99) == [(2, None, "step_limit")]
+        assert orbit_length_scan(10, [2], 500_000, 100) == [(2, 100, "cycle")]
 
     def test_cold_walk_step_limit_on_the_usual_18_cycle(self):
         # -55 lies on the usual map's 18-cycle through -17: closing it takes
@@ -408,47 +482,30 @@ class TestLoopCatalog:
 
     @given(n=st.integers(-300, 300), warm_n=st.integers(-300, 300),
            ks=st.lists(st.integers(-60, 260), min_size=1, max_size=6),
-           bound=st.integers(1, 10**7), step_limit=st.integers(0, 400),
-           warm=st.booleans(), seed=st.integers(0, 2**32))
+           bound=st.integers(1, 10**7), extra=st.integers(1, 10**7),
+           step_limit=st.integers(0, 400), warm=st.booleans(), seed=st.integers(0, 2**32))
     def test_rows_equal_orbit_whatever_the_catalog_holds(
-            self, n, warm_n, ks, bound, step_limit, warm, seed):
+            self, n, warm_n, ks, bound, extra, step_limit, warm, seed):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(collatz, "_catalog", collatz._LoopCatalog())
-            if warm:  # twice, so the second scan admits its loops
+            if warm:  # twice, so the second scan admits its loops and tails,
+                # some of them reaching past the checked bound
                 for _ in range(2):
-                    orbit_length_scan(warm_n, ks, 10**7)
+                    orbit_length_scan(warm_n, ks, bound + extra)
             order = ks * 2
             random.Random(seed).shuffle(order)
-            assert orbit_length_scan(n, order, bound, step_limit) == [
-                orbit_row(n, k, bound, step_limit) for k in order]
+            ends = {orbit_row(n, k, bound, 10**6)[1] for k in ks} - {None}
+            for limit in {step_limit, *(ns + d for ns in ends for d in (-1, 0))}:
+                assert orbit_length_scan(n, order, bound, limit) == [
+                    orbit_row(n, k, bound, limit) for k in order], limit
 
     def test_rows_equal_orbit_from_four_threads(self):
-        ks = list(range(-40, 241))
-        plans = [(n, random.Random(n).sample(ks * 2, 2 * len(ks))) for n in (27, -5, 97, 3)]
-        expected = [[orbit_row(n, k, 5_000_000, 10**6) for k in order] for n, order in plans]
-        results = [None] * len(plans)
-        start = threading.Barrier(len(plans))
+        scan_from_four_threads()
 
-        def run(i):
-            start.wait()
-            n, order = plans[i]
-            results[i] = orbit_length_scan(n, order, 5_000_000)
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threads = [threading.Thread(target=run, args=(i,)) for i in range(len(plans))]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=120)
-                assert not t.is_alive()
-        finally:
-            sys.setswitchinterval(interval)
-        assert results == expected
-        # a lost update to the count or to a q's loops would break this
-        assert collatz._catalog.size == catalog_size(collatz._catalog)
-        assert any(collatz._catalog.loops.values())
+    def test_rows_equal_orbit_from_four_threads_at_the_cap(self, monkeypatch):
+        monkeypatch.setattr(collatz, "_LOOP_CAP", 40)
+        scan_from_four_threads()
+        assert collatz._catalog.size == 40
 
     def test_cap_holds(self, monkeypatch):
         monkeypatch.setattr(collatz, "_LOOP_CAP", 40)
@@ -457,11 +514,25 @@ class TestLoopCatalog:
             assert orbit_length_scan(n, ks) == [orbit_row(n, k, 500_000, 10**6) for k in ks]
         assert collatz._catalog.size == catalog_size(collatz._catalog) <= 40
         assert any(collatz._catalog.loops.values())
+        assert_catalog_sound(collatz._catalog)
+
+    def test_a_loop_is_admitted_whole_and_tails_take_the_room_left(self, monkeypatch):
+        # -197's walk passes six odd values, -197, -295, -221, -331, -31 and
+        # -23, before the usual map's 18-cycle through -17, which has seven
+        cycle = {v for v in orbit(-17, 2).trajectory if v & 1}
+        for cap, kept in ((5, {-23, -31, -331, -221}), (10, cycle | {-23, -31})):
+            monkeypatch.setattr(collatz, "_LOOP_CAP", cap)
+            monkeypatch.setattr(collatz, "_catalog", collatz._LoopCatalog())
+            for _ in range(2):
+                assert orbit_length_scan(-197, [2]) == [orbit_row(-197, 2, 500_000, 10**6)]
+            # the tails nearest the loop take the room it leaves
+            assert collatz._catalog.loops == {1: {v: catalog_entry(v, 1) for v in kept}}
+            assert collatz._catalog.size == cap
 
     def test_full_catalog_builds_no_entries_it_would_refuse(self, monkeypatch):
         monkeypatch.setattr(collatz, "_LOOP_CAP", 40)
         ks = list(range(2, 42, 2))
-        for n in (27, 27, 7, 97):  # 20 visit marks and 20 loop values
+        for n in (27, 27, 7, 97):  # 20 visit marks, then loop and tail values
             orbit_length_scan(n, ks)
         assert collatz._catalog.size == catalog_size(collatz._catalog) == 40
         assert any(collatz._catalog.loops.values())
@@ -477,6 +548,57 @@ class TestLoopCatalog:
             assert orbit_length_scan(n, ks) == [orbit_row(n, k, 500_000, 10**6) for k in ks]
         assert all(size + length <= 40 for size, length in offers), offers
         assert collatz._catalog.size == 40
+
+    def test_full_catalog_builds_no_tail_entries(self, monkeypatch):
+        monkeypatch.setattr(collatz, "_LOOP_CAP", 40)
+        ks = list(range(2, 42, 2))
+        for n in (27, 27):
+            orbit_length_scan(n, ks)
+        assert collatz._catalog.size == catalog_size(collatz._catalog) == 40
+        calls = []
+
+        def entries(*args):
+            calls.append(args)
+            return tail_entries(*args)
+
+        tail_entries = collatz._tail_entries
+        monkeypatch.setattr(collatz, "_tail_entries", entries)
+        for n in (7, 97, -5, 55):  # walks that end in a loop or hit an entry
+            assert orbit_length_scan(n, ks) == [orbit_row(n, k, 500_000, 10**6) for k in ks]
+        assert calls == []
+        assert_catalog_sound(collatz._catalog)
+
+
+def scan_from_four_threads():
+    """Four threads scan shuffled even and odd k windows into one catalog;
+    each must get `orbit`'s rows, and the catalog must stay sound."""
+    ks = list(range(-40, 241))
+    plans = [(n, random.Random(n).sample(ks * 2, 2 * len(ks))) for n in (27, -5, 97, 3)]
+    expected = [[orbit_row(n, k, 5_000_000, 10**6) for k in order] for n, order in plans]
+    results = [None] * len(plans)
+    start = threading.Barrier(len(plans))
+
+    def run(i):
+        start.wait()
+        n, order = plans[i]
+        results[i] = orbit_length_scan(n, order, 5_000_000)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(len(plans))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+            assert not t.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert results == expected
+    # a lost update to the count or to a q's loops would break this
+    assert collatz._catalog.size == catalog_size(collatz._catalog)
+    assert any(collatz._catalog.loops.values())
+    assert_catalog_sound(collatz._catalog)
 
 
 class TestGoldbach:
