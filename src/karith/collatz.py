@@ -35,12 +35,11 @@ t = p - rest, rest being the orbit length from v, to p and to v's reach,
 the largest |c| from v on.  A walk stops at the first odd value it finds
 there whose reach stays inside the bound, at index i with g the index of
 the odd value before it (-1 for none): ns = max(g + 1, i - t) + p, which
-for a tail is i + rest.  A q's entries are admitted only from its second
-visit on, and visit marks plus entries stop at _LOOP_CAP; past it a walk
-builds no entries, so it costs what a cold walk costs.  For even q (odd k)
-an odd m stays odd and m + q/2 triples at every step, so the only loops
-are the fixed points m = -q/2 and m = 0, and that walk keeps no dict at
-all.
+for a tail is i + rest.  Every walk that ends in a loop offers its entries
+until the catalog holds _LOOP_CAP of them; past it a walk builds no
+entries, so it costs what a cold walk costs.  For even q (odd k) an odd m
+stays odd and m + q/2 triples at every step, so the only loops are the
+fixed points m = -q/2 and m = 0, and that walk keeps no dict at all.
 
 `goldbach_scan` sweeps the first prime, not the target, for even k: one
 shift of the prime bitset per first prime settles about 64 targets to a
@@ -237,23 +236,24 @@ def _orbit_end(n: int, k: int, bound: int, step_limit: int) -> tuple[int | None,
     ns = max(g + 1, i + rest - p) + p = i + rest with no branch of its own.
     The orbit from v does not depend on what came before it, because no
     value before v can lie on the loop v leads to: v would then lie on it
-    too.  Walks offer entries only while the catalog is below _LOOP_CAP, a
-    loop only while it fits, and the catalog admits them only from the q's
-    second visit on.  Even q (odd k) walks without a dict (see
-    `_tripling_end`).
+    too.  Both endings leave the while loop with r, the count of odd values
+    the walk passed off its loop, and a walk that closed its own loop,
+    seen[r:], sets reach to None.  One path then offers the entries: while
+    the catalog is below _LOOP_CAP it builds the tails and, for a walk's own
+    loop, the loop whole if it fits; once the catalog is full it builds
+    nothing.  Even q (odd k) walks without a dict (see `_tripling_end`).
     """
     shift, q = k - 2, k - 1
     lo, hi = shift - bound, shift + bound  # |c| < bound  <=>  lo < m < hi
     m = n + shift
     if not q & 1:
         return _tripling_end(m, q, lo, hi, step_limit)
-    known = _catalog.visit(q)
-    loops = known or ()  # an empty tuple answers `in` faster than an empty dict
+    loops = _catalog.loops.get(q) or ()  # an empty tuple answers `in` faster
     seen: dict[int, int] = {}
     i = 0
-    if not lo < m < hi:
-        return None, "magnitude_exceeded"
-    while True:  # m is inside the bound at index i, and odd only at the start
+    while True:  # m is odd only at the start
+        if not lo < m < hi:
+            return None, "magnitude_exceeded" if i <= step_limit else "step_limit"
         if not m:
             return (i + 1, "fixed_point") if i < step_limit else (None, "step_limit")
         t = (m & -m).bit_length() - 1
@@ -261,42 +261,38 @@ def _orbit_end(n: int, k: int, bound: int, step_limit: int) -> tuple[int | None,
             while lo < m < hi:
                 m >>= 1
                 i += 1
-            break
+            continue
         m >>= t
         i += t
         if m in loops:
             t_v, p, reach = loops[m]
             if reach < bound:
-                g = next(reversed(seen.values()), -1)
-                ns = max(g + 1, i - t_v) + p
-                if seen and _catalog.size < _LOOP_CAP:
-                    _catalog.admit(q, {}, _tail_entries(
-                        list(seen), list(seen.values()), ns, p, reach, q, shift))
-                if ns > step_limit:
-                    return None, "step_limit"
-                return ns, "fixed_point" if p == 1 else "cycle"
+                r = len(seen)
+                ns = max(next(reversed(seen.values()), -1) + 1, i - t_v) + p
+                break
         f = seen.setdefault(m, i)
         if f != i:
-            values, starts = list(seen), list(seen.values())
+            starts = list(seen.values())
             r = starts.index(f)
             p = i - f
             ns = max(starts[r - 1] + 1 if r else 0, starts[-1] - p + 1) + p
-            if known is not None and _catalog.size < _LOOP_CAP:
-                reach = _reach(values[r:], q, shift)
-                loop = (_loop_entries(values[r:], starts[r:], p, reach)
-                        if _catalog.size + len(values) - r <= _LOOP_CAP else {})
-                _catalog.admit(q, loop, _tail_entries(
-                    values[:r], starts[:r], ns, p, reach, q, shift))
-            if ns > step_limit:
-                return None, "step_limit"
-            return ns, "fixed_point" if p == 1 else "cycle"
+            reach = None
+            break
         if i >= step_limit:
             return None, "step_limit"
         m = 3 * m + q
         i += 1
-        if not lo < m < hi:
-            break
-    return None, "magnitude_exceeded" if i <= step_limit else "step_limit"
+    if seen and _catalog.size < _LOOP_CAP:
+        values, starts = list(seen), list(seen.values())
+        loop = {}
+        if reach is None:
+            reach = _reach(values[r:], q, shift)
+            if _catalog.size + len(values) - r <= _LOOP_CAP:
+                loop = _loop_entries(values[r:], starts[r:], p, reach)
+        _catalog.admit(q, loop, _tail_entries(values[:r], starts[:r], ns, p, reach, q, shift))
+    if ns > step_limit:
+        return None, "step_limit"
+    return ns, "fixed_point" if p == 1 else "cycle"
 
 
 def _tripling_end(m: int, q: int, lo: int, hi: int, step_limit: int) -> tuple[int | None, str]:
@@ -356,10 +352,9 @@ def _tail_entries(values: list[int], starts: list[int], ns: int, p: int, reach: 
     return entries
 
 
-# The most entries, visit marks plus loop and tail values, that the catalog
-# keeps: past it, walks build no entries and cost what a cold walk costs.
+# The most loop and tail entries that the catalog keeps: past it, walks
+# build no entries and cost what a cold walk costs.
 _LOOP_CAP = 1 << 14
-_NO_LOOPS: dict[int, tuple[int, int, int]] = {}  # a visited q with no loop yet
 
 
 class _LoopCatalog:
@@ -370,11 +365,9 @@ class _LoopCatalog:
     (see `_loop_entries`), and each odd value v a finished walk passed off
     its loop to (p - rest, p, reach_v) (see `_tail_entries`).  A published
     dict is never changed: admit binds a new one, so a walk that reads
-    loops[q] once sees whole loops or nothing, and reads take no lock.  A
-    q's entries are admitted only from its second visit on, so a scan over
-    k values it never sees again pays for no entries.  Visit marks and
-    entries together stop at _LOOP_CAP: a loop is admitted whole or not at
-    all, and tails take whatever room is left.
+    loops[q] once sees whole loops or nothing, and reads take no lock.
+    Entries stop at _LOOP_CAP: a loop is admitted whole or not at all, and
+    tails take whatever room is left.
     """
 
     def __init__(self) -> None:
@@ -382,22 +375,12 @@ class _LoopCatalog:
         self.size = 0
         self.lock = threading.Lock()
 
-    def visit(self, q: int) -> dict[int, tuple[int, int, int]] | None:
-        """q's published entries, or None on its first visit."""
-        known = self.loops.get(q)
-        if known is None:
-            with self.lock:
-                if q not in self.loops and self.size < _LOOP_CAP:
-                    self.loops[q] = _NO_LOOPS
-                    self.size += 1
-        return known
-
     def admit(self, q: int, loop: dict[int, tuple[int, int, int]],
               tails: dict[int, tuple[int, int, int]]) -> None:
         """Add the loop to q's entries if it is new and fits, then the tail
         entries q lacks, in order, while room is left."""
         with self.lock:
-            old = self.loops[q]
+            old = self.loops.get(q, {})
             room = _LOOP_CAP - self.size
             if len(loop) > room or next(iter(loop), None) in old:
                 loop = {}

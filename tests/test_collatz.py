@@ -3,6 +3,7 @@
 import random
 import sys
 import threading
+from collections import Counter
 
 import pytest
 from hypothesis import given
@@ -369,9 +370,8 @@ class TestScanAgainstOrbit:
 
 
 def catalog_size(catalog):
-    """Visit marks plus loop and tail entries: what the catalog counts
-    against its cap."""
-    return len(catalog.loops) + sum(map(len, catalog.loops.values()))
+    """Loop and tail entries: what the catalog counts against its cap."""
+    return sum(map(len, catalog.loops.values()))
 
 
 def catalog_entry(v, q):
@@ -412,11 +412,10 @@ class TestLoopCatalog:
     def cold(self, monkeypatch):
         monkeypatch.setattr(collatz, "_catalog", collatz._LoopCatalog())
 
-    def test_first_visit_admits_no_loop(self):
+    def test_first_visit_admits_27s_loop_and_tails(self):
         # k = 2 is the usual map: its loop 1, 4, 2, 1 has one odd value
         assert orbit_length_scan(27, [2]) == [orbit_row(27, 2, 500_000, 10**6)]
-        assert collatz._catalog.loops == {1: {}}
-        assert orbit_length_scan(27, [2]) == [orbit_row(27, 2, 500_000, 10**6)]
+        assert list(collatz._catalog.loops) == [1]
         loops = collatz._catalog.loops[1]
         # 1 is entered from 4 by two halvings; the loop has 3 steps and
         # reaches |c| = 4
@@ -426,30 +425,41 @@ class TestLoopCatalog:
         # 27's walk passed every other odd value of its orbit off the loop
         assert set(loops) == {v for v in orbit(27, 2).trajectory if v & 1}
         assert all(entry == catalog_entry(v, 1) for v, entry in loops.items())
-        assert collatz._catalog.size == catalog_size(collatz._catalog) == 1 + len(loops)
+        assert collatz._catalog.size == catalog_size(collatz._catalog) == len(loops)
+        # the second visit hits 27 at once and has nothing to add
+        assert orbit_length_scan(27, [2]) == [orbit_row(27, 2, 500_000, 10**6)]
+        assert collatz._catalog.loops == {1: loops}
 
-    def test_first_visits_build_no_entries(self, monkeypatch):
-        # an `orbit --scan` child visits each q once: it pays for no entry
-        built = []
+    def test_first_visits_build_each_maps_entries_once(self, monkeypatch):
+        # an `orbit --scan` child visits each q once: every walk that closes
+        # its loop builds that loop's entries and its tails, once
+        built = Counter()
+
+        def counted(name, build):
+            def entries(*args):
+                built[name] += 1
+                return build(*args)
+            return entries
+
         for name in ("_loop_entries", "_tail_entries"):
-            monkeypatch.setattr(collatz, name, lambda *args, name=name: built.append(name))
+            monkeypatch.setattr(collatz, name, counted(name, getattr(collatz, name)))
         ks = list(range(2, 402, 2))
-        assert orbit_length_scan(27, ks, 5_000_000) == [
-            orbit_row(27, k, 5_000_000, 10**6) for k in ks]
-        assert collatz._catalog.loops == {k - 1: {} for k in ks}
-        assert collatz._catalog.size == len(ks)
-        assert built == []
+        rows = orbit_length_scan(27, ks, 5_000_000)
+        assert rows == [orbit_row(27, k, 5_000_000, 10**6) for k in ks]
+        cycles = {k - 1 for k, _, kind in rows if kind == "cycle"}
+        assert set(collatz._catalog.loops) == cycles
+        assert built == {"_loop_entries": len(cycles), "_tail_entries": len(cycles)}
+        assert collatz._catalog.size == catalog_size(collatz._catalog)
+        assert_catalog_sound(collatz._catalog)
 
     def test_hit_ends_the_walk_only_inside_the_bound(self):
-        orbit_length_scan(1, [2])  # the visit that lets q = 1 admit loops
         collatz._catalog.admit(1, {1: (2, 99, 4)}, {})  # a false period, to see it used
         assert orbit_length_scan(1, [2], 5) == [(2, 99, "cycle")]
         collatz._catalog.loops[1] = {1: (2, 99, 5)}  # reaches the bound: walk on
         assert orbit_length_scan(1, [2], 5) == [orbit_row(1, 2, 5, 10**6)] == [(2, 3, "cycle")]
 
     def test_tail_hit_ends_the_walk_only_inside_the_bound(self):
-        for _ in range(2):  # the second scan admits 27's tails, 5 among them
-            orbit_length_scan(27, [2])
+        orbit_length_scan(27, [2])  # admits 27's tails, 5 among them
         loops = collatz._catalog.loops
         assert loops[1][5] == (-3, 3, 16)
         # 10, 5, 16, ...: 5 reaches the bound 16, so the walk goes on past it
@@ -461,8 +471,7 @@ class TestLoopCatalog:
         assert orbit_length_scan(10, [2], 17) == [orbit_row(10, 2, 17, 10**6)] == [(2, 7, "cycle")]
 
     def test_tail_hit_past_the_step_limit(self):
-        for _ in range(2):
-            orbit_length_scan(27, [2])
+        orbit_length_scan(27, [2])
         # 10, 5, 16, 8, 4, 2, 1, 4: the hit at index 1 has 6 steps to go
         for step_limit, row in ((6, (2, None, "step_limit")), (7, (2, 7, "cycle"))):
             assert orbit_length_scan(10, [2], 500_000, step_limit) == [
@@ -488,8 +497,8 @@ class TestLoopCatalog:
             self, n, warm_n, ks, bound, extra, step_limit, warm, seed):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(collatz, "_catalog", collatz._LoopCatalog())
-            if warm:  # twice, so the second scan admits its loops and tails,
-                # some of them reaching past the checked bound
+            if warm:  # twice: the first scan admits loops and tails, some of
+                # them reaching past the checked bound, and the second hits them
                 for _ in range(2):
                     orbit_length_scan(warm_n, ks, bound + extra)
             order = ks * 2
@@ -516,23 +525,46 @@ class TestLoopCatalog:
         assert any(collatz._catalog.loops.values())
         assert_catalog_sound(collatz._catalog)
 
+    def test_repeated_scan_over_more_maps_than_the_cap_holds(self, monkeypatch):
+        monkeypatch.setattr(collatz, "_LOOP_CAP", 60)
+        ks = list(range(2, 202, 2))  # 100 maps
+        expected = [orbit_row(27, k, 5_000_000, 10**6) for k in ks]
+        for _ in range(3):
+            assert orbit_length_scan(27, ks, 5_000_000) == expected
+        assert collatz._catalog.size == catalog_size(collatz._catalog) == 60
+        # loop entries have t_v >= 0, tail entries p - rest < 0
+        assert any(t >= 0 for entries in collatz._catalog.loops.values()
+                   for t, _, _ in entries.values())
+        assert_catalog_sound(collatz._catalog)
+
     def test_a_loop_is_admitted_whole_and_tails_take_the_room_left(self, monkeypatch):
         # -197's walk passes six odd values, -197, -295, -221, -331, -31 and
-        # -23, before the usual map's 18-cycle through -17, which has seven
+        # -23, before the usual map's 18-cycle through -17, which has seven:
+        # at cap 5 the loop does not fit and five tails take the room, at cap
+        # 10 it does and three tails take the room left
         cycle = {v for v in orbit(-17, 2).trajectory if v & 1}
-        for cap, kept in ((5, {-23, -31, -331, -221}), (10, cycle | {-23, -31})):
+        built = []
+        loop_entries = collatz._loop_entries
+        monkeypatch.setattr(collatz, "_loop_entries",
+                            lambda values, *rest: built.append(len(values))
+                            or loop_entries(values, *rest))
+        for cap, kept, loops_built in ((5, {-23, -31, -331, -221, -295}, []),
+                                       (10, cycle | {-23, -31, -331}, [7])):
             monkeypatch.setattr(collatz, "_LOOP_CAP", cap)
             monkeypatch.setattr(collatz, "_catalog", collatz._LoopCatalog())
+            built.clear()
             for _ in range(2):
                 assert orbit_length_scan(-197, [2]) == [orbit_row(-197, 2, 500_000, 10**6)]
-            # the tails nearest the loop take the room it leaves
+            # the tails nearest the loop take the room it leaves; the second
+            # scan hits the catalog, full, and changes nothing
             assert collatz._catalog.loops == {1: {v: catalog_entry(v, 1) for v in kept}}
             assert collatz._catalog.size == cap
+            assert built == loops_built  # a loop that cannot fit is not built
 
     def test_full_catalog_builds_no_entries_it_would_refuse(self, monkeypatch):
         monkeypatch.setattr(collatz, "_LOOP_CAP", 40)
         ks = list(range(2, 42, 2))
-        for n in (27, 27, 7, 97):  # 20 visit marks, then loop and tail values
+        for n in (27, 27, 7, 97):  # loop and tail values of 20 maps fill the cap
             orbit_length_scan(n, ks)
         assert collatz._catalog.size == catalog_size(collatz._catalog) == 40
         assert any(collatz._catalog.loops.values())
