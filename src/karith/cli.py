@@ -67,8 +67,8 @@ def _render(args, record: dict, csv_lines: list[str] | None, plain: str) -> int:
 
 def _bound_factor(g: Generator, given: int | None) -> tuple[int | None, bool]:
     """The caller's bound or factor, and False; for a generator without a
-    divisor factor and none given, a warning, the guessed factor and True."""
-    if given is not None or g.divisor_factor is not None:
+    divisor lemma and none given, a warning, the guessed factor and True."""
+    if given is not None or g.divisor_lemma is not None:
         return given, False
     print(f"warning: no divisor bound is known for {g.spec()}; "
           f"defaulting to {GUESSED_BOUND_FACTOR}*a scans", file=sys.stderr)

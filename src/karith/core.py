@@ -134,8 +134,8 @@ class DivisorReport:
     ``witnesses`` pairs each divisor d with the start value b such that
     the product of b by d equals the subject.  ``search_bound`` records the
     largest term count a sequence-generated report covers: the caller's
-    bound, or L * |a| when the sequence's divisor lemma proves that complete;
-    it is None when the k-arithmetic's closed characterization was used.
+    bound, or D * |a| for the factor D of ``Generator.divisor_lemma``; it
+    is None when the k-arithmetic's closed characterization was used.
     """
 
     subject: int

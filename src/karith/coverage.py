@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from .core import DomainError, _record, k_product, k_quotient
 from .generated import primes_below, seq_product
-from .generators import Constant, Generator, parse_generator
+from .generators import K_LEMMA, Constant, Generator, parse_generator
 
 
 @_record
@@ -118,13 +118,13 @@ def seq_residual_set(
     if prime_limit < 2:
         raise DomainError(f"prime limit must be at least 2, got {prime_limit}")
     primes = tuple(primes_below(prime_limit, g, bound_factor))
-    # product(n, p) = p*n + product(0, p): linear in the start value; when every
-    # term is k, product(0, p) is k_product(0, p, k) = p(p - 1)(k - 2)/2
-    diffs = g.differences
-    if diffs is None or len(diffs) > 1:
+    # product(n, p) = p*n + product(0, p): linear in the start value; under
+    # K_LEMMA (every term k), product(0, p) is k_product(0, p, k) = p(p - 1)(k - 2)/2
+    if g.divisor_lemma != K_LEMMA:
         offsets = tuple(seq_product(0, p, g) for p in primes)
     else:
-        offsets = tuple(p * (p - 1) // 2 * (diffs[0] - 2) for p in primes)
+        k = g.term(1)
+        offsets = tuple(p * (p - 1) // 2 * (k - 2) for p in primes)
     width = 2 * window_half + 1
     covered = bytearray(width)  # index i stands for the value i - N
     for p, offset in zip(primes, offsets):

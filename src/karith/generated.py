@@ -5,18 +5,18 @@ The product of m by n in the arithmetic generated by (a_i) is
     (m - n + 1) * n + W(n),    W(n) = sum over i < n of (n - i) * a_i,
 
 which reduces to the k-arithmetic when the sequence is constant.  A term
-count d divides a when d divides a - W(d).  For polynomial terms every such d
-divides L * |a| (``Generator.divisor_factor``), so a divisor report of any
-a != 0 tests the usual divisors of L * |a|, and L is the default bound
-factor.  Any other sequence needs a caller's bound and a subject a >= 1, and
+count d divides a when d divides a - W(d).  Under g's divisor lemma (P, D,
+(c_r)) (``Generator.divisor_lemma``) such a d ≡ r (mod P) divides D * a - c_r,
+so a report tests those usual divisors, and D is the default bound factor.
+A sequence without a lemma needs a caller's bound and a subject a >= 1, and
 its report reads the residues W(d) mod d of every term count up to it from
 the prefix-sum memo's residue table (``PrefixSums.residues_upto``): a d <= a
 divides a when W(d) mod d == a mod d, which compares small integers, and a
 d > a exactly when W(d) mod d == a, which one search of the table finds.
 Only the hits read W(d) again, for their witnesses.
-``divisors`` and ``primes_below`` pick the route: when every term is k (a
-one-entry ``differences``) they call the k-arithmetic's closed forms
-``k_divisors`` and ``k_primes_below`` instead.
+``divisors`` and ``primes_below`` pick the route: under ``K_LEMMA`` (every
+term k) they call the k-arithmetic's closed forms ``k_divisors`` and
+``k_primes_below`` instead.
 
 Both divisor-count censuses, primes and numbers with exactly c divisors
 below a limit, are one call to ``_census``.  It reads how many term counts
@@ -31,14 +31,13 @@ from __future__ import annotations
 
 from .core import (DivisorReport, DomainError, NotDivisible, _divisor_report, _start_value,
                    k_divisors, k_primes_below, usual_divisors)
-from .generators import Generator
+from .generators import K_LEMMA, Generator
 
 
 def seq_product(m: int, n: int, g: Generator) -> int:
     """Product of m by n in the arithmetic generated by g.
 
-    Term counts below 1 are accepted only for polynomial sequences
-    (g.differences set).
+    Term counts below 1 are accepted only for polynomial sequences.
     """
     return (m - n + 1) * n + g.weighted(n)
 
@@ -54,19 +53,22 @@ def seq_quotient(a: int, b: int, g: Generator) -> int | NotDivisible:
 
 
 def seq_divisors(a: int, g: Generator, search_bound: int | None = None) -> DivisorReport:
-    """Divisors d <= search_bound (default L * |a|) of a, tested among the
-    usual divisors of L * |a| for polynomial terms, which take any a != 0,
-    else among all term counts, for a >= 1."""
-    if a == 0 or (a < 0 and g.divisor_factor is None):
+    """Divisors d <= search_bound (default D * |a|) of a: under g's divisor
+    lemma, for any a with D * a != c_r, the usual divisors of |D * a - c_r|
+    that are ≡ r (mod P), else all term counts, for a >= 1."""
+    lemma = g.divisor_lemma
+    if (a < 1) if lemma is None else (lemma[1] * a in lemma[2]):
         raise DomainError(f"divisor report needs a positive subject, got {a}")
     if search_bound is None:
         search_bound = _scan_factor(g) * abs(a)
     if search_bound < 1:
         raise DomainError(f"search bound must be positive, got {search_bound}")
-    if g.divisor_factor is None:
+    if lemma is None:
         divs = _scanned_divisors(a, g.prefix_sums().residues_upto(search_bound))
     else:
-        divs = (d for d in usual_divisors(g.divisor_factor * abs(a)) if d <= search_bound)
+        period, factor, classes = lemma
+        divs = sorted(d for r, c in enumerate(classes) for d in usual_divisors(abs(factor * a - c))
+                      if d % period == r and d <= search_bound)
     return _divisor_report(a, ((d, g.weighted(d)) for d in divs), search_bound)
 
 
@@ -87,15 +89,15 @@ def _scanned_divisors(a: int, residues: list[int]) -> list[int]:
 
 def seq_is_prime(p: int, g: Generator, search_bound: int | None = None) -> bool:
     """True when p > 1 has exactly two divisors within the search bound:
-    among the usual divisors of L * p for polynomial terms, as in
-    seq_divisors, else among all term counts."""
+    among the candidates of g's divisor lemma, as in seq_divisors, else
+    among all term counts."""
     if p <= 1:
         return False
     if search_bound is None:
         search_bound = _scan_factor(g) * p
     if search_bound < 1:
         raise DomainError(f"search bound must be positive, got {search_bound}")
-    if g.divisor_factor is not None:
+    if g.divisor_lemma is not None:
         return len(seq_divisors(p, g, search_bound).divisors) == 2
     # a scan that stops at a third divisor may succeed within a prefix that a
     # read up to the bound would exhaust; one with fewer divisors reads on
@@ -151,36 +153,35 @@ def exact_divisor_count_numbers(
 
 
 def _scan_factor(g: Generator, bound_factor: int | None = None) -> int:
-    """The scan bound factor: bound_factor when given, else g's divisor
-    factor L, which only polynomial sequences have."""
+    """The scan bound factor: bound_factor when given, else the factor D of
+    g's divisor lemma."""
     if bound_factor is not None:
         if bound_factor < 1:
             raise DomainError(f"bound factor must be positive, got {bound_factor}")
         return bound_factor
-    if g.divisor_factor is None:
+    lemma = g.divisor_lemma
+    if lemma is None:
         raise DomainError(f"no divisor bound is known for {g.spec()}; pass a bound explicitly")
-    return g.divisor_factor
+    return lemma[1]
 
 
 def divisors(a: int, g: Generator, search_bound: int | None = None) -> DivisorReport:
-    """Divisor report of a in the arithmetic g generates: k_divisors when every
-    term is k, which ignores a given bound once it is positive, else seq_divisors."""
-    diffs = g.differences
-    if diffs is None or len(diffs) > 1:
+    """Divisor report of a in the arithmetic g generates: k_divisors under K_LEMMA
+    (every term k), which ignores a given bound once it is positive, else seq_divisors."""
+    if g.divisor_lemma != K_LEMMA:
         return seq_divisors(a, g, search_bound)
     if search_bound is not None and search_bound < 1:
         raise DomainError(f"search bound must be positive, got {search_bound}")
-    return k_divisors(a, diffs[0])
+    return k_divisors(a, g.term(1))
 
 
 def primes_below(n: int, g: Generator, bound_factor: int | None = None) -> list[int]:
-    """Primes below n in the arithmetic g generates: k_primes_below when every
-    term is k, else seq_primes_below.  A given factor must be positive."""
+    """Primes below n in the arithmetic g generates: k_primes_below under K_LEMMA
+    (every term k), else seq_primes_below.  A given factor must be positive."""
     factor = _scan_factor(g, bound_factor)
-    diffs = g.differences
-    if diffs is None or len(diffs) > 1:
+    if g.divisor_lemma != K_LEMMA:
         return seq_primes_below(n, g, factor)
-    return k_primes_below(n, diffs[0])
+    return k_primes_below(n, g.term(1))
 
 
 def squares_sequence(count: int, g: Generator) -> list[int]:

@@ -3,11 +3,11 @@
 Every generator yields terms a_1, a_2, ... and induces a product through the
 weighted partial sum W(n) = sum over i < n of (n - i) * a_i.  A generator
 whose terms are a polynomial in i sets ``differences`` = (a_1, Δa_1, Δ²a_1,
-...) and answers W(n) = sum over m of Δᵐa_1 * C(n, m + 2) at every integer n
-(``Generator.weighted``), and every divisor of a != 0 divides L * a
-(``Generator.divisor_factor``).  A single difference is the constant sequence
-k (const:k, ap:k,0, poly:k, gp:k,1, and gp:0,r for k = 0); ``karith.generated``
-reads that fact to route such a sequence to the k-arithmetic's closed forms.
+...), which only this module reads, and answers W(n) = sum over m of Δᵐa_1 *
+C(n, m + 2) at every integer n (``Generator.weighted``).  Other modules route
+on one fact, ``Generator.divisor_lemma``: every spelling of the constant
+sequence k (const:k, ap:k,0, poly:k, gp:k,1, and gp:0,r for k = 0) has
+``K_LEMMA``, which sends it to the k-arithmetic's closed forms.
 Any other W is read from a per-generator memo of prefix sums, undefined below 1.
 
 Canonical textual forms, used by the CLI and config files:
@@ -24,6 +24,9 @@ from math import comb, lcm
 from operator import mod
 
 from .core import DomainError, _record, _sieved, nth_prime
+
+#: the divisor lemma of every constant sequence k: 2 * W(d) = k * d * (d - 1)
+K_LEMMA = (1, 2, (0,))
 
 
 class PrefixExhaustedError(DomainError):
@@ -66,13 +69,13 @@ class Generator:
         raise NotImplementedError
 
     @property
-    def divisor_factor(self) -> int | None:
-        """L = lcm(2, ..., len(differences) + 1) for polynomial terms, else None.
-        The divisor lemma: W(d) sums multiples of C(d, j) for j from 2 to that
-        bound, and j * C(d, j) = d * C(d - 1, j - 1), so d divides L * W(d); a
-        term count d dividing a != 0 divides a - W(d), hence L * a."""
+    def divisor_lemma(self) -> tuple[int, int, tuple[int, ...]] | None:
+        """(P, D, (c_0, ..., c_{P-1})) when D * W(d) ≡ c_r (mod d) for every term
+        count d ≡ r (mod P), else None.  Degree-j terms give (1, lcm(2, ..., j + 2),
+        (0,)), K_LEMMA for j = 0: W(d) sums multiples of C(d, i) for 2 <= i <= j + 2,
+        and i * C(d, i) = d * C(d - 1, i - 1)."""
         diffs = self.differences
-        return None if diffs is None else lcm(*range(2, len(diffs) + 2))
+        return None if diffs is None else (1, lcm(*range(2, len(diffs) + 2)), (0,))
 
     def weighted(self, n: int) -> int:
         """W(n) = sum of Δᵐa_1 * C(n, m + 2) for polynomial terms, else the memo
@@ -96,12 +99,13 @@ class Generator:
         return self.prefix_sums().weighted(n)
 
     def prime_limit(self, window_half: int) -> tuple[int, bool]:
-        """Prime limit for covering [-N, N], and whether it is a guess: when
-        every term is k, primes up to 2N suffice (a value of magnitude >= 2 has
-        a k-prime divisor at most twice it); elsewhere 2N is only a default."""
-        if self.differences is None or len(self.differences) > 1:
+        """Prime limit for covering [-N, N], and whether it is a guess: under
+        K_LEMMA a divisor of h divides D * h - c_r, so primes up to D * N +
+        max|c_r| = 2N suffice; for any other sequence 2N is only a default."""
+        if self.divisor_lemma != K_LEMMA:
             return 2 * window_half, True
-        return 2 * window_half + 1, False
+        _, factor, classes = K_LEMMA
+        return factor * window_half + max(map(abs, classes)) + 1, False
 
     def prefix_sums(self) -> "PrefixSums":
         # One memo per generator instance, created lazily; setdefault keeps

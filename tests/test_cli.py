@@ -407,6 +407,10 @@ def test_every_spelling_of_a_constant_takes_the_closed_routes(spec, capsys):
     assert run_cli(shlex.split(f"divisors -15 --arith {spec}"), capsys) == (
         0, "1 2 3 5 6 10 15 30\n")
     assert k_divisors(-15, 3).divisors == (1, 2, 3, 5, 6, 10, 15, 30)
+    # the closed route ignores a positive bound, as const:3's does
+    record = run_json(f"divisors -15 --bound 4 --arith {spec}", capsys)
+    assert record == {**run_json("divisors -15 --bound 4 --arith const:3", capsys), "arith": spec}
+    assert record["search_bound"] is None and record["divisors"][-1] == 30
     assert run_cli(shlex.split(f"primes 30 --arith {spec} --bound-factor 1"), capsys) == (
         0, "2 4 8 16\n")
     assert k_primes_below(30, 3) == [2, 4, 8, 16]

@@ -562,24 +562,32 @@ class TestLoopCatalog:
             assert built == loops_built  # a loop that cannot fit is not built
 
     def test_full_catalog_builds_no_entries_it_would_refuse(self, monkeypatch):
-        monkeypatch.setattr(collatz, "_LOOP_CAP", 40)
+        # 1's scan leaves 12 of 32 slots free; -5's scan then builds the loops
+        # that fit and closes an 8-value loop with 3 slots left, which it must
+        # not build, and the catalog fills up as it goes
+        monkeypatch.setattr(collatz, "_LOOP_CAP", 32)
         ks = list(range(2, 42, 2))
-        for n in (27, 27, 7, 97):  # loop and tail values of 20 maps fill the cap
-            orbit_length_scan(n, ks)
-        assert collatz._catalog.size == catalog_size(collatz._catalog) == 40
-        assert any(collatz._catalog.loops.values())
-        offers = []
+        orbit_length_scan(1, ks)
+        assert collatz._catalog.size == catalog_size(collatz._catalog) == 20
+        offers, closed = [], []
 
         def entries(values, *rest):
             offers.append((collatz._catalog.size, len(values)))
             return loop_entries(values, *rest)
 
-        loop_entries = collatz._loop_entries
+        def reach(values, *rest):  # called once for each loop a walk closes
+            closed.append((collatz._catalog.size, len(values)))
+            return loop_reach(values, *rest)
+
+        loop_entries, loop_reach = collatz._loop_entries, collatz._reach
         monkeypatch.setattr(collatz, "_loop_entries", entries)
-        for n in (27, -5, 55):  # each closes loops that no longer fit
+        monkeypatch.setattr(collatz, "_reach", reach)
+        for n in (-5, 55):
             assert orbit_length_scan(n, ks) == [orbit_row(n, k, 500_000, 10**6) for k in ks]
-        assert all(size + length <= 40 for size, length in offers), offers
-        assert collatz._catalog.size == 40
+        assert offers and all(size + length <= 32 for size, length in offers), offers
+        assert (29, 8) in closed and (29, 8) not in offers, closed
+        assert collatz._catalog.size == catalog_size(collatz._catalog) == 32
+        assert_catalog_sound(collatz._catalog)
 
     def test_full_catalog_builds_no_tail_entries(self, monkeypatch):
         monkeypatch.setattr(collatz, "_LOOP_CAP", 40)

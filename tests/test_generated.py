@@ -307,7 +307,7 @@ class TestGenerators:
         assert [twin.prefix_sums().weighted(n) for n in range(1, 31)] == [
             g.prefix_sums().weighted(n) for n in range(1, 31)]
         assert twin.differences == g.differences
-        assert twin.divisor_factor == g.divisor_factor
+        assert twin.divisor_lemma == g.divisor_lemma
 
     def test_differences_are_a_fact_not_a_field(self):
         # ap:3,0 and gp:3,1 spell const:3's sequence yet stay distinct generators
@@ -328,16 +328,25 @@ class TestGenerators:
         assert "differences" not in {f.name for h in ALL_GENERATORS for f in dataclasses.fields(h)}
 
     @pytest.mark.parametrize("spec,factor", [
-        ("const:3", 2), ("const:0", 2), ("ap:4,0", 2), ("poly:5,0,0", 2), ("gp:3,1", 2),
-        ("gp:0,7", 2), ("ap:1,2", 6), ("ap:0,3", 6), ("ap:-3,-2", 6),
+        ("const:3", 2), ("const:0", 2), ("ap:4,0", 2), ("poly:5", 2), ("poly:5,0,0", 2),
+        ("gp:3,1", 2), ("gp:0,7", 2), ("ap:1,2", 6), ("ap:0,3", 6), ("ap:-3,-2", 6),
         ("poly:2,3", 6), ("poly:1,2,0,0", 6), ("poly:1,0,1", 12), ("poly:0,0,-4", 12),
         ("poly:-6,-5,-4,1", 60), ("poly:0,0,0,0,1", 60), ("poly:1,-3,2,0,-1,2", 420),
         ("poly:1,-3,2,0,-1,2,1", 840), ("gp:1,2", None), ("alt", None), ("zeroone", None),
         ("fpattern", None), ("primes", None), ("explicit:[1,2,3]", None),
     ])
     def test_divisor_factor(self, spec, factor):
-        # lcm(2, ..., j + 2) for terms of degree j; no factor without differences
-        assert parse_generator(spec).divisor_factor == factor
+        # the divisor lemma (1, lcm(2, ..., j + 2), (0,)) for terms of degree j,
+        # K_LEMMA for every spelling of a constant; no lemma without differences
+        g = parse_generator(spec)
+        if factor is None:
+            assert g.divisor_lemma is None
+            return
+        assert g.divisor_lemma == (1, factor, (0,))
+        assert (g.divisor_lemma == generators.K_LEMMA) == (factor == 2)
+        period, _, classes = g.divisor_lemma
+        for d, w in zip(range(1, 501), _oracle_weighted(g)):  # D * W(d) ≡ c_r, from W itself
+            assert (factor * w - classes[d % period]) % d == 0, d
 
     def test_spec_roundtrip(self):
         # the empty polynomial prints poly:0, since poly: is no spec
@@ -611,9 +620,10 @@ class TestSeqDivisors:
     def test_polynomial_defaults_need_no_bound(self):
         # every polynomial sequence has its divisor factor as default bound factor
         for g in (Polynomial((1, 0, 1)), *HIGHER_POLYNOMIALS):
-            assert seq_divisors(7, g).search_bound == 7 * g.divisor_factor
-            assert seq_primes_below(30, g) == seq_primes_below(30, g, g.divisor_factor)
-            assert seq_is_prime(13, g) == seq_is_prime(13, g, 13 * g.divisor_factor)
+            factor = g.divisor_lemma[1]
+            assert seq_divisors(7, g).search_bound == 7 * factor
+            assert seq_primes_below(30, g) == seq_primes_below(30, g, factor)
+            assert seq_is_prime(13, g) == seq_is_prime(13, g, 13 * factor)
 
     def test_divisor_candidates_build_no_memo(self):
         g = ArithProg(1, 2)
@@ -635,7 +645,7 @@ class TestSeqDivisors:
         for spec in ("ap:1,2", "ap:2,1", "ap:-3,5", "poly:0,3", "poly:1,0,1",
                      "poly:-6,-5,-4,1"):
             g = parse_generator(spec)
-            factor = g.divisor_factor
+            factor = g.divisor_lemma[1]
             weights = list(itertools.islice(_oracle_weighted(g), 3 * factor * 150))
             for a in range(-150, 0):
                 scan = tuple((d, (a - w) // d + d - 1)
@@ -653,6 +663,24 @@ class TestSeqDivisors:
             with pytest.raises(DomainError,
                                match=r"^divisor report needs a positive subject, got -20$"):
                 seq_divisors(-20, g, 100)
+
+    def test_a_lemma_with_two_classes(self):
+        # alt's W(d) = d // 2 gives 4 * W(d) ≡ 0 (mod d) for even d and -2 for
+        # odd d: the classes' candidates are the even divisors of 4|a| and the
+        # odd ones of |4a + 2|, and every report equals alt's memo scan
+        class AltWithLemma(AlternatingOnes):
+            divisor_lemma = (2, 4, (0, -2))
+
+        g, alt = AltWithLemma(), AlternatingOnes()
+        for d, w in zip(range(1, 501), _oracle_weighted(g)):
+            assert (4 * w - (0, -2)[d % 2]) % d == 0, d
+        for a in range(1, 301):
+            assert seq_divisors(a, g, 6 * a) == seq_divisors(a, alt, 6 * a), a
+        for a in range(-60, 0):
+            assert seq_divisors(a, g, -6 * a).witnesses == _oracle_divisors(a, alt, -6 * a), a
+        with pytest.raises(DomainError, match=r"^divisor report needs a positive subject, got 0$"):
+            seq_divisors(0, g, 10)
+        assert g.prefix_sums()._residues == [0]  # the lemma route builds no residue table
 
     def test_domain(self):
         with pytest.raises(DomainError):
@@ -771,6 +799,20 @@ class TestRoutes:
                 named = {getattr(c, "id", getattr(c, "attr", None))
                          for c in (arg.elts if isinstance(arg, ast.Tuple) else [arg])}
                 if named & classes:
+                    found.append(f"{path.name}:{node.lineno}")
+        assert found == []
+
+    def test_only_generators_reads_differences(self):
+        # every route reads Generator.divisor_lemma, so no other module depends
+        # on how differences is laid out, and no module names divisor_factor,
+        # the fact the lemma replaced
+        found = []
+        for path in sorted(Path(generators.__file__).parent.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                named = {getattr(node, key, None) for key in ("attr", "id", "name", "arg")}
+                if "divisor_factor" in named or (
+                        path.name != "generators.py" and isinstance(node, ast.Attribute)
+                        and node.attr == "differences"):
                     found.append(f"{path.name}:{node.lineno}")
         assert found == []
 
@@ -934,11 +976,11 @@ class TestScansAgainstPerSubjectOracle:
             assert report.witnesses == _oracle_divisors(a, g, 6 * a), a
             assert report.divisors == tuple(d for d, _ in report.witnesses)
 
-    @pytest.mark.parametrize("g", [g for g in ORACLE_GENERATORS if g.divisor_factor],
+    @pytest.mark.parametrize("g", [g for g in ORACLE_GENERATORS if g.divisor_lemma],
                              ids=lambda g: g.spec())
     def test_divisor_candidates_at_every_bound(self, g):
         # the factored candidates against the scan below, at and past L * a
-        factor = g.divisor_factor
+        factor = g.divisor_lemma[1]
         for a in range(1, 30):
             scanned = _oracle_divisors(a, g, factor * a + 50)
             for bound in (a, 3 * a, factor * a, factor * a + 50):
@@ -968,20 +1010,20 @@ class TestScansAgainstPerSubjectOracle:
                     want = _outcome(lambda: a > 1 and _oracle_divisor_count(a, g, bound, 2) == 2)
                     assert got == want, (g.spec(), a, bound)
 
-    @pytest.mark.parametrize("g", [g for g in ORACLE_GENERATORS if g.divisor_factor
+    @pytest.mark.parametrize("g", [g for g in ORACLE_GENERATORS if g.divisor_lemma
                                    and len(g.differences) > 3], ids=lambda g: g.spec())
     def test_default_census_is_mostly_tail(self, g):
         # L up to 840: almost every term count scanned is past the limit
-        factor = g.divisor_factor
+        factor = g.divisor_lemma[1]
         for count in (1, 2, 3, 4):
             assert exact_divisor_count_numbers(count, 40, g) \
                 == _oracle_census(count, 40, g, factor), count
         assert seq_primes_below(40, g) == _oracle_census(2, 40, g, factor)
 
-    @pytest.mark.parametrize("g", [g for g in ORACLE_GENERATORS if g.divisor_factor],
+    @pytest.mark.parametrize("g", [g for g in ORACLE_GENERATORS if g.divisor_lemma],
                              ids=lambda g: g.spec())
     def test_is_prime_by_the_divisor_lemma(self, g):
-        factor = g.divisor_factor
+        factor = g.divisor_lemma[1]
         for p in range(2, 151):
             for bound in (p, factor * p, factor * p + 50):
                 want = _oracle_divisor_count(p, g, bound, 2) == 2
@@ -1117,7 +1159,7 @@ class TestResidueTable:
 def _requests(g, limits):
     """(limit, factor) pairs over ascending, descending and shuffled limits,
     cycling through the factors 1, 2, 3, 6, 13 and g's L, if it has one."""
-    factors = [1, 2, 3, 6, 13] + [g.divisor_factor] * (g.divisor_factor is not None)
+    factors = [1, 2, 3, 6, 13] + ([g.divisor_lemma[1]] if g.divisor_lemma else [])
     order = [*limits, *reversed(limits), *random.Random(g.spec()).sample(limits, len(limits))]
     return [(limit, factors[i % len(factors)]) for i, limit in enumerate(order)]
 
