@@ -165,21 +165,13 @@ def _parse_scan(text: str) -> list[int]:
 
 
 def _orbit_summary(outcome) -> str:
-    parts = [f"kind={outcome.kind.value}"]
-    if outcome.ns is not None:
-        parts.append(f"ns={outcome.ns}")
-    if outcome.pre_period is not None:
-        parts.append(f"pre_period={outcome.pre_period}")
-    if outcome.kind.value == "cycle":
-        parts.append(f"cycle_length={outcome.cycle_length}")
-        parts.append(f"cycle_entry={outcome.cycle_entry}")
+    """kind=, then each field the outcome sets, bar a fixed point's cycle_length of 1."""
+    names = ["ns", "pre_period", "cycle_length", "cycle_entry", "fixed_value", "bound", "steps"]
     if outcome.kind.value == "fixed_point":
-        parts.append(f"fixed_value={outcome.fixed_value}")
-    if outcome.bound is not None:
-        parts.append(f"bound={outcome.bound}")
-    if outcome.steps is not None:
-        parts.append(f"steps={outcome.steps}")
-    return " ".join(parts)
+        names.remove("cycle_length")
+    values = [(name, getattr(outcome, name)) for name in names]
+    return " ".join([f"kind={outcome.kind.value}",
+                     *(f"{name}={value}" for name, value in values if value is not None)])
 
 
 def cmd_orbit(args) -> int:
@@ -396,7 +388,3 @@ def main(argv=None) -> int:
         if exc.filename is None:  # not a --bfile or --out path that cannot be opened
             raise
         parser.exit(EXIT_USAGE, f"usage error: {exc}\n")
-
-
-if __name__ == "__main__":
-    sys.exit(main())

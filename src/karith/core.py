@@ -318,10 +318,10 @@ def k_divisors(a: int, k: int) -> DivisorReport:
 
     W(d) = k * C(d, 2) and d divides 2 * C(d, 2), so every divisor of a
     divides 2|a|, and the usual divisors of 2|a| are the candidates.  Witnesses
-    are for the signed subject; a = 0 is refused (every term count qualifies).
+    are for the signed subject; a = 0 is refused (every odd term count divides 0).
     """
     if a == 0:
-        raise DomainError("every positive integer divides 0; report refused")
+        raise DomainError("every odd term count divides 0; report refused")
     candidates = ((d, k * (d * (d - 1) // 2)) for d in usual_divisors(2 * abs(a)))
     return _divisor_report(a, candidates)
 
@@ -332,7 +332,7 @@ def k_divisors_by_scan(a: int, k: int, bound: int) -> list[int]:
     Brute-force companion to k_divisors, kept independent of it on purpose.
     """
     if a == 0:
-        raise DomainError("every positive integer divides 0; report refused")
+        raise DomainError("every odd term count divides 0; report refused")
     if bound < 1:
         raise DomainError(f"search bound must be positive, got {bound}")
     return [d for d in range(1, bound + 1) if k_divides(d, a, k)]

@@ -57,8 +57,11 @@ def seq_divisors(a: int, g: Generator, search_bound: int | None = None) -> Divis
     lemma, for any a with D * a != c_r, the usual divisors of |D * a - c_r|
     that are ≡ r (mod P), else all term counts, for a >= 1."""
     lemma = g.divisor_lemma
-    if (a < 1) if lemma is None else (lemma[1] * a in lemma[2]):
+    if lemma is None and a < 1:
         raise DomainError(f"divisor report needs a positive subject, got {a}")
+    if lemma is not None and lemma[1] * a in lemma[2]:
+        raise DomainError(f"every term count congruent to {lemma[2].index(lemma[1] * a)} "
+                          f"mod {lemma[0]} passes the divisor lemma's test for {a}; report refused")
     if search_bound is None:
         search_bound = _scan_factor(g) * abs(a)
     if search_bound < 1:
@@ -93,12 +96,12 @@ def seq_is_prime(p: int, g: Generator, search_bound: int | None = None) -> bool:
     among all term counts."""
     if p <= 1:
         return False
+    if g.divisor_lemma is not None:
+        return len(seq_divisors(p, g, search_bound).divisors) == 2
     if search_bound is None:
         search_bound = _scan_factor(g) * p
     if search_bound < 1:
         raise DomainError(f"search bound must be positive, got {search_bound}")
-    if g.divisor_lemma is not None:
-        return len(seq_divisors(p, g, search_bound).divisors) == 2
     # a scan that stops at a third divisor may succeed within a prefix that a
     # read up to the bound would exhaust; one with fewer divisors reads on
     sums = g.prefix_sums()

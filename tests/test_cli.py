@@ -251,7 +251,12 @@ class TestExitCodes:
         ("goldbach --k 2 --limit 4", "targets start at 6, got limit 4"),
         ("sequence --kind squares --count 0", "count must be positive, got 0"),
         ("orbit --n 17 --k 2 --bound 0", "magnitude bound must be at least 1, got 0"),
-    ], ids=["divisors", "primes", "coverage", "goldbach", "sequence", "orbit"])
+        ("divisors 0 --arith const:1", "every odd term count divides 0; report refused"),
+        ("divisors 0 --arith const:2", "every odd term count divides 0; report refused"),
+        ("divisors 0 --arith ap:1,2", "every term count congruent to 0 mod 1 passes the "
+                                      "divisor lemma's test for 0; report refused"),
+    ], ids=["divisors", "primes", "coverage", "goldbach", "sequence", "orbit",
+            "divisors_0_const1", "divisors_0_const2", "divisors_0_ap12"])
     def test_out_of_range_value_is_domain_error(self, command, message, capsys):
         assert run_failing(command, capsys) == (3, message, None)
 

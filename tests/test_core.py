@@ -168,10 +168,16 @@ class TestDivisors:
         assert k_divisors(1, 3).divisors == (1, 2)
 
     def test_zero_subject_refused(self):
-        with pytest.raises(DomainError):
-            k_divisors(0, 3)
-        with pytest.raises(DomainError):
-            k_divisors_by_scan(0, 3, 10)
+        # the reason holds for every k: odd term counts divide 0, and for
+        # odd k the even ones do not
+        refusal = r"^every odd term count divides 0; report refused$"
+        for k in range(1, 5):
+            assert all(k_divides(d, 0, k) for d in range(1, 100, 2)), k
+            assert k_divides(2, 0, k) is (k % 2 == 0), k
+            with pytest.raises(DomainError, match=refusal):
+                k_divisors(0, k)
+            with pytest.raises(DomainError, match=refusal):
+                k_divisors_by_scan(0, k, 10)
 
     def test_scan_refuses_a_bound_below_1(self):
         for bound in (0, -1):

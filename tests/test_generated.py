@@ -678,13 +678,20 @@ class TestSeqDivisors:
             assert seq_divisors(a, g, 6 * a) == seq_divisors(a, alt, 6 * a), a
         for a in range(-60, 0):
             assert seq_divisors(a, g, -6 * a).witnesses == _oracle_divisors(a, alt, -6 * a), a
-        with pytest.raises(DomainError, match=r"^divisor report needs a positive subject, got 0$"):
+        with pytest.raises(DomainError, match=r"^every term count congruent to 0 mod 2 passes "
+                                              r"the divisor lemma's test for 0; report refused$"):
             seq_divisors(0, g, 10)
         assert g.prefix_sums()._residues == [0]  # the lemma route builds no residue table
 
     def test_domain(self):
-        with pytest.raises(DomainError):
-            seq_divisors(0, ArithProg(1, 2))
+        # ap:1,2 has the lemma (1, 6, (0,)), so D * 0 = c_0 puts every term
+        # count among the candidates of 0; those prime to 6 do divide 0
+        g = parse_generator("ap:1,2")
+        assert all(isinstance(seq_quotient(0, d, g), int) for d in range(1, 200, 6))
+        assert seq_divisors(-20, g).divisors == (1, 5, 8, 15, 24, 40)
+        with pytest.raises(DomainError, match=r"^every term count congruent to 0 mod 1 passes "
+                                              r"the divisor lemma's test for 0; report refused$"):
+            seq_divisors(0, g)
         with pytest.raises(DomainError):
             seq_divisors(5, ArithProg(1, 2), 0)
 
@@ -783,7 +790,8 @@ class TestRoutes:
     def test_doubly_invalid_input_reports_the_first_check(self):
         with pytest.raises(DomainError, match=r"^search bound must be positive, got 0$"):
             divisors(0, Constant(2), 0)
-        with pytest.raises(DomainError, match=r"^divisor report needs a positive subject, got 0$"):
+        with pytest.raises(DomainError, match=r"^every term count congruent to 0 mod 1 passes "
+                                              r"the divisor lemma's test for 0; report refused$"):
             divisors(0, ArithProg(1, 2), 0)
 
     def test_source_has_no_generator_class_tests(self):
