@@ -39,7 +39,7 @@ for a tail is i + rest.  Every walk that ends in a loop offers its entries
 until the catalog holds _LOOP_CAP of them; past it a walk builds no
 entries, so it costs what a cold walk costs.  For even q (odd k) an odd m
 stays odd and m + q/2 triples at every step, so the only loops are the
-fixed points m = -q/2 and m = 0, and that walk keeps no dict at all.
+fixed points m = -q/2 and m = 0, and one power of 3 settles that walk.
 
 `goldbach_scan` sweeps the first prime, not the target, for even k: one
 shift of the prime bitset per first prime settles about 64 targets to a
@@ -49,6 +49,7 @@ machine word.  Odd k keeps its closed form (see `goldbach_scan`).
 from __future__ import annotations
 
 import threading
+from bisect import bisect_left
 from enum import Enum
 from itertools import islice
 
@@ -57,6 +58,7 @@ from .core import DomainError, _record, k_divides, k_primes_below, k_product, k_
 DEFAULT_MAGNITUDE_BOUND = 500_000
 DEFAULT_STEP_LIMIT = 1_000_000
 _BINARY_DIGITS = bytes.maketrans(b"\0\1", b"01")
+_POWERS_OF_3 = [1]  # 3**0, 3**1, ..., replaced by a longer table when short
 
 
 class OrbitKind(Enum):
@@ -162,11 +164,7 @@ def fixed_points(k: int) -> list[int]:
     """
     if k % 2 == 0:
         raise DomainError("fixed-point classification applies to odd k only")
-    points = [2 - k]
-    exceptional = (5 - 3 * k) // 2
-    if exceptional % 2 == 0:
-        points.append(exceptional)
-    return sorted(set(points))
+    return sorted(m - (k - 2) for m in _tripling_fixed_points(k - 1))
 
 
 def odd_k_classification(n: int, k: int) -> OddOrbitFate:
@@ -175,16 +173,15 @@ def odd_k_classification(n: int, k: int) -> OddOrbitFate:
     With m = n + k - 2 the map is m -> m / 2 for even m and m -> 3m + q for
     odd m, q = k - 1 even, so an odd m stays odd and m + q/2 triples at each
     step.  Once the first halving run ends, the orbit therefore sits on a
-    fixed point (see `fixed_points`) or never halves again and diverges; a
-    start at m = 0 is the fixed point 2 - k itself.
+    fixed point (see `fixed_points`) or never halves again and diverges:
+    the scan's `_tripling_end` under a bound and step limit the run fits in.
     """
     if k % 2 == 0:
         raise DomainError("classification applies to odd k only")
     m = n + k - 2
-    if m:
-        m >>= (m & -m).bit_length() - 1  # the end of the first halving run
-    fixed = m - (k - 2) in fixed_points(k)
-    return OddOrbitFate.FIXED_POINT if fixed else OddOrbitFate.DIVERGES
+    reach = abs(m) + 1  # the run from m stays strictly inside -reach .. reach
+    _, kind = _tripling_end(m, k - 1, -reach, reach, reach.bit_length())
+    return OddOrbitFate.FIXED_POINT if kind == "fixed_point" else OddOrbitFate.DIVERGES
 
 
 def orbit_length_scan(
@@ -241,7 +238,7 @@ def _orbit_end(n: int, k: int, bound: int, step_limit: int) -> tuple[int | None,
     seen[r:], sets reach to None.  One path then offers the entries: while
     the catalog is below _LOOP_CAP it builds the tails and, for a walk's own
     loop, the loop whole if it fits; once the catalog is full it builds
-    nothing.  Even q (odd k) walks without a dict (see `_tripling_end`).
+    nothing.  Even q (odd k) takes a closed form (see `_tripling_end`).
     """
     shift, q = k - 2, k - 1
     lo, hi = shift - bound, shift + bound  # |c| < bound  <=>  lo < m < hi
@@ -296,23 +293,36 @@ def _orbit_end(n: int, k: int, bound: int, step_limit: int) -> tuple[int | None,
 
 
 def _tripling_end(m: int, q: int, lo: int, hi: int, step_limit: int) -> tuple[int | None, str]:
-    """`_orbit_end` for even q (odd k), per step and with no repeat dict.
+    """`_orbit_end` for even q (odd k): the first halving run, then a closed form.
 
-    An odd m stays odd, and m + q/2 triples at every step, so past the
-    first halving run the orbit repeats only at the fixed point m = -q/2
-    (when that is odd) and otherwise grows until it leaves the bound.  The
-    only other loop is the fixed point m = 0, where only m = 0 starts.
+    An odd m stays odd and x = m + q/2 triples at every step, so from an odd
+    m at index i that is not fixed the orbit leaves the bound after the least
+    j with 3**j * |x| >= T: T = hi + q/2 for x > 0, -(lo + q/2) for x < 0.
     """
-    fixed = -(q >> 1) if q >> 1 & 1 else 0
+    global _POWERS_OF_3
     i = 0
     while lo < m < hi:
-        if m == fixed or not m:
-            return (i + 1, "fixed_point") if i < step_limit else (None, "step_limit")
         if i >= step_limit:
             return None, "step_limit"
-        m = 3 * m + q if m & 1 else m >> 1
+        if m & 1 or not m:
+            if m in _tripling_fixed_points(q):
+                return i + 1, "fixed_point"
+            half = q >> 1
+            x = m + half
+            need = -((-hi - half) // x) if x > 0 else -((lo + half) // -x)  # ceil(T / |x|)
+            powers = _POWERS_OF_3  # replaced, never changed: readers take no lock
+            if powers[-1] < need:  # 3**b > need for b its bit length
+                powers = _POWERS_OF_3 = [3**j for j in range(need.bit_length() + 1)]
+            i += bisect_left(powers, need)
+            break
+        m >>= 1
         i += 1
     return None, "magnitude_exceeded" if i <= step_limit else "step_limit"
+
+
+def _tripling_fixed_points(q: int) -> tuple[int, ...]:
+    """The fixed points in m of m -> m/2, 3m + q for even q: 0, and -q/2 if odd."""
+    return (0, -(q >> 1)) if q >> 1 & 1 else (0,)
 
 
 def _reach(values: list[int], q: int, shift: int) -> int:

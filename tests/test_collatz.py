@@ -368,6 +368,101 @@ class TestScanAgainstOrbit:
         assert orbit_length_scan(n, [k], bound, step_limit) == [
             orbit_row(n, k, bound, step_limit)]
 
+    @given(n=st.integers(-10**12, 10**12), h=st.integers(-1500, 1500),
+           bound=st.integers(1, 10**40), step_limit=st.integers(0, 300))
+    def test_odd_k_property(self, n, h, bound, step_limit):
+        k = 2 * h + 1
+        assert orbit_length_scan(n, [k], bound, step_limit) == [
+            orbit_row(n, k, bound, step_limit)]
+
+    @pytest.mark.parametrize("k", [-9, -7, -5, -3, -1, 1, 3, 5, 7, 9, 31])
+    def test_odd_k_thresholds_at_a_power_of_3(self, k):
+        """Odd k: past the first halving run, ended at an odd m at index t,
+        x = m + q/2 triples, so the orbit leaves the bound at the least j with
+        3**j * |x| >= T, T = hi + q/2 for x > 0 and -(lo + q/2) for x < 0.
+        Bounds put T at 3**j * |x| and one either side; the step limits sit
+        one below, at and one above t + j."""
+        shift, half = k - 2, (k - 1) // 2
+        cases = Counter()  # by the sign of x
+        for v in (1, -1, 3, -3, 5, -5, 7, -7, 11, -11, -21, -41):
+            x = v + half
+            if not x:  # v = -q/2 is a fixed point
+                continue
+            for t in (0, 1, 3):
+                n = (v << t) - shift
+                for j in (1, 2, 5, 13):
+                    for d in (-1, 0, 1):
+                        target = 3**j * abs(x) + d
+                        bound = target - shift - half if x > 0 else target + shift + half
+                        lo, hi = shift - bound, shift + bound
+                        if bound < 1 or not lo < min(v, v << t) <= max(v, v << t) < hi:
+                            continue
+                        exit_index = t + j + (d > 0)
+                        outcome = orbit(n, k, bound, 10**6)
+                        assert outcome.kind == OrbitKind.MAGNITUDE_EXCEEDED
+                        assert len(outcome.trajectory) == exit_index, (n, bound)
+                        for steps in (exit_index - 1, exit_index, exit_index + 1):
+                            assert orbit_length_scan(n, [k], bound, steps) == [
+                                orbit_row(n, k, bound, steps)], (n, bound, steps)
+                        cases[x > 0] += 1
+        assert min(cases[True], cases[False]) >= 50, cases
+
+    def test_odd_k_bounds_past_any_power_table(self, monkeypatch):
+        monkeypatch.setattr(collatz, "_POWERS_OF_3", [1])
+        ks = list(range(-21, 22, 2))
+        for bound in (3**64 - 1, 3**64, 3**64 + 1, 10**40, 10**100):
+            for n in (-1000, -17, 0, 1, 17, 2**70 + 1, 3**40, 1000):
+                for k in ks:
+                    full = len(orbit(n, k, bound, 10**6).trajectory)
+                    for steps in (0, full - 2, full - 1, full, full + 1, 10**6):
+                        assert orbit_length_scan(n, [k], bound, steps) == [
+                            orbit_row(n, k, bound, steps)], (n, k, bound, steps)
+        powers = collatz._POWERS_OF_3
+        assert powers == [3**j for j in range(len(powers))]
+        assert powers[-1] >= 10**100
+
+    def test_odd_k_power_table_grown_from_four_threads(self, monkeypatch):
+        """Four threads scan odd k at bounds 10**1 .. 10**100, each in its own
+        order, from an emptied power table: each must get `orbit`'s rows."""
+        monkeypatch.setattr(collatz, "_POWERS_OF_3", [1])
+        ks = list(range(-41, 42, 2))
+        plans = [random.Random(seed).sample(range(1, 101), 100) for seed in range(4)]
+        expected = [[[orbit_row(17, k, 10**e, 10**6) for k in ks] for e in plan]
+                    for plan in plans]
+        results = [None] * len(plans)
+        start = threading.Barrier(len(plans))
+
+        def run(i):
+            start.wait()
+            results[i] = [orbit_length_scan(17, ks, 10**e) for e in plans[i]]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=run, args=(i,)) for i in range(len(plans))]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+                assert not t.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert results == expected
+
+    @pytest.mark.parametrize("k", [-11, -9, -7, -5, -3, -1, 1, 3, 5, 7, 9, 11])
+    def test_odd_k_fixed_point_starts(self, k):
+        """Starts at m = 0, at m = -q/2 (a fixed point when odd; an even one
+        other than 0 starts a halving run) and two either side of it."""
+        shift, half = k - 2, (k - 1) // 2
+        assert orbit(-shift, k).kind == OrbitKind.FIXED_POINT
+        fixed = orbit(-half - shift, k).kind == OrbitKind.FIXED_POINT
+        assert fixed == (bool(half & 1) or half == 0)
+        for n in (-shift, -half - shift - 2, -half - shift, -half - shift + 2):
+            for bound in (1, 2, abs(n) + 1, 10**6, 10**40):
+                for steps in (0, 1, 2, 3, 10**6):
+                    assert orbit_length_scan(n, [k], bound, steps) == [
+                        orbit_row(n, k, bound, steps)], (n, bound, steps)
+
 
 def catalog_size(catalog):
     """Loop and tail entries: what the catalog counts against its cap."""
