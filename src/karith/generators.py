@@ -8,7 +8,8 @@ C(n, m + 2) at every integer n (``Generator.weighted``).  Other modules route
 on one fact, ``Generator.divisor_lemma``: every spelling of the constant
 sequence k (const:k, ap:k,0, poly:k, gp:k,1, and gp:0,r for k = 0) has
 ``K_LEMMA``, which sends it to the k-arithmetic's closed forms.
-Any other W is read from a per-generator memo of prefix sums, undefined below 1.
+Any other W is read from a memo of prefix sums, undefined below 1: one per
+generator instance, bar ``primes``, whose instances share one process-wide memo.
 
 Canonical textual forms, used by the CLI and config files:
 
@@ -108,9 +109,9 @@ class Generator:
         return factor * window_half + max(map(abs, classes)) + 1, False
 
     def prefix_sums(self) -> "PrefixSums":
-        # One memo per generator instance, created lazily; setdefault keeps
-        # the first one stored when threads race to create it.  Generators are
-        # immutable, so the memo never goes stale; it is stored through
+        # One memo per instance (UsualPrimes returns its process-wide one), made
+        # lazily; setdefault keeps the first one stored when threads race.
+        # Generators are immutable, so the memo never goes stale; it is stored in
         # __dict__ because records (core._record) refuse attribute assignment.
         sums = self.__dict__.get("_sums")
         if sums is None:
@@ -118,7 +119,8 @@ class Generator:
         return sums
 
     def __getstate__(self):
-        # the memo holds a lock; copies and unpickled generators rebuild it
+        # the memo holds a lock; copies and unpickled generators rebuild it,
+        # bar primes twins, which read the process-wide memo
         state = dict(self.__dict__)
         state.pop("_sums", None)
         return state
@@ -128,8 +130,9 @@ class Generator:
 
 
 class PrefixSums:
-    """Cached weighted partial sums W(n) for one generator, their residues
-    and the divisor counts a census reads.
+    """Cached weighted partial sums W(n) for one generator instance (or for
+    every ``primes`` instance at once), their residues and the divisor counts
+    a census reads.
 
     Three reads: ``weighted(n)``, the residue table's ``residues_upto(n)``
     and the divisor-count table's ``divisor_counts(factor, limit)``.
@@ -312,8 +315,15 @@ class UsualPrimes(Generator):
             return super().term_range(lo, hi)  # term's error, if the range is not empty
         return _sieved(count=hi - 1)[lo - 1 : hi - 1]
 
+    def prefix_sums(self) -> "PrefixSums":
+        return _PRIME_SUMS  # every instance reads one memo, as it reads one sieve
+
     def spec(self) -> str:
         return "primes"
+
+
+#: the process-wide memo of every UsualPrimes; like the sieve, it stays resident
+_PRIME_SUMS = PrefixSums(UsualPrimes())
 
 
 @_record

@@ -67,6 +67,19 @@ HIGHER_POLYNOMIALS = [Polynomial((2, -1, 0, 3)), Polynomial((0, 0, 0, 0, 1)),
                       Polynomial((-4, 1, -2, 0, 0)), Polynomial((1, -3, 2, 0, -1, 2, 0))]
 
 
+@pytest.fixture
+def cold_memo(monkeypatch):
+    """cold(g): a twin of g whose prefix-sum memo is cold.  Every ``primes``
+    instance reads one process-wide memo, so for ``primes`` each call swaps a
+    fresh ``PrefixSums(UsualPrimes())`` in for it, until the next call or the
+    end of the test; any other twin is a copy with a memo of its own."""
+    def cold(g):
+        if isinstance(g, UsualPrimes):
+            monkeypatch.setattr(generators, "_PRIME_SUMS", generators.PrefixSums(UsualPrimes()))
+        return dataclasses.replace(g)
+    return cold
+
+
 def _answers(read, *args):
     """[read(*args)], or [] when it raises DomainError."""
     try:
@@ -196,12 +209,12 @@ class TestGenerators:
         assert "_sums" not in g.__dict__
 
     @pytest.mark.parametrize("g", ALL_GENERATORS + HIGHER_POLYNOMIALS, ids=lambda g: g.spec())
-    def test_bulk_read_matches_single_reads(self, g):
+    def test_bulk_read_matches_single_reads(self, g, cold_memo):
         # a cold memo grown in chunks of shuffled sizes: its residues against
         # Generator.weighted (the closed form for polynomial terms), its W
         # against the term-by-term oracle
         want = [0] + [g.weighted(d) % d for d in range(1, 401)]
-        sums = dataclasses.replace(g).prefix_sums()
+        sums = cold_memo(g).prefix_sums()
         sizes = [1, 1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 168]  # 400 in all
         random.Random(g.spec()).shuffle(sizes)
         for n in itertools.accumulate(sizes, initial=0):
@@ -302,7 +315,13 @@ class TestGenerators:
         twin = pickle.loads(pickle.dumps(g))
         assert twin == g and hash(twin) == hash(g)
         assert copy.deepcopy(g) == g
-        assert copy.copy(g).prefix_sums() is not g.prefix_sums()
+        if isinstance(g, UsualPrimes):  # one process-wide memo for every instance
+            twins = (UsualPrimes(), UsualPrimes(), copy.copy(g), copy.deepcopy(g), twin,
+                     parse_generator("primes"))
+            assert all(h.prefix_sums() is g.prefix_sums() for h in twins)
+        else:
+            assert copy.copy(g).prefix_sums() is not g.prefix_sums()
+            assert twin.prefix_sums() is not g.prefix_sums()
         assert twin.prefix_sums().residues_upto(30) == g.prefix_sums().residues_upto(30)
         assert [twin.prefix_sums().weighted(n) for n in range(1, 31)] == [
             g.prefix_sums().weighted(n) for n in range(1, 31)]
@@ -470,8 +489,9 @@ class TestSeqProduct:
         assert all(r == serial for r in results)
 
     @pytest.mark.parametrize("g", [UsualPrimes(), GeomProg(1, 2)], ids=lambda g: g.spec())
-    def test_warm_reads_race_the_memo_growth(self, g, monkeypatch):
+    def test_warm_reads_race_the_memo_growth(self, g, monkeypatch, cold_memo):
         # reads the memo covers take no lock while other threads grow it
+        g = cold_memo(g)
         top = 2000
         oracle = [0, 0]  # W(n) from the term loop, serially
         plain = 0
@@ -970,9 +990,11 @@ class TestScansAgainstPerSubjectOracle:
         assert exact_divisor_count_numbers(1, 4, Explicit((-1,)), 1) == [2]
 
     @pytest.mark.parametrize("g", ORACLE_GENERATORS, ids=lambda g: g.spec())
-    def test_infinite_generators(self, g):
+    def test_infinite_generators(self, g, cold_memo):
         # term counts d >= limit reach at most W(d) mod d; factor 1 leaves no
-        # such d, and a factor above L leaves only d that the lemma rules out
+        # such d, and a factor above L leaves only d that the lemma rules out;
+        # one memo, cold at the first request
+        g = cold_memo(g)
         for factor in (1, 2, 3, 5, 6, 13):
             for limit in (*range(2, 17), 60):
                 for count in (1, 2, 3, 4):
@@ -1073,6 +1095,55 @@ class TestScansAgainstPerSubjectOracle:
         assert not any(t.is_alive() for t in threads)
         assert results == want
 
+    def test_fresh_primes_from_four_threads(self, monkeypatch, cold_memo):
+        # four threads build a UsualPrimes() per request, all reading one cold
+        # shared memo over a cold sieve: divisor scans at bounds in shuffled
+        # order and censuses at factors 1, 2 and 6, against a memo-free W
+        cold_memo(UsualPrimes())
+        top = 600
+        p = [None, *core._sieved(count=top)[:top]]
+        weights = [None] + [sum((d - i) * p[i] for i in range(1, d)) for d in range(1, top + 1)]
+
+        def divisors_of(a, bound):
+            return tuple((d, (a - weights[d]) // d + d - 1) for d in range(1, bound + 1)
+                         if (a - weights[d]) % d == 0)
+
+        def census(limit, factor):
+            return [n for n in range(2, limit) if len(divisors_of(n, factor * n)) == 2]
+
+        subjects = random.Random(5).choices(range(1, 400), k=24)
+        requests = [("divisors", a, bound) for a, bound in zip(subjects, range(25, top + 1, 25))]
+        requests += [("census", limit, factor) for factor in (1, 2, 6)
+                     for limit in (20, 60, top // factor)]
+        want = {r: divisors_of(*r[1:]) if r[0] == "divisors" else census(*r[1:])
+                for r in requests}
+        plans = [random.Random(slot).sample(requests, len(requests)) for slot in range(4)]
+        monkeypatch.setattr(core, "_sieve_limit", 1)
+        monkeypatch.setattr(core, "_sieve_primes", [])
+        results = [None] * len(plans)
+        start = threading.Barrier(len(plans))
+
+        def worker(slot):
+            start.wait(timeout=30)
+            results[slot] = [
+                seq_divisors(x, UsualPrimes(), y).witnesses if kind == "divisors"
+                else seq_primes_below(x, UsualPrimes(), y) for kind, x, y in plans[slot]]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(i,)) for i in range(len(plans))]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for plan, got in zip(plans, results):
+            assert got == [want[r] for r in plan]
+        assert len(generators._PRIME_SUMS._counts) == 3  # one shared memo took every census
+
     def test_primes_below_small_limits_still_check_the_factor(self):
         for n in (-5, 0, 2):
             assert seq_primes_below(n, ArithProg(1, 2)) == []
@@ -1089,33 +1160,41 @@ class TestResidueTable:
     """``PrefixSums.residues_upto`` and the scans that read it, against W itself."""
 
     @pytest.mark.parametrize("g", SCANNED_GENERATORS, ids=lambda g: g.spec())
-    def test_residues_are_w_mod_d(self, g):
+    def test_residues_are_w_mod_d(self, g, cold_memo):
         want = _oracle_residues(g, 400)
-        sums = dataclasses.replace(g).prefix_sums()  # cold, then grown in shuffled order
+        sums = cold_memo(g).prefix_sums()  # cold, then grown in shuffled order
         for n in random.Random(3).sample(range(401), 401):
             assert sums.residues_upto(n) == want[: n + 1], n
         with pytest.raises(DomainError, match=r"^prefix length must be >= 0, got -1$"):
             sums.residues_upto(-1)
 
     @pytest.mark.parametrize("g", SCANNED_GENERATORS, ids=lambda g: g.spec())
-    def test_scans_whatever_the_memo_holds(self, g):
+    def test_scans_whatever_the_memo_holds(self, g, cold_memo):
+        # every request in one shuffled order against four memos in turn (a
+        # primes memo is process-wide, so they cannot coexist): a cold one per
+        # request, W warm to 400, the residue table warm to 400, and one
+        # grown by the requests alone
         rng = random.Random(g.spec())
         cases = [(a, bound) for bound in (1, 2, 7, 60, 301)
                  for a in {1, bound - 1, bound, bound + 1, rng.randint(1, 400), 10**12 + 1}
                  if a >= 1]
-        warm_sums, warm_table, shuffled = (dataclasses.replace(g) for _ in range(3))
-        warm_sums.prefix_sums().weighted(400)
-        warm_table.prefix_sums().residues_upto(400)
-        for a, bound in rng.sample(cases, len(cases)):
-            want = _oracle_divisors(a, g, bound)
-            for h in (dataclasses.replace(g), warm_sums, warm_table, shuffled):
+        scans = [(a, bound, _oracle_divisors(a, g, bound))
+                 for a, bound in rng.sample(cases, len(cases))]
+        censuses = [(limit, _oracle_census(3, limit, g, 2), _oracle_census(2, limit, g, 2))
+                    for limit in (rng.randint(3, 60), 90)]
+        for warm_up in (None, lambda sums: sums.weighted(400),
+                        lambda sums: sums.residues_upto(400), lambda sums: None):
+            h = cold_memo(g)
+            if warm_up:
+                warm_up(h.prefix_sums())
+            for a, bound, want in scans:
+                h = h if warm_up else cold_memo(g)
                 assert seq_divisors(a, h, bound).witnesses == want, (a, bound)
                 assert seq_is_prime(a, h, bound) == (a > 1 and len(want) == 2), (a, bound)
-        for limit in (rng.randint(3, 60), 90):
-            want = _oracle_census(3, limit, g, 2)
-            for h in (dataclasses.replace(g), warm_sums, warm_table, shuffled):
+            for limit, want, primes in censuses:
+                h = h if warm_up else cold_memo(g)
                 assert exact_divisor_count_numbers(3, limit, h, 2) == want, limit
-                assert seq_primes_below(limit, h, 2) == _oracle_census(2, limit, g, 2), limit
+                assert seq_primes_below(limit, h, 2) == primes, limit
 
     def test_warm_scan_divides_up_to_the_subject_and_searches_past_it(self, monkeypatch):
         g = UsualPrimes()
@@ -1151,8 +1230,8 @@ class TestResidueTable:
 
     @pytest.mark.parametrize("g", [ZeroOne(), UsualPrimes(), GeomProg(1, 2)],
                              ids=lambda g: g.spec())
-    def test_only_scans_and_censuses_build_the_table(self, g):
-        g = dataclasses.replace(g)
+    def test_only_scans_and_censuses_build_the_table(self, g, cold_memo):
+        g = cold_memo(g)
         squares_sequence(50, g)
         cubes_sequence(50, g)
         seq_product(3, 80, g)
@@ -1177,9 +1256,9 @@ class TestDivisorCountTable:
     the per-subject oracle."""
 
     @pytest.mark.parametrize("g", ORACLE_GENERATORS, ids=lambda g: g.spec())
-    def test_one_instance_grown_in_any_order(self, g):
+    def test_one_instance_grown_in_any_order(self, g, cold_memo):
         top = 40
-        g = dataclasses.replace(g)  # a cold memo, shared by every request below
+        g = cold_memo(g)  # a cold memo, shared by every request below
         requests = _requests(g, list(range(2, top + 1)))
         # a census below the limit is the top census cut at the limit
         want = {(count, factor): _oracle_census(count, top, g, factor)
@@ -1219,16 +1298,18 @@ class TestDivisorCountTable:
 
     @pytest.mark.parametrize("spec", ["alt", "zeroone", "primes", "gp:1,2", "ap:2,1",
                                       "poly:1,0,1", "explicit:[3,-2,0,5,1,-4]"])
-    def test_coverage_reads_the_same_from_cold_and_warm_memos(self, spec):
-        warm = parse_generator(spec)
+    def test_coverage_reads_the_same_from_cold_and_warm_memos(self, spec, cold_memo):
+        # every cold read first, each from a memo of its own: a primes memo is
+        # process-wide, so it cannot be cold and warm at once
+        requests = list(itertools.product((2, 9, 30), (3, 20, 61), (1, 2, 6)))
+        colds = [_outcome(seq_residual_set, cold_memo(parse_generator(spec)), *request)
+                 for request in requests]
+        warm = cold_memo(parse_generator(spec))
         for limit, factor in _requests(warm, [3, 17, 40, 61]):
             _outcome(seq_primes_below, limit, warm, factor)
-        for window_half, prime_limit, factor in itertools.product((2, 9, 30), (3, 20, 61),
-                                                                  (1, 2, 6)):
-            cold = _outcome(seq_residual_set, parse_generator(spec), window_half,
-                            prime_limit, factor)
-            got = _outcome(seq_residual_set, warm, window_half, prime_limit, factor)
-            assert got == cold, (window_half, prime_limit, factor)
+        for request, cold in zip(requests, colds):
+            got = _outcome(seq_residual_set, warm, *request)
+            assert got == cold, request
             if isinstance(cold, CoverageReport):
                 assert got.witnesses == cold.witnesses
 
