@@ -188,14 +188,19 @@ def primes_below(n: int, g: Generator, bound_factor: int | None = None) -> list[
 
 
 def squares_sequence(count: int, g: Generator) -> list[int]:
-    """Self-products i*i for i = 1..count in the generated arithmetic."""
-    if count < 1:
-        raise DomainError(f"count must be positive, got {count}")
-    g.weighted(count)  # grows a cold memo in one read, not one per i
-    return [seq_product(i, i, g) for i in range(1, count + 1)]
+    """Self-products i*i = i + W(i) for i = 1..count in the generated arithmetic."""
+    return [i + w for i, w in enumerate(_self_weights(count, g), 1)]
 
 
 def cubes_sequence(count: int, g: Generator) -> list[int]:
     """Triple self-products (i*i)*i for i = 1..count.  The square s = i + W(i)
-    already holds W(i), so (i*i)*i = (s - i + 1)*i + (s - i)."""
-    return [(s - i + 1) * i + s - i for i, s in enumerate(squares_sequence(count, g), 1)]
+    multiplied by i is (s - i + 1)*i + W(i), that is (w + 1)*i + w with w = W(i),
+    read off the same W list as the squares."""
+    return [(w + 1) * i + w for i, w in enumerate(_self_weights(count, g), 1)]
+
+
+def _self_weights(count: int, g: Generator) -> list[int]:
+    """[W(1), ..., W(count)], the one read both self-product lists make."""
+    if count < 1:
+        raise DomainError(f"count must be positive, got {count}")
+    return g.weighted_range(count)

@@ -10,6 +10,9 @@ sequence k (const:k, ap:k,0, poly:k, gp:k,1, and gp:0,r for k = 0) has
 ``K_LEMMA``, which sends it to the k-arithmetic's closed forms.
 Any other W is read from a memo of prefix sums, undefined below 1: one per
 generator instance, bar ``primes``, whose instances share one process-wide memo.
+``Generator.weighted_range(n)`` reads W(1), ..., W(n) at once, two running
+sums of the terms or one slice of the memo, so the self-products i*i = i + W(i)
+and (i*i)*i = (w + 1) * i + w, w = W(i), cost one read per list.
 
 Canonical textual forms, used by the CLI and config files:
 
@@ -99,6 +102,18 @@ class Generator:
                               "term counts below 1 are undefined")
         return self.prefix_sums().weighted(n)
 
+    def weighted_range(self, n: int) -> list[int]:
+        """[W(1), ..., W(n)] for n >= 1 in one read.  W(1) = 0 and W(i + 1) =
+        W(i) + S(i), S(i) the sum of the first i terms, so polynomial terms
+        take two running sums over term_range(1, n), whose Newton column at 1
+        is ``differences`` itself; any other sequence grows its memo once and
+        slices it (``PrefixSums.weighted_upto``)."""
+        if n < 1:
+            raise DomainError(f"weighted range needs a positive term count, got {n}")
+        if self.differences is None:
+            return self.prefix_sums().weighted_upto(n)
+        return list(accumulate(accumulate(self.term_range(1, n)), initial=0))
+
     def prime_limit(self, window_half: int) -> tuple[int, bool]:
         """Prime limit for covering [-N, N], and whether it is a guess: under
         K_LEMMA a divisor of h divides D * h - c_r, so primes up to D * N +
@@ -134,8 +149,9 @@ class PrefixSums:
     every ``primes`` instance at once), their residues and the divisor counts
     a census reads.
 
-    Three reads: ``weighted(n)``, the residue table's ``residues_upto(n)``
-    and the divisor-count table's ``divisor_counts(factor, limit)``.
+    Four reads: ``weighted(n)``, its bulk form ``weighted_upto(n)``, the
+    residue table's ``residues_upto(n)`` and the divisor-count table's
+    ``divisor_counts(factor, limit)``.
     W(1) = 0 and W(n + 1) - W(n) = S(n), the sum of the first n terms, so
     the memo grows from its last two entries: one ``term_range`` read, then
     one ``accumulate`` pass for S from S(m - 1) = W(m) - W(m - 1) and one for
@@ -169,6 +185,12 @@ class PrefixSums:
             with self._lock:
                 self._extend(n)
         return memo[n]
+
+    def weighted_upto(self, n: int) -> list[int]:
+        """[W(1), ..., W(n)] for n >= 1, in one read: weighted(n) grows the
+        memo, and written entries never change, so the slice takes no lock."""
+        self.weighted(n)
+        return self._weighted[1 : n + 1]
 
     def residues_upto(self, n: int) -> list[int]:
         """[0, W(1) mod 1, ..., W(n) mod n] for n >= 0, in one read.

@@ -1344,6 +1344,80 @@ class TestDivisorCountTable:
         assert reads["residues_upto"][2:] == [294]
 
 
+class TestWeightedRange:
+    """``Generator.weighted_range(n)``, W(1..n) in one read, against n reads of W."""
+
+    @pytest.mark.parametrize("g", ALL_GENERATORS, ids=lambda g: g.spec())
+    def test_weighted_range_is_the_per_index_read(self, g, cold_memo):
+        # the first read finds the memo cold; later ones, shorter and longer, find it warm
+        g = cold_memo(g)
+        sizes = [37, 1, 400, 5, 120, 2, 399]
+        first = g.weighted_range(sizes[0])
+        want = [g.weighted(i) for i in range(1, 401)]
+        assert first == want[: sizes[0]]
+        for n in sizes:
+            assert g.weighted_range(n) == want[:n], n
+        if g.differences is not None:
+            assert "_sums" not in g.__dict__
+
+    @given(coeffs=st.lists(st.integers(-50, 50), min_size=1, max_size=7), n=st.integers(1, 400))
+    def test_polynomial_weighted_range_is_the_per_index_read(self, coeffs, n):
+        # degrees 0-6 of either sign: two running sums, no memo
+        g = Polynomial(tuple(coeffs))
+        assert g.weighted_range(n) == [g.weighted(i) for i in range(1, n + 1)]
+        assert "_sums" not in g.__dict__
+
+    def test_short_prefix_weighted_range_fails_as_the_per_index_read(self):
+        # same error type and message, so the same index; a cold memo and a warm one
+        for g in SHORT_PREFIXES:
+            for n in range(1, 10):
+                fresh = dataclasses.replace(g)
+                want = _outcome(lambda: [fresh.weighted(i) for i in range(1, n + 1)])
+                assert _outcome(dataclasses.replace(g).weighted_range, n) == want, (g.spec(), n)
+                assert _outcome(g.weighted_range, n) == want, (g.spec(), n)
+
+    @pytest.mark.parametrize("spec", ["const:3", "poly:1,0,1", "alt", "primes", "explicit:[]"])
+    def test_weighted_range_below_1_is_undefined(self, spec):
+        # polynomial terms have a W below 1, yet no range of W ends there
+        for n in (0, -1, -7):
+            with pytest.raises(DomainError) as failure:
+                parse_generator(spec).weighted_range(n)
+            assert str(failure.value) == f"weighted range needs a positive term count, got {n}"
+
+    def test_weighted_range_of_shared_primes_from_four_threads(self, monkeypatch, cold_memo):
+        # four threads build a UsualPrimes() per read, all reading one cold
+        # shared memo over a cold sieve at shuffled n, against a memo-free W
+        cold_memo(UsualPrimes())
+        top = 600
+        p = [None, *core._sieved(count=top)[:top]]
+        weights = [sum((d - i) * p[i] for i in range(1, d)) for d in range(1, top + 1)]
+        sizes = [*range(1, 40), *range(40, top + 1, 23), top]
+        plans = [random.Random(slot).sample(sizes, len(sizes)) for slot in range(4)]
+        monkeypatch.setattr(core, "_sieve_limit", 1)
+        monkeypatch.setattr(core, "_sieve_primes", [])
+        results = [None] * len(plans)
+        start = threading.Barrier(len(plans))
+
+        def worker(slot):
+            start.wait(timeout=30)
+            results[slot] = [UsualPrimes().weighted_range(n) for n in plans[slot]]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(i,)) for i in range(len(plans))]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for plan, got in zip(plans, results):
+            assert got == [weights[:n] for n in plan]
+        assert len(generators._PRIME_SUMS._weighted) == top + 1  # one memo, grown to the top
+
+
 SQUARE_CASES = [
     (ArithProg(0, 1), 10, [1, 2, 4, 8, 15, 26, 42, 64, 93, 130]),
     (ArithProg(1, 1), 10, [1, 3, 7, 14, 25, 41, 63, 92, 129, 175]),
@@ -1382,7 +1456,7 @@ class TestSquaresAndCubes:
         assert cubes_sequence(count, g) == expected
 
     @pytest.mark.parametrize("fn,per_index", PER_INDEX, ids=["squares", "cubes"])
-    def test_cold_memo_grows_in_one_read(self, fn, per_index, monkeypatch):
+    def test_cold_memo_grows_in_one_read(self, fn, per_index, monkeypatch, cold_memo):
         want = [per_index(i, ZeroOne()) for i in range(1, 301)]
         reads = []
         term_range = ZeroOne.term_range
@@ -1394,15 +1468,23 @@ class TestSquaresAndCubes:
         monkeypatch.setattr(ZeroOne, "term_range", counted)
         assert fn(300, ZeroOne()) == want
         assert reads == [(1, 300)]
-        # every generator: the oracle's values from one bulk read and one W(i) per i
-        weighted = generators.Generator.weighted
+        # every generator: the oracle's values from one weighted_range(40) read
+        # and no W(i) per index; polynomial terms build no memo
+        ranges, singles = [], []
+        weighted_range, weighted = generators.Generator.weighted_range, generators.Generator.weighted
+        monkeypatch.setattr(generators.Generator, "weighted_range",
+                            lambda self, n: ranges.append(n) or weighted_range(self, n))
         monkeypatch.setattr(generators.Generator, "weighted",
-                            lambda self, n: reads.append(n) or weighted(self, n))
+                            lambda self, n: singles.append(n) or weighted(self, n))
         for g in ALL_GENERATORS:
             want = [per_index(i, g) for i in range(1, 41)]
-            reads.clear()
+            g = cold_memo(g)  # after the oracle, which would warm a primes memo
+            ranges.clear()
+            singles.clear()
             assert fn(40, g) == want, g.spec()
-            assert len(reads) == 41, g.spec()
+            assert (ranges, singles) == ([40], []), g.spec()
+            if g.differences is not None:
+                assert "_sums" not in g.__dict__, g.spec()
 
     @pytest.mark.parametrize("fn,per_index", PER_INDEX, ids=["squares", "cubes"])
     def test_prefix_runs_out_as_a_read_per_index_would(self, fn, per_index):
