@@ -43,7 +43,9 @@ fixed points m = -q/2 and m = 0, and one power of 3 settles that walk.
 
 `goldbach_scan` sweeps the first prime, not the target, for even k: one
 shift of the prime bitset per first prime settles about 64 targets to a
-machine word.  Odd k keeps its closed form (see `goldbach_scan`).
+machine word.  For odd k only the O(log(limit)**2) sums of two powers of two
+have a witness, and the counterexamples between them are listed as runs (see
+`goldbach_scan`).
 """
 
 from __future__ import annotations
@@ -422,28 +424,33 @@ def goldbach_scan(k: int, limit: int, record_witnesses: bool = False) -> Goldbac
     """Search every even target 6..limit for a sum of two k-primes.
 
     A target's witness is its decomposition with the least first k-prime.
-    For odd k the k-primes are the powers of two >= 2, so h is such a sum
-    exactly when it has at most two set bits: its lowest set bit plus the
-    rest, or two halves when h is itself a power of two.  Even k sweeps the
-    usual primes p1 in ascending order over ints used as bitsets, members
-    (bit p: p is prime) and open (bit h: target h has no witness yet):
-    (members << p1) & open, kept to h >= 2 * p1, holds exactly the targets
-    whose least first prime is p1.  Once open has no bit at or above 2 * p1,
-    its bits are the counterexamples.  Odd k keeps its closed form: almost
-    every target there is a counterexample, and reading those back out of a
-    bitset costs more than one bit count each.
+    For odd k the k-primes are the powers of two >= 2, so the targets with a
+    witness are the sums 2**i + 2**j, 1 <= i <= j, with witness
+    (2**i, 2**j): O(log(limit)**2) of them, met in ascending order as j and
+    then i ascend.  Every even target between two of them is a
+    counterexample, listed as one range run.  Even k sweeps the usual primes
+    p1 in ascending order over ints used as bitsets, members (bit p: p is
+    prime) and open (bit h: target h has no witness yet): (members << p1) &
+    open, kept to h >= 2 * p1, holds exactly the targets whose least first
+    prime is p1.  Once open has no bit at or above 2 * p1, its bits are the
+    counterexamples.
     """
     if limit < 6:
         raise DomainError(f"targets start at 6, got limit {limit}")
-    counterexamples = []
+    counterexamples: list[int] = []
     decompositions: dict[int, tuple[int, int]] = {}
     if k % 2:
-        for h in range(6, limit + 1, 2):
-            if h.bit_count() > 2:
-                counterexamples.append(h)
-            elif record_witnesses:
-                low = h & -h if h & (h - 1) else h >> 1
-                decompositions[h] = (low, h - low)
+        last = 4  # the last witnessed target so far: 4 = 2 + 2, just below the first
+        for j in range(2, limit.bit_length()):
+            for i in range(1, j + 1):
+                h = (1 << i) + (1 << j)
+                if h > limit:
+                    break
+                counterexamples += range(last + 2, h, 2)
+                last = h
+                if record_witnesses:
+                    decompositions[h] = (1 << i, 1 << j)
+        counterexamples += range(last + 2, limit + 1, 2)
     else:
         primes = k_primes_below(limit + 1, k)
         flags = bytearray(limit + 1)  # flags[limit - p] is bit p

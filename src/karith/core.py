@@ -9,21 +9,24 @@ k = 2 recovers ordinary multiplication.  Other values of k induce their own
 notions of quotient, divisor and prime, computed here in exact arbitrary
 precision: no floats anywhere, failed quotients carry their exact rational.
 
-Divisor reports rest on usual factorization.  Strong-probable-prime tests on
-the bases 2, 3, ..., 41 are exact below psi_13 = 3317044064679887385961981
-(Sorenson & Webster 2015).  Above it the primes 43 to 97 are tried too: a
-probable prime there is refused as unproven, and Brent's rho splits proven
-composites.
+Divisor reports rest on usual factorization.  One gcd with the product of
+the primes below 257 finds the small prime factors, so a cofactor below 257**2
+is prime.  A larger one gets strong-probable-prime tests on the first j of the
+bases 2, 3, ..., 41, where psi_j, the least strong pseudoprime to all j, is
+the first bound above it (Jaeschke 1993; Sorenson & Webster 2015 for psi_12
+and psi_13 = 3317044064679887385961981).  At or above psi_13 the primes 43 to
+97 are tried too: a probable prime there is refused as unproven, and Brent's
+rho splits proven composites.
 """
 
 from __future__ import annotations
 
 import sys
 import threading
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from functools import cache
 from itertools import compress
-from math import gcd, isqrt
+from math import gcd, isqrt, prod
 
 TYPE_CHECKING = False  # read as true by type checkers; never imports typing
 if TYPE_CHECKING:
@@ -213,14 +216,25 @@ def k_divides(d: int, a: int, k: int) -> bool:
     return d > 0 and (2 * a + d * (d - 1) * (2 - k)) % (2 * d) == 0
 
 
-# Strong-probable-prime bases: together they make Miller-Rabin exact below
-# psi_13 (Sorenson & Webster 2015).  Twelve bases do not suffice there:
-# psi_12 = 399165290221 * 798330580441 passes every base up to 37.  At or
-# above psi_13 the primes 43 to 97 are tried as well; a failing base still
-# proves compositeness (base 43 refutes psi_13 itself), but passing proves nothing.
-_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-_MORE_BASES = (43, 47, 53, 59, 61, 67, 71, 73, 79, 83, 89, 97)
+# The primes below 257.  The first 13 are the strong-probable-prime bases:
+# the first j of them prove primality below _PSI[j - 1], the least strong
+# pseudoprime to all j (Jaeschke 1993; Sorenson & Webster 2015 for psi_12 and
+# psi_13).  Twelve bases do not suffice below psi_13: psi_12 = 399165290221 *
+# 798330580441 passes every base up to 37.  At or above psi_13 the primes 43 to
+# 97 are tried as well; a failing base still proves compositeness (base 43
+# refutes psi_13 itself), but passing proves nothing.
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67,
+                 71, 73, 79, 83, 89, 97, 101, 103, 107, 109, 113, 127, 131, 137, 139, 149,
+                 151, 157, 163, 167, 173, 179, 181, 191, 193, 197, 199, 211, 223, 227,
+                 229, 233, 239, 241, 251)
+_SMALL_PRODUCT = prod(_SMALL_PRIMES)
+_BASES = _SMALL_PRIMES[:13]
+_MORE_BASES = _SMALL_PRIMES[13:25]
 _PROVEN_BELOW = 3_317_044_064_679_887_385_961_981
+_PSI = (2047, 1_373_653, 25_326_001, 3_215_031_751, 2_152_302_898_747, 3_474_749_660_383,
+        341_550_071_728_321, 341_550_071_728_321, 3_825_123_056_546_413_051,
+        3_825_123_056_546_413_051, 3_825_123_056_546_413_051,
+        318_665_857_834_031_151_167_461, _PROVEN_BELOW)
 
 
 def _is_prime(n: int) -> bool:
@@ -234,7 +248,7 @@ def _is_prime(n: int) -> bool:
     s = ((n - 1) & (1 - n)).bit_length() - 1
     d = (n - 1) >> s
     unproven = n >= _PROVEN_BELOW
-    for a in _BASES + _MORE_BASES if unproven else _BASES:
+    for a in _BASES + _MORE_BASES if unproven else _BASES[:bisect_right(_PSI, n) + 1]:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue
@@ -285,14 +299,19 @@ def usual_divisors(n: int) -> list[int]:
     if n < 1:
         raise DomainError(f"usual_divisors needs n >= 1, got {n}")
     primes: list[int] = []
-    for p in _BASES:
-        while n % p == 0:
-            n //= p
-            primes.append(p)
+    g = gcd(n, _SMALL_PRODUCT)  # the primes below 257 that divide n, each once
+    for p in _SMALL_PRIMES:
+        if g == 1:
+            break
+        if g % p == 0:
+            g //= p
+            while n % p == 0:
+                n //= p
+                primes.append(p)
     rest = [n] if n > 1 else []
     while rest:
         m = rest.pop()
-        if _is_prime(m):
+        if m < 257 * 257 or _is_prime(m):  # every prime factor of m is at least 257
             primes.append(m)
         else:
             f = _split(m)

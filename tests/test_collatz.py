@@ -3,6 +3,7 @@
 import random
 import sys
 import threading
+from bisect import bisect_right
 from collections import Counter
 
 import pytest
@@ -826,19 +827,41 @@ def _candidate_loop_goldbach(k, limit):
     return tuple(counterexamples), decompositions
 
 
+def _bit_count_goldbach(limit):
+    """Odd-k counterexamples by one bit count per even target: the loop
+    goldbach_scan ran before it listed them as runs, kept as their oracle."""
+    return tuple(h for h in range(6, limit + 1, 2) if h.bit_count() > 2)
+
+
 @pytest.mark.parametrize("k", range(-6, 8))
 def test_closed_odd_k_goldbach_matches_the_candidate_loop(k):
-    # odd k checks the closed form, even k the bitset sweep: at 64-bit word
-    # edges, at 2**j +- 1 up to 2**14 + 1 and at one large limit
+    # odd k checks the runs, even k the bitset sweep: at 64-bit word edges,
+    # at 2**j +- 1 up to 2**14 + 1 and at one large limit
     limits = [6, 7, 8, 63, 64, 65, 100, 127, 128, 129, 20_000] + [
         2**j + e for j in range(3, 15) for e in (-1, 1)]
     for limit in limits:
         counterexamples, decompositions = _candidate_loop_goldbach(k, limit)
         report = goldbach_scan(k, limit, record_witnesses=True)
+        assert type(report.counterexamples) is tuple
         assert report.counterexamples == counterexamples, limit
         assert report.decompositions == decompositions, limit
         assert list(report.decompositions) == list(decompositions)  # ascending targets
         assert goldbach_scan(k, limit) == GoldbachReport(k, limit, counterexamples)
+    if k % 2:
+        # at both ends of each run: 2**i + 2**j - 2, 2**i + 2**j and
+        # 2**i + 2**j + 1, against one candidate loop up to the largest
+        edges = sorted({(1 << i) + (1 << j) + e for j in range(1, 15) for i in range(j)
+                        for e in (-2, 0, 1)} - set(range(6)))
+        counterexamples, decompositions = _candidate_loop_goldbach(k, edges[-1])
+        for limit in edges:
+            report = goldbach_scan(k, limit, record_witnesses=True)
+            assert type(report.counterexamples) is tuple
+            assert report.counterexamples == counterexamples[:bisect_right(counterexamples, limit)]
+            assert report.decompositions == {h: w for h, w in decompositions.items() if h <= limit}
+            assert list(report.decompositions) == sorted(report.decompositions)
+        report = goldbach_scan(k, 10**6)
+        assert type(report.counterexamples) is tuple
+        assert report.counterexamples == _bit_count_goldbach(10**6)
 
 
 @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),

@@ -342,6 +342,10 @@ class TestSharedSieve:
         monkeypatch.setattr(core, "_sieve_primes", [])
         assert is_k_prime_by_characterization(10**12 + 39, 2)
         assert not is_k_prime_by_characterization(999983**2, 4)
+        assert usual_divisors(10**12 + 39) == [1, 10**12 + 39]
+        assert usual_divisors(999983**2) == [1, 999983, 999983**2]
+        assert k_divisors(10**12 + 39, 2).divisors == (1, 10**12 + 39)
+        assert k_divisors(999983**2, 4).divisors == (1, 999983, 999983**2)
         assert core._sieve_limit == 1 and core._sieve_primes == []
 
 
@@ -414,16 +418,36 @@ def trial_factorization(n):
     return primes + [n] * (n > 1)
 
 
-# The least strong pseudoprimes to the first 1, 2, 3, 4, 9 and 12 prime bases
-# (psi_1 = 2047, ..., psi_12), plus 2**64 - 1.  psi_12 passes every base up to
-# 37, so Miller-Rabin needs base 41 as well.  The expected divisors come from
-# the literal factorizations.
+def strong_probable_prime(n, a):
+    """True when the odd n > 2 is a strong probable prime to base a."""
+    s = 0
+    while (n - 1) >> s & 1 == 0:
+        s += 1
+    x = pow(a, (n - 1) >> s, n)
+    if x in (1, n - 1):
+        return True
+    for _ in range(s - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
+
+
+# The least strong pseudoprimes to the first 1, 2, 3, 4, 5, 6, 7, 9 and 12
+# prime bases (psi_1 = 2047, ..., psi_12), plus 2**64 - 1.  psi_j must meet
+# more than its first j bases, so a table lookup one bound too low would call
+# it prime.  psi_12 passes every base up to 37, so Miller-Rabin
+# needs base 41 as well.  The expected divisors come from the literal
+# factorizations.
 PSI_12 = 318665857834031151167461
 PSEUDOPRIMES = [
     (2047, (23, 89)),
     (1373653, (829, 1657)),
     (25326001, (2251, 11251)),
     (3215031751, (151, 751, 28351)),
+    (2152302898747, (6763, 10627, 29947)),
+    (3474749660383, (1303, 16927, 157543)),
+    (341550071728321, (10670053, 32010157)),
     (3825123056546413051, (149491, 747451, 34233211)),
     (2**64 - 1, (3, 5, 17, 257, 641, 65537, 6700417)),
     (PSI_12, (399165290221, 798330580441)),
@@ -431,19 +455,28 @@ PSEUDOPRIMES = [
 
 
 class TestFactorizationKernel:
-    """usual_divisors and the even-k characterization factor with Miller-Rabin
-    and Brent's rho; trial division here is their oracle."""
+    """usual_divisors and the even-k characterization factor with one gcd
+    against the primes below 257, Miller-Rabin and Brent's rho; trial division
+    here is their oracle."""
 
     def test_matches_trial_division(self):
-        for n in range(1, 30001):
+        # past 257**2, where a cofactor stops being prime by size alone
+        for n in range(1, 70_001):
             assert usual_divisors(n) == trial_divisors(n), n
         rng = random.Random(8)
         for n in (rng.randint(1, 10**11) for _ in range(300)):
             assert usual_divisors(n) == divisors_from_factors(trial_factorization(n)), n
 
-    @pytest.mark.parametrize("n", [2**40, 3**23, 47**2 * 53**3, 999983**2, 999983 * 999979])
+    @pytest.mark.parametrize("n", [
+        2**40, 3**23, 47**2 * 53**3, 999983**2, 999983 * 999979,
+        251**2, 251 * 257, 257**2, 257 * 263, 65537, 65537 * 65539])
     def test_prime_powers_and_balanced_semiprimes(self, n):
         assert usual_divisors(n) == trial_divisors(n)
+
+    # n <= 10**12, its bit length drawn first so that every size is tried
+    @given(st.integers(0, 39).flatmap(lambda b: st.integers(1 << b, min((2 << b) - 1, 10**12))))
+    def test_matches_trial_factorization_up_to_10_12(self, n):
+        assert usual_divisors(n) == divisors_from_factors(trial_factorization(n))
 
     @pytest.mark.parametrize("n,factors", PSEUDOPRIMES, ids=[str(n) for n, _ in PSEUDOPRIMES])
     def test_strong_pseudoprimes_are_split(self, n, factors):
@@ -451,21 +484,38 @@ class TestFactorizationKernel:
         assert usual_divisors(n) == divisors_from_factors(factors)
         assert not is_k_prime_by_characterization(n, 2)
 
+    def test_each_bound_is_a_strong_pseudoprime_to_its_bases(self):
+        # psi_j is composite (a failing prime base up to 97 proves it) and
+        # passes the first j bases, so those bases cannot prove anything at psi_j
+        assert list(core._PSI) == sorted(core._PSI) and core._PSI[-1] == core._PROVEN_BELOW
+        assert len(core._PSI) == len(core._BASES)
+        for j, psi in enumerate(core._PSI, 1):
+            assert all(strong_probable_prime(psi, a) for a in core._BASES[:j]), j
+            assert not all(strong_probable_prime(psi, a)
+                           for a in core._BASES + core._MORE_BASES), j
+
     def test_unproven_probable_primes_are_refused(self, monkeypatch):
-        # 2047 passes base 2; above the bound the bases 43 to 97 refute a
-        # composite, and a prime is refused as unproven
+        # With base 2 alone taken as proof below 257**2, every cofactor that
+        # reaches Miller-Rabin is at or above the bound.  There the bases 43
+        # to 97 refute a composite, and a prime is refused as unproven.
+        bound = 257**2
         monkeypatch.setattr(core, "_BASES", (2,))
-        monkeypatch.setattr(core, "_PROVEN_BELOW", 2047)
-        assert usual_divisors(2047) == [1, 23, 89, 2047]
-        assert not is_k_prime_by_characterization(2047, 2)
-        for n in range(1, 30001):
-            if max(trial_factorization(n), default=1) < 2047:
+        monkeypatch.setattr(core, "_PSI", (bound,))
+        monkeypatch.setattr(core, "_PROVEN_BELOW", bound)
+        for n, factors in [(280601, (277, 1013)), (873181, (661, 1321))]:
+            assert math.prod(factors) == n and strong_probable_prime(n, 2)
+            assert usual_divisors(n) == [1, *factors, n]
+            assert not is_k_prime_by_characterization(n, 2)
+        for n in range(bound, 160_001):
+            if max(trial_factorization(n)) < bound:
                 assert usual_divisors(n) == trial_divisors(n), n
             else:
                 with pytest.raises(DomainError, match="^primality of [0-9]+ is not proven"):
                     usual_divisors(n)
-        with pytest.raises(DomainError, match="^primality of 2053 is not proven"):
-            is_k_prime_by_characterization(2053, 2)
+        assert trial_factorization(66067) == [66067]  # the least prime above 257**2
+        for check in (usual_divisors, lambda n: is_k_prime_by_characterization(n, 2)):
+            with pytest.raises(DomainError, match="^primality of 66067 is not proven"):
+                check(66067)
 
 
 def test_usual_divisors_requires_positive():
