@@ -43,9 +43,11 @@ fixed points m = -q/2 and m = 0, and one power of 3 settles that walk.
 
 `goldbach_scan` sweeps the first prime, not the target, for even k: one
 shift of the prime bitset per first prime settles about 64 targets to a
-machine word.  For odd k only the O(log(limit)**2) sums of two powers of two
-have a witness, and the counterexamples between them are listed as runs (see
-`goldbach_scan`).
+machine word.  The bitset is kept beside the shared sieve in `karith.core`
+(bit p set exactly when p is prime), built at most once per sieve rebuild,
+and a scan masks it to its limit.  For odd k only the O(log(limit)**2) sums
+of two powers of two have a witness, and the counterexamples between them
+are listed as runs (see `goldbach_scan`).
 """
 
 from __future__ import annotations
@@ -55,11 +57,10 @@ from bisect import bisect_left
 from enum import Enum
 from itertools import islice
 
-from .core import DomainError, _record, k_divides, k_primes_below, k_product, k_quotient
+from .core import DomainError, _record, _sieved_bits, k_divides, k_product, k_quotient
 
 DEFAULT_MAGNITUDE_BOUND = 500_000
 DEFAULT_STEP_LIMIT = 1_000_000
-_BINARY_DIGITS = bytes.maketrans(b"\0\1", b"01")
 _POWERS_OF_3 = [1]  # 3**0, 3**1, ..., replaced by a longer table when short
 
 
@@ -428,12 +429,14 @@ def goldbach_scan(k: int, limit: int, record_witnesses: bool = False) -> Goldbac
     witness are the sums 2**i + 2**j, 1 <= i <= j, with witness
     (2**i, 2**j): O(log(limit)**2) of them, met in ascending order as j and
     then i ascend.  Every even target between two of them is a
-    counterexample, listed as one range run.  Even k sweeps the usual primes
-    p1 in ascending order over ints used as bitsets, members (bit p: p is
-    prime) and open (bit h: target h has no witness yet): (members << p1) &
-    open, kept to h >= 2 * p1, holds exactly the targets whose least first
-    prime is p1.  Once open has no bit at or above 2 * p1, its bits are the
-    counterexamples.
+    counterexample, listed as one range run.  For even k the k-primes are
+    the usual primes, and the scan sweeps them as p1 in ascending order over
+    ints used as bitsets: members, the sieve's shared prime bitset (bit p: p
+    is prime) masked to the limit, and open (bit h: target h has no witness
+    yet).  (members << p1) & open holds exactly the targets whose least
+    first prime is p1: a target p1 + q with a prime q < p1 was settled when
+    q was swept, so every bit left holds an h >= 2 * p1.  Once open has no
+    bit at or above 2 * p1, its bits are the counterexamples.
     """
     if limit < 6:
         raise DomainError(f"targets start at 6, got limit {limit}")
@@ -452,19 +455,15 @@ def goldbach_scan(k: int, limit: int, record_witnesses: bool = False) -> Goldbac
                     decompositions[h] = (1 << i, 1 << j)
         counterexamples += range(last + 2, limit + 1, 2)
     else:
-        primes = k_primes_below(limit + 1, k)
-        flags = bytearray(limit + 1)  # flags[limit - p] is bit p
-        for p in primes:
-            flags[limit - p] = 1
-        members = int(flags.translate(_BINARY_DIGITS), 2)
+        primes, bits = _sieved_bits(limit)
+        members = bits & ((2 << limit) - 1)
         top = limit & ~1
         open_targets = ((1 << (top + 2)) - 1) // 3 >> 6 << 6  # even bits 6..top
         least = [0] * (limit + 1) if record_witnesses else None
         for p1 in primes:
-            high = open_targets >> 2 * p1
-            if not high:
+            if open_targets.bit_length() <= 2 * p1:
                 break
-            hit = (members >> p1 & high) << 2 * p1  # (members << p1) & open, h >= 2p1
+            hit = members << p1 & open_targets
             open_targets ^= hit
             if record_witnesses:
                 for h in _set_bits(hit):

@@ -9,6 +9,14 @@ k = 2 recovers ordinary multiplication.  Other values of k induce their own
 notions of quotient, divisor and prime, computed here in exact arbitrary
 precision: no floats anywhere, failed quotients carry their exact rational.
 
+The prime sets are closed: the usual primes for even k, the powers of two
+for odd k.  The same argument settles every divisor.  For even k the
+divisors of a are the usual divisors of |a|.  For odd k they are the odd
+divisors o of |a| and the numbers 2**(v+1) * o, where 2**v exactly divides
+a.  Each witness is (2a/d + (d - 1)(2 - k)) / 2.  So `k_divisors` factors
+|a| once and lists only those divisors; `k_divisors_by_scan` stays the
+brute-force check.
+
 Divisor reports rest on usual factorization.  One gcd with the product of
 the primes below 257 finds the small prime factors, so a cofactor below 257**2
 is prime.  A larger one gets strong-probable-prime tests on the first j of the
@@ -294,55 +302,73 @@ def _split(m: int) -> int:
             return g
 
 
-def usual_divisors(n: int) -> list[int]:
-    """Ascending positive divisors of n >= 1, from its prime factorization."""
-    if n < 1:
-        raise DomainError(f"usual_divisors needs n >= 1, got {n}")
-    primes: list[int] = []
+def _factorization(n: int) -> dict[int, int]:
+    """The prime factorization {p: e} of n >= 1: the primes below 257 that
+    divide n, found with one gcd, in ascending order, then the larger ones."""
+    factors: dict[int, int] = {}
     g = gcd(n, _SMALL_PRODUCT)  # the primes below 257 that divide n, each once
     for p in _SMALL_PRIMES:
         if g == 1:
             break
         if g % p == 0:
             g //= p
+            e = 0
             while n % p == 0:
                 n //= p
-                primes.append(p)
+                e += 1
+            factors[p] = e
     rest = [n] if n > 1 else []
     while rest:
         m = rest.pop()
         if m < 257 * 257 or _is_prime(m):  # every prime factor of m is at least 257
-            primes.append(m)
+            factors[m] = factors.get(m, 0) + 1
         else:
             f = _split(m)
             rest += (f, m // f)
+    return factors
+
+
+def _divisors_of(factors: dict[int, int]) -> list[int]:
+    """The positive divisors of the product of p**e over {p: e}, unsorted."""
     divs = [1]
-    for p in set(primes):
-        divs = [d * p**e for d in divs for e in range(primes.count(p) + 1)]
-    return sorted(divs)
+    for p, e in factors.items():
+        divs = [d * q for q in [p**i for i in range(e + 1)] for d in divs]
+    return divs
 
 
-def _divisor_report(a, candidates, search_bound=None) -> DivisorReport:
-    """The report of a over candidate pairs (d, W(d)): d divides a when it divides a - W(d)."""
-    witnesses = []
-    for d, w in candidates:
-        q, r = divmod(a - w, d)
-        if r == 0:
-            witnesses.append((d, q + d - 1))
-    return DivisorReport(a, tuple(d for d, _ in witnesses), tuple(witnesses), search_bound)
+def usual_divisors(n: int) -> list[int]:
+    """Ascending positive divisors of n >= 1, from its prime factorization."""
+    if n < 1:
+        raise DomainError(f"usual_divisors needs n >= 1, got {n}")
+    return sorted(_divisors_of(_factorization(n)))
 
 
 def k_divisors(a: int, k: int) -> DivisorReport:
     """All divisors of a in the k-arithmetic, with their start-value witnesses.
 
-    W(d) = k * C(d, 2) and d divides 2 * C(d, 2), so every divisor of a
-    divides 2|a|, and the usual divisors of 2|a| are the candidates.  Witnesses
-    are for the signed subject; a = 0 is refused (every odd term count divides 0).
+    d divides a exactly when 2d divides 2a + d(d - 1)(2 - k), with witness
+    (2a/d + (d - 1)(2 - k)) / 2.  So the divisors follow from the usual
+    factorization of |a|.  For even k they are the usual divisors of |a|.
+    For odd k they are the odd divisors o of |a| and the numbers 2**(v+1) * o,
+    where 2**v exactly divides a.  Either set is closed under d -> N/d, with
+    N = |a| for even k and 2|a| for odd k, so the divisor mirrored in the
+    sorted list gives 2a/d with no division.  Witnesses are for the signed
+    subject; a = 0 is refused (every odd term count divides 0).
     """
     if a == 0:
         raise DomainError("every odd term count divides 0; report refused")
-    candidates = ((d, k * (d * (d - 1) // 2)) for d in usual_divisors(2 * abs(a)))
-    return _divisor_report(a, candidates)
+    factors = _factorization(abs(a))
+    if k % 2:
+        shift = factors.pop(2, 0) + 1
+        odd = _divisors_of(factors)
+        divs = sorted(odd + [o << shift for o in odd])
+        scale = -1 if a < 0 else 1  # 2a/d = scale * (2|a|/d)
+    else:
+        divs = sorted(_divisors_of(factors))
+        scale = -2 if a < 0 else 2  # 2a/d = scale * (|a|/d)
+    c = 2 - k
+    witnesses = tuple([(d, (scale * e + (d - 1) * c) >> 1) for d, e in zip(divs, reversed(divs))])
+    return DivisorReport(a, tuple(divs), witnesses, None)
 
 
 def k_divisors_by_scan(a: int, k: int, bound: int) -> list[int]:
@@ -370,8 +396,11 @@ def representations(a: int, k: int) -> list[Representation]:
 
 # The usual primes up to _sieve_limit: one process-wide sieve, empty until
 # the first query.  A rebuild binds a new list; a list handed out never changes.
+# _sieve_bits holds the same primes as one int, bit p set exactly when p is
+# prime, or None until the first _sieved_bits call after a rebuild.
 _sieve_limit = 1
 _sieve_primes: list[int] = []
+_sieve_bits: int | None = None
 _sieve_lock = threading.Lock()
 
 
@@ -379,7 +408,7 @@ def _sieved(upto: int = 0, count: int = 0) -> list[int]:
     """The shared ascending list of usual primes, rebuilt at least twice as
     large until it holds every prime <= upto and at least ``count`` primes.
     Callers read it and never mutate it."""
-    global _sieve_limit, _sieve_primes
+    global _sieve_limit, _sieve_primes, _sieve_bits
     with _sieve_lock:
         limit, primes = _sieve_limit, _sieve_primes
         while limit < upto or len(primes) < count:
@@ -390,8 +419,26 @@ def _sieved(upto: int = 0, count: int = 0) -> list[int]:
                 if sieve[p]:
                     sieve[p * p :: p] = bytes(len(range(p * p, limit + 1, p)))
             primes = list(compress(range(limit + 1), sieve))
-        _sieve_limit, _sieve_primes = limit, primes
+        if primes is not _sieve_primes:
+            _sieve_limit, _sieve_primes, _sieve_bits = limit, primes, None
         return primes
+
+
+def _sieved_bits(upto: int) -> tuple[list[int], int]:
+    """The shared primes list, holding every prime <= upto, and its bitset:
+    bit p is set exactly when p is a prime up to the sieve's limit.  The
+    bitset is built once per sieve rebuild, on the first call after it, so
+    growth that no caller of this reads never pays for one."""
+    global _sieve_bits
+    _sieved(upto)
+    with _sieve_lock:
+        if _sieve_bits is None:
+            top = _sieve_limit
+            digits = bytearray(b"0") * (top + 1)  # digits[top - p] is bit p
+            for p in _sieve_primes:
+                digits[top - p] = 49  # ord("1")
+            _sieve_bits = int(digits, 2)
+        return _sieve_primes, _sieve_bits
 
 
 def nth_prime(i: int) -> int:

@@ -29,8 +29,8 @@ factor * limit) where a scan per subject would take O(factor * limit**2).
 
 from __future__ import annotations
 
-from .core import (DivisorReport, DomainError, NotDivisible, _divisor_report, _start_value,
-                   k_divisors, k_primes_below, usual_divisors)
+from .core import (DivisorReport, DomainError, NotDivisible, _start_value, k_divisors,
+                   k_primes_below, usual_divisors)
 from .generators import K_LEMMA, Generator
 
 
@@ -72,7 +72,12 @@ def seq_divisors(a: int, g: Generator, search_bound: int | None = None) -> Divis
         period, factor, classes = lemma
         divs = sorted(d for r, c in enumerate(classes) for d in usual_divisors(abs(factor * a - c))
                       if d % period == r and d <= search_bound)
-    return _divisor_report(a, ((d, g.weighted(d)) for d in divs), search_bound)
+    witnesses = []
+    for d in divs:  # d divides a when it divides a - W(d)
+        q, r = divmod(a - g.weighted(d), d)
+        if r == 0:
+            witnesses.append((d, q + d - 1))
+    return DivisorReport(a, tuple(d for d, _ in witnesses), tuple(witnesses), search_bound)
 
 
 def _scanned_divisors(a: int, residues: list[int]) -> list[int]:

@@ -6,7 +6,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 from hypothesis import settings
 
 settings.register_profile("suite", max_examples=100, deadline=None, derandomize=True)
-# CI runs the scan-against-orbit properties once more under --hypothesis-profile=deep
+# CI runs some properties once more under --hypothesis-profile=deep (see tests.yml)
 settings.register_profile("deep", max_examples=2000, deadline=None, derandomize=True)
 settings.load_profile("suite")
 

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from karith import collatz
+from karith import collatz, core
 from karith import (
     DomainError,
     GoldbachReport,
@@ -862,6 +862,50 @@ def test_closed_odd_k_goldbach_matches_the_candidate_loop(k):
         report = goldbach_scan(k, 10**6)
         assert type(report.counterexamples) is tuple
         assert report.counterexamples == _bit_count_goldbach(10**6)
+
+
+def test_even_k_goldbach_from_a_cold_sieve_four_threads(monkeypatch):
+    # four threads scan even k in shuffled order over a cold sieve, while
+    # nth_prime grows it under them: every scan must get the candidate
+    # loop's report, and the bitset must end up matching the primes list
+    limits = [6, 7, 64, 65, 100, 1000, 4099, 12_345, 20_000]
+    want = {limit: _candidate_loop_goldbach(2, limit) for limit in limits}
+    requests = [("scan", k, limit, k % 4 == 0) for k in (-6, -2, 0, 4, 8) for limit in limits]
+    requests += [("grow", i, None, None) for i in (10, 500, 3000, 6000)]
+    plans = [random.Random(slot).sample(requests, len(requests)) for slot in range(4)]
+    monkeypatch.setattr(core, "_sieve_limit", 1)
+    monkeypatch.setattr(core, "_sieve_primes", [])
+    monkeypatch.setattr(core, "_sieve_bits", None)
+    results = [None] * len(plans)
+    start = threading.Barrier(len(plans))
+
+    def run(slot):
+        start.wait(timeout=30)
+        results[slot] = [goldbach_scan(k, limit, witnesses) if kind == "scan"
+                         else core.nth_prime(k) for kind, k, limit, witnesses in plans[slot]]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(len(plans))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+            assert not t.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    nth = {10: 29, 500: 3571, 3000: 27449, 6000: 59359}
+    for plan, got in zip(plans, results):
+        for (kind, k, limit, witnesses), report in zip(plan, got):
+            if kind == "grow":
+                assert report == nth[k]
+                continue
+            counterexamples, decompositions = want[limit]
+            assert report == GoldbachReport(k, limit, counterexamples,
+                                            decompositions if witnesses else None)
+    primes, bits = core._sieved_bits(0)
+    assert bits == sum(1 << p for p in primes)
 
 
 @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from conftest import divisors_from_factors
 from karith import (
+    DivisorReport,
     DomainError,
     NotDivisible,
     goldbach_scan,
@@ -198,6 +199,35 @@ class TestDivisors:
         report = k_divisors(a, k)
         assert list(report.divisors) == k_divisors_by_scan(a, k, 2 * abs(a))
 
+    # a = +-2**v * m with m odd and |a| < 2**13, small enough to scan to 2|a|
+    @given(st.integers(0, 12).flatmap(lambda v: st.tuples(
+        st.just(v), st.integers(0, (1 << (12 - v)) - 1), st.sampled_from((1, -1)))),
+        st.integers(-9, 12))
+    def test_theorem_route_matches_the_scan(self, subject, k):
+        v, j, sign = subject
+        a = sign * ((2 * j + 1) << v)
+        report = k_divisors(a, k)
+        assert list(report.divisors) == k_divisors_by_scan(a, k, 2 * abs(a))
+        assert [d for d, _ in report.witnesses] == list(report.divisors)
+        assert all(k_product(b, d, k) == a for d, b in report.witnesses)
+
+    # |a| in 1e9..1e18, its bit length drawn first so that every size is tried
+    @given(st.integers(30, 59).flatmap(lambda b: st.integers(
+        max(1 << b, 10**9), min((2 << b) - 1, 10**18))), st.sampled_from((1, -1)),
+        st.integers(-9, 12))
+    def test_theorem_route_matches_the_candidate_route_up_to_10_18(self, magnitude, sign, k):
+        a = sign * magnitude
+        assert k_divisors(a, k) == candidate_route_divisors(a, k)
+
+    def test_unproven_prime_factor_is_refused_by_name(self):
+        # the prime 2**89 - 1 lies above psi_13, so any subject it divides is refused
+        message = (f"primality of {2**89 - 1} is not proven: it is a strong probable prime "
+                   "to every prime base up to 97")
+        for a, k in [(2**89 - 1, 2), (2**89 - 1, 3), (-12 * (2**89 - 1), 5)]:
+            with pytest.raises(DomainError) as failure:
+                k_divisors(a, k)
+            assert str(failure.value) == message
+
     def test_no_divisor_beyond_twice_magnitude(self):
         for a in (-60, -7, 5, 12, 36):
             for k in range(-10, 11):
@@ -207,6 +237,15 @@ class TestDivisors:
                     if k_divides(d, a, k)
                 ]
                 assert high == []
+
+
+def candidate_route_divisors(a, k):
+    """The report k_divisors built before it read the divisor theorem: every
+    usual divisor of 2|a| is a candidate, tested by k_divides, with its
+    witness from k_quotient.  Kept as the oracle for the theorem route."""
+    divisors = [d for d in usual_divisors(2 * abs(a)) if k_divides(d, a, k)]
+    witnesses = tuple((d, k_quotient(a, d, k)) for d in divisors)
+    return DivisorReport(a, tuple(divisors), witnesses, None)
 
 
 class TestRepresentations:
@@ -312,6 +351,7 @@ class TestSharedSieve:
             for round_orders in (orders[:3], orders[3:], [list(range(len(warm)))] * 4):
                 monkeypatch.setattr(core, "_sieve_limit", 1)
                 monkeypatch.setattr(core, "_sieve_primes", [])
+                monkeypatch.setattr(core, "_sieve_bits", None)
                 results = [dict() for _ in round_orders]
                 start = threading.Barrier(len(round_orders))
 
@@ -333,6 +373,7 @@ class TestSharedSieve:
                 # the sieve only grows: a lost update would leave a smaller one
                 # than nth_prime(30000), the largest query here, needs
                 assert core._sieve_limit >= 350377 and len(core._sieve_primes) >= 30000
+                assert core._sieve_bits in (None, bits_of(core._sieve_primes))
         finally:
             sys.setswitchinterval(interval)
 
@@ -340,13 +381,46 @@ class TestSharedSieve:
         # a sieve up to isqrt(p) would stay resident for the process's life
         monkeypatch.setattr(core, "_sieve_limit", 1)
         monkeypatch.setattr(core, "_sieve_primes", [])
+        monkeypatch.setattr(core, "_sieve_bits", None)
         assert is_k_prime_by_characterization(10**12 + 39, 2)
         assert not is_k_prime_by_characterization(999983**2, 4)
         assert usual_divisors(10**12 + 39) == [1, 10**12 + 39]
         assert usual_divisors(999983**2) == [1, 999983, 999983**2]
         assert k_divisors(10**12 + 39, 2).divisors == (1, 10**12 + 39)
         assert k_divisors(999983**2, 4).divisors == (1, 999983, 999983**2)
+        assert k_divisors(-(2**40) * 999983, 3).divisors[-1] == 2**41 * 999983
         assert core._sieve_limit == 1 and core._sieve_primes == []
+        assert core._sieve_bits is None
+
+    def test_bitset_equals_the_primes_list_at_every_sieve_size(self, monkeypatch):
+        # from a cold sieve, through growth that reads no bitset and after
+        # a reset, bit p is set exactly when p is a prime up to the limit
+        monkeypatch.setattr(core, "_sieve_limit", 1)
+        monkeypatch.setattr(core, "_sieve_primes", [])
+        monkeypatch.setattr(core, "_sieve_bits", None)
+        for upto, grow in [(6, 0), (7, 0), (64, 0), (65, 0), (1000, 0), (999, 0),
+                           (1000, 3000), (20_000, 0), (20_000, 5000), (3, 0)]:
+            if grow:
+                nth_prime(grow)
+                assert core._sieve_bits is None  # growth alone builds no bitset
+            primes, bits = core._sieved_bits(upto)
+            assert primes is core._sieve_primes and core._sieve_limit >= upto
+            assert bits == bits_of(primes) and bits.bit_length() <= core._sieve_limit + 1
+            assert core._sieved_bits(upto)[1] is bits  # built once per rebuild
+        assert core._sieve_limit >= 48611  # nth_prime(5000) = 48611
+        monkeypatch.setattr(core, "_sieve_limit", 1)
+        monkeypatch.setattr(core, "_sieve_primes", [])
+        monkeypatch.setattr(core, "_sieve_bits", None)
+        primes, bits = core._sieved_bits(10)
+        assert primes == [2, 3, 5, 7] and bits == 0b10101100
+
+
+def bits_of(primes):
+    """The int with bit p set for each p in primes, one bit at a time."""
+    bits = 0
+    for p in primes:
+        bits |= 1 << p
+    return bits
 
 
 class TestPolygonal:

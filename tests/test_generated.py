@@ -228,6 +228,7 @@ class TestGenerators:
         # blocks start at 1, 4, 9, 18, 35, 68, 133, 262, so ranges meet edges
         monkeypatch.setattr(core, "_sieve_limit", 1)
         monkeypatch.setattr(core, "_sieve_primes", [])
+        monkeypatch.setattr(core, "_sieve_bits", None)
         for lo, hi in [(1, 1), (1, 2), (1, 4), (3, 5), (4, 9), (8, 10), (9, 18), (17, 36),
                        (2, 40), (35, 68), (40, 300), (67, 134), (133, 600), (300, 2),
                        (262, 263), (1, 600)]:
@@ -503,6 +504,7 @@ class TestSeqProduct:
         # the primes' sieve grows too
         monkeypatch.setattr(core, "_sieve_limit", 1)
         monkeypatch.setattr(core, "_sieve_primes", [])
+        monkeypatch.setattr(core, "_sieve_bits", None)
         # six threads meet at the growing end; two read in random order
         plans = [random.Random(slot).sample(range(1, top + 1), top) if slot < 2 else
                  list(range(1, top + 1)) for slot in range(8)]
@@ -1120,6 +1122,7 @@ class TestScansAgainstPerSubjectOracle:
         plans = [random.Random(slot).sample(requests, len(requests)) for slot in range(4)]
         monkeypatch.setattr(core, "_sieve_limit", 1)
         monkeypatch.setattr(core, "_sieve_primes", [])
+        monkeypatch.setattr(core, "_sieve_bits", None)
         results = [None] * len(plans)
         start = threading.Barrier(len(plans))
 
@@ -1395,6 +1398,7 @@ class TestWeightedRange:
         plans = [random.Random(slot).sample(sizes, len(sizes)) for slot in range(4)]
         monkeypatch.setattr(core, "_sieve_limit", 1)
         monkeypatch.setattr(core, "_sieve_primes", [])
+        monkeypatch.setattr(core, "_sieve_bits", None)
         results = [None] * len(plans)
         start = threading.Barrier(len(plans))
 
