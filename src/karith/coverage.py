@@ -6,9 +6,11 @@ Unioning them over the primes below ``Generator.prime_limit(N)`` and
 subtracting from a window [-N, N] leaves the residual set: {-1, 1} for even
 k, {0} for odd k, and richer sets in sequence-generated arithmetics.
 
-Each prime's progression is marked in a bytearray over the window with one
-slice assignment, and the residual is read from the unmarked bytes.  The
-witness map (covered value -> (prime, index)) is built only when
+A constant arithmetic at a prime limit of at least 2N + 1 takes its residual
+from that theorem (see ``seq_residual_set``); every other call marks each
+prime's progression in a bytearray over the window with one slice
+assignment and reads the residual from the unmarked bytes.  The witness
+map (covered value -> (prime, index)) is built only when
 ``CoverageReport.witnesses`` is first read, which the CLI never does.
 """
 
@@ -78,7 +80,8 @@ def _mark_progression(
 
 
 def residual_set(k: int, window_half: int) -> CoverageReport:
-    """Cover [-N, N] by all k-prime multiple sets and report the leftovers."""
+    """Cover [-N, N] by all k-prime multiple sets and report the leftovers:
+    {-1, 1} for even k, {0} for odd k, by seq_residual_set's theorem."""
     g = Constant(k)
     return seq_residual_set(g, window_half, g.prime_limit(window_half)[0])
 
@@ -111,7 +114,11 @@ def seq_residual_set(
 
     The prime limit is caller-supplied (see Generator.prime_limit) and the
     primes below it are recorded in the report.  An empty prime set leaves
-    the whole window residual.
+    the whole window residual.  Under K_LEMMA at a limit of at least 2N + 1
+    the residual is a theorem, not marked.  Even k: offsets are 0 mod p, so
+    p covers pZ, and each 2 <= |x| <= N has a prime factor p <= N.  Odd k:
+    the primes are 2**j, covering the x with v2(x) = j - 1, and each x != 0
+    has 2**(v2(x) + 1) <= 2N.  Larger primes reach no more of the window.
     """
     if window_half < 2:
         raise DomainError(f"window half-width must be at least 2, got {window_half}")
@@ -125,6 +132,9 @@ def seq_residual_set(
     else:
         k = g.term(1)
         offsets = tuple(p * (p - 1) // 2 * (k - 2) for p in primes)
+        if prime_limit > 2 * window_half:  # the theorem's limit, see the docstring
+            residual = (0,) if k % 2 else (-1, 1)
+            return CoverageReport(window_half, g.spec(), primes, offsets, residual)
     width = 2 * window_half + 1
     covered = bytearray(width)  # index i stands for the value i - N
     for p, offset in zip(primes, offsets):

@@ -43,6 +43,22 @@ def brute_force_residual(k, window_half, index_span=4000):
     return [x for x in range(-window_half, window_half + 1) if x not in covered]
 
 
+def marking_oracle(g, window_half, prime_limit):
+    """The bytearray marking a constant arithmetic took before its residual
+    came from the theorem: one slice per prime over the window, each offset
+    product(0, p) through the general seq_product route.  Returns (primes,
+    offsets, residual)."""
+    primes = tuple(primes_below(prime_limit, g))
+    offsets = tuple(seq_product(0, p, g) for p in primes)
+    width = 2 * window_half + 1
+    covered = bytearray(width)
+    for p, offset in zip(primes, offsets):
+        start = (window_half + offset) % p
+        covered[start::p] = b"\1" * len(range(start, width, p))
+    residual = tuple(i - window_half for i in range(width) if not covered[i])
+    return primes, offsets, residual
+
+
 class TestProgressionWindow:
     def test_known_rows(self):
         assert progression_window(3, 2, 1, range(-9, 10)) == list(range(-28, 27, 3))
@@ -316,8 +332,9 @@ ARITHMETICS = [
 
 
 def prime_limits(window_half):
-    """Limits below, at and above 2N + 1."""
-    return (window_half + 1, 2 * window_half + 1, 3 * window_half + 7)
+    """Limits below, at and above 2N + 1, from which a constant arithmetic's
+    residual comes from the theorem; 2N is the last limit below it."""
+    return (2, 3, window_half + 1, 2 * window_half, 2 * window_half + 1, 3 * window_half + 7)
 
 
 def assert_matches_oracle(g, window_half, prime_limit, bound_factor=None):
@@ -376,6 +393,54 @@ def test_constant_offsets_match_the_product_route(spec):
         assert report.offsets == tuple(seq_product(0, p, g) for p in primes)
         assert report.residual == residual
         assert list(report.witnesses.items()) == list(witnesses.items())
+
+
+def assert_matches_marking(report, k, window_half, prime_limit):
+    g = Constant(k)
+    assert (report.primes_used, report.offsets, report.residual) == marking_oracle(
+        g, window_half, prime_limit)
+    witnesses = setdefault_oracle(g, window_half, prime_limit)[1]
+    assert list(report.witnesses.items()) == list(witnesses.items())
+
+
+class TestConstantTheorem:
+    """A constant arithmetic at a prime limit of at least 2N + 1 reads its
+    residual from the theorem; below that limit it still marks the window."""
+
+    @given(k=st.integers(-60, 60), window_half=st.integers(2, 3000), data=st.data())
+    def test_constant_theorem_matches_the_marking_oracle(self, k, window_half, data):
+        report = residual_set(k, window_half)
+        assert report.residual == ((0,) if k % 2 else (-1, 1))
+        assert_matches_marking(report, k, window_half, 2 * window_half + 1)
+        prime_limit = data.draw(st.integers(2 * window_half + 1, 4 * window_half + 2))
+        report = seq_residual_set(Constant(k), window_half, prime_limit)
+        assert_matches_marking(report, k, window_half, prime_limit)
+
+    @given(k=st.integers(-60, 60), window_half=st.integers(2, 3000), data=st.data())
+    def test_constant_theorem_below_its_limit_marks(self, k, window_half, data):
+        limits = (2, 3, window_half, 2 * window_half, data.draw(st.integers(2, 2 * window_half)))
+        for prime_limit in limits:
+            report = seq_residual_set(Constant(k), window_half, prime_limit)
+            assert_matches_marking(report, k, window_half, prime_limit)
+
+    def test_only_the_theorem_limit_skips_the_window(self, monkeypatch):
+        built = []
+
+        def counting_bytearray(width):
+            built.append(width)
+            return bytearray(width)
+
+        monkeypatch.setattr(coverage, "bytearray", counting_bytearray, raising=False)
+        for k in (-3, 2, 5):
+            for window_half in (2, 30):
+                residual_set(k, window_half)
+                seq_residual_set(Constant(k), window_half, 4 * window_half + 2)
+        assert built == []
+        seq_residual_set(Constant(2), 10, 3)  # below 2N + 1
+        seq_residual_set(Constant(3), 10, 20)
+        seq_residual_set(ArithProg(2, 1), 10, 21)  # not constant
+        seq_residual_set(Polynomial((2, 0, 1)), 10, 21)
+        assert built == [21, 21, 21, 21]
 
 
 class TestLazyWitnesses:
