@@ -9,16 +9,22 @@ k, {0} for odd k, and richer sets in sequence-generated arithmetics.
 A constant arithmetic at a prime limit of at least 2N + 1 takes its residual
 from that theorem (see ``seq_residual_set``); every other call marks each
 prime's progression in a bytearray over the window with one slice
-assignment and reads the residual from the unmarked bytes.  The witness
+assignment and reads the residual from the unmarked bytes in one pass.  The witness
 map (covered value -> (prime, index)) is built only when
 ``CoverageReport.witnesses`` is first read, which the CLI never does.
 """
 
 from __future__ import annotations
 
+from itertools import compress
+
 from .core import DomainError, _record, k_product, k_quotient
 from .generated import primes_below, seq_product
 from .generators import K_LEMMA, Constant, Generator, parse_generator
+
+
+#: bytes.translate table that swaps 0 and 1: the marked window's unmarked bytes become true
+_UNCOVERED = bytes.maketrans(b"\0\1", b"\1\0")
 
 
 @_record
@@ -125,9 +131,16 @@ def seq_residual_set(
     if prime_limit < 2:
         raise DomainError(f"prime limit must be at least 2, got {prime_limit}")
     primes = tuple(primes_below(prime_limit, g, bound_factor))
-    # product(n, p) = p*n + product(0, p): linear in the start value; under
-    # K_LEMMA (every term k), product(0, p) is k_product(0, p, k) = p(p - 1)(k - 2)/2
-    if g.divisor_lemma != K_LEMMA:
+    # product(n, p) = p*n + product(0, p): linear in the start value, and
+    # product(0, p) = W(p) - p(p - 1).  A sequence without a lemma reads every
+    # W(p) from one slice of its memo, W(1..max p); a polynomial one takes each
+    # from its closed form, cheaper than a running sum up to max p.  Under
+    # K_LEMMA (every term k) it is k_product(0, p, k) = p(p - 1)(k - 2)/2.
+    lemma = g.divisor_lemma
+    if lemma is None:
+        weights = g.weighted_range(primes[-1]) if primes else ()  # weights[p - 1] = W(p)
+        offsets = tuple(weights[p - 1] - p * (p - 1) for p in primes)
+    elif lemma != K_LEMMA:
         offsets = tuple(seq_product(0, p, g) for p in primes)
     else:
         k = g.term(1)
@@ -140,11 +153,7 @@ def seq_residual_set(
     for p, offset in zip(primes, offsets):
         start = (window_half + offset) % p
         covered[start::p] = b"\1" * len(range(start, width, p))
-    residual = []
-    i = covered.find(0)
-    while i >= 0:
-        residual.append(i - window_half)
-        i = covered.find(0, i + 1)
+    residual = compress(range(-window_half, window_half + 1), covered.translate(_UNCOVERED))
     return CoverageReport(window_half, g.spec(), primes, offsets, tuple(residual))
 
 

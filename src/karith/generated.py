@@ -9,10 +9,11 @@ count d divides a when d divides a - W(d).  Under g's divisor lemma (P, D,
 (c_r)) (``Generator.divisor_lemma``) such a d ≡ r (mod P) divides D * a - c_r,
 so a report tests those usual divisors, and D is the default bound factor.
 A sequence without a lemma needs a caller's bound and a subject a >= 1, and
-its report reads the residues W(d) mod d of every term count up to it from
-the prefix-sum memo's residue table (``PrefixSums.residues_upto``): a d <= a
-divides a when W(d) mod d == a mod d, which compares small integers, and a
-d > a exactly when W(d) mod d == a, which one search of the table finds.
+its report reads the residues W(d) mod d from the prefix-sum memo: a d <= a
+divides a when W(d) mod d == a mod d, which compares small integers in the
+live residue table (``PrefixSums.residue_table``), and a d > a exactly when
+W(d) mod d == a, which the residue index answers with two bisects per run
+(``PrefixSums.residue_matches``), so a warm scan reads nothing past a.
 Only the hits read W(d) again, for their witnesses.
 ``divisors`` and ``primes_below`` pick the route: under ``K_LEMMA`` (every
 term k) they call the k-arithmetic's closed forms ``k_divisors`` and
@@ -25,13 +26,16 @@ d <= factor * n divide each subject n from the memo's divisor-count table
 subjects no census has reached by inverting the scan into a sieve: each term
 count d marks the subjects congruent to W(d) modulo d, O(limit log limit +
 factor * limit) where a scan per subject would take O(factor * limit**2).
+The answer is one bisect of the memo's member list for the factor and the
+divisor count asked (``PrefixSums.census``), so a warm census costs
+O(answer), not O(limit).
 """
 
 from __future__ import annotations
 
 from .core import (DivisorReport, DomainError, NotDivisible, _start_value, k_divisors,
                    k_primes_below, usual_divisors)
-from .generators import K_LEMMA, Generator
+from .generators import K_LEMMA, Generator, PrefixSums
 
 
 def seq_product(m: int, n: int, g: Generator) -> int:
@@ -67,7 +71,7 @@ def seq_divisors(a: int, g: Generator, search_bound: int | None = None) -> Divis
     if search_bound < 1:
         raise DomainError(f"search bound must be positive, got {search_bound}")
     if lemma is None:
-        divs = _scanned_divisors(a, g.prefix_sums().residues_upto(search_bound))
+        divs = _scanned_divisors(a, g.prefix_sums(), search_bound)
     else:
         period, factor, classes = lemma
         divs = sorted(d for r, c in enumerate(classes) for d in usual_divisors(abs(factor * a - c))
@@ -80,19 +84,16 @@ def seq_divisors(a: int, g: Generator, search_bound: int | None = None) -> Divis
     return DivisorReport(a, tuple(d for d, _ in witnesses), tuple(witnesses), search_bound)
 
 
-def _scanned_divisors(a: int, residues: list[int]) -> list[int]:
-    """Ascending term counts d < len(residues) that divide a >= 1, given
-    residues[d] = W(d) mod d: d divides a when it divides a - W(d), which for
-    d > a holds exactly when W(d) mod d == a."""
-    head = min(a, len(residues) - 1)
-    found = [d for d in range(1, head + 1) if residues[d] == a % d]
-    d = head
-    try:
-        while True:
-            d = residues.index(a, d + 1)
-            found.append(d)
-    except ValueError:  # no further d > a
-        return found
+def _scanned_divisors(a: int, sums: PrefixSums, n: int) -> list[int]:
+    """Ascending term counts d <= n that divide a >= 1, n within what the
+    terms allow: d divides a when it divides a - W(d).  For d <= a that is
+    W(d) mod d == a mod d, read from the live residue table; for d > a it is
+    W(d) mod d == a, which the residue index answers in O(log n) per run."""
+    table = sums.residue_table(n)
+    found = [d for d in range(1, min(a, n) + 1) if table[d] == a % d]
+    if a < n:
+        found += sums.residue_matches(a, n)
+    return found
 
 
 def seq_is_prime(p: int, g: Generator, search_bound: int | None = None) -> bool:
@@ -111,7 +112,7 @@ def seq_is_prime(p: int, g: Generator, search_bound: int | None = None) -> bool:
     # read up to the bound would exhaust; one with fewer divisors reads on
     sums = g.prefix_sums()
     readable = sums.readable(search_bound)
-    hits = len(_scanned_divisors(p, sums.residues_upto(readable)))
+    hits = len(_scanned_divisors(p, sums, readable))
     if hits <= 2 and readable < search_bound:
         sums.residues_upto(search_bound)  # raises the prefix's error
     return hits == 2
@@ -121,7 +122,8 @@ def _census(limit: int, g: Generator, factor: int, cap: int) -> list[int]:
     """Ascending subjects 1 < n < limit with exactly ``cap`` divisors
     d <= factor * n; [] for a limit of 2 or less.
 
-    The counts come from the memo's divisor-count table, which reads no
+    The counts come from the memo's divisor-count table and the subjects
+    from its member list for (factor, cap); the table reads no
     term past g's prefix (``PrefixSums.readable``).  When that prefix ends
     before factor * (limit - 1), the prefix's error is raised if some
     subject whose range reaches past it has at most ``cap`` divisors within
@@ -138,7 +140,7 @@ def _census(limit: int, g: Generator, factor: int, cap: int) -> list[int]:
         cut_short = range(max(2, readable // factor + 1), limit)
         if any(counts[n] <= cap for n in cut_short):
             sums.residues_upto(bound)  # raises the prefix's error
-    return [n for n in range(2, limit) if counts[n] == cap]
+    return sums.census(factor, cap, limit)
 
 
 def seq_primes_below(n: int, g: Generator, bound_factor: int | None = None) -> list[int]:

@@ -23,7 +23,8 @@ Canonical textual forms, used by the CLI and config files:
 from __future__ import annotations
 
 import threading
-from itertools import accumulate, islice
+from bisect import bisect_left, bisect_right
+from itertools import accumulate, compress, islice
 from math import comb, lcm
 from operator import mod
 
@@ -144,14 +145,25 @@ class Generator:
         return self.spec()
 
 
+#: the low 32 bits of a residue-index entry W(d) mod d << 32 | d: the term count d
+_TERM_COUNT = (1 << 32) - 1
+
+
+def _with_count(cap: int, counts: list[int], low: int) -> list[int]:
+    """The subjects low + i, ascending, whose count counts[i] is cap."""
+    return list(compress(range(low, low + len(counts)), map(cap.__eq__, counts)))
+
+
 class PrefixSums:
     """Cached weighted partial sums W(n) for one generator instance (or for
-    every ``primes`` instance at once), their residues and the divisor counts
-    a census reads.
+    every ``primes`` instance at once), their residues, the divisor counts
+    a census reads and two inverted reads of those.
 
-    Four reads: ``weighted(n)``, its bulk form ``weighted_upto(n)``, the
-    residue table's ``residues_upto(n)`` and the divisor-count table's
-    ``divisor_counts(factor, limit)``.
+    Six reads: ``weighted(n)``, its bulk form ``weighted_upto(n)``, the
+    residue table's ``residues_upto(n)`` and live ``residue_table(n)``, the
+    residue index's ``residue_matches(r, n)``, and the divisor-count table's
+    ``divisor_counts(factor, limit)`` with its member lists ``census(factor,
+    cap, limit)``.
     W(1) = 0 and W(n + 1) - W(n) = S(n), the sum of the first n terms, so
     the memo grows from its last two entries: one ``term_range`` read, then
     one ``accumulate`` pass for S from S(m - 1) = W(m) - W(m - 1) and one for
@@ -161,19 +173,42 @@ class PrefixSums:
     already covers takes no lock.  Results never depend on the memo's state.
 
     The residue table holds W(d) mod d for each term count d, the one number
-    a divisor scan or census needs from W(d).  Only ``residues_upto`` grows
+    a divisor scan or census needs from W(d).  Only scans and censuses grow
     it, from W values the memo already holds, so products, quotients and
     self-products never build it.  A list of small ints, it costs about 40
-    bytes per entry on top of the memo (40 MB at 10⁶ term counts).  A
-    census's divisor-count table, one per bound factor, costs 8 bytes per
-    subject and reads residues up to factor * limit.
+    bytes per entry on top of the memo (40 MB at 10⁶ term counts).
+
+    The residue index inverts the table for divisor scans: the term counts
+    it covers, packed as W(d) mod d << 32 | d, in a few ascending runs, each
+    over a later stretch of term counts than the one before it.  A term
+    count d > a divides a exactly when W(d) mod d == a, so two bisects per
+    run find them all.  Only a scan that reaches past it grows it: the new
+    entries are sorted into a run of their own, which is merged with the
+    last run while that run is at most twice as long (two ascending runs:
+    one ``list.sort`` merge in C).  The runs halve in length, so there are
+    at most log2(n) of them, and a bound that grows by one costs O(log n)
+    amortized, not a re-sort.  Packed ints below 2**60 cost about 40 bytes
+    an entry, as the table does.
+
+    A census's divisor-count table, one per bound factor, costs 8 bytes per
+    subject and reads residues up to factor * limit.  Beside it sits one
+    member list per (factor, divisor count) asked for: the ascending
+    subjects with that count, extended with the table, so a warm census is
+    one bisect and a copy of its answer.
+
+    The index, the count tables and the member lists grow under the lock
+    and are published by one rebinding or one ``extend`` of final entries,
+    so a read that sees a length or a binding also sees every entry it
+    covers, and takes no lock.
     """
 
     def __init__(self, generator: Generator):
         self.generator = generator
         self._weighted = [0, 0]  # _weighted[n] = W(n); index 0 unused
         self._residues = [0]  # _residues[d] = W(d) mod d; index 0 unused
+        self._index = (0, ())  # (m, runs): the residue index over term counts 1..m
         self._counts = {}  # _counts[factor][n]: see divisor_counts; 0 and 1 unused
+        self._members = {}  # _members[factor, cap]: see census
         self._lock = threading.RLock()
 
     def weighted(self, n: int) -> int:
@@ -193,7 +228,13 @@ class PrefixSums:
         return self._weighted[1 : n + 1]
 
     def residues_upto(self, n: int) -> list[int]:
-        """[0, W(1) mod 1, ..., W(n) mod n] for n >= 0, in one read.
+        """[0, W(1) mod 1, ..., W(n) mod n] for n >= 0, a copy of
+        ``residue_table(n)`` cut at n."""
+        return self.residue_table(n)[: n + 1]
+
+    def residue_table(self, n: int) -> list[int]:
+        """The live residue table, entry d = W(d) mod d, grown to hold entry
+        n >= 0 and perhaps longer; entries never change.
 
         It grows the memo as far as weighted(n) does, so a finite prefix fails
         with the same error at the same index, then the table from the memo.
@@ -206,7 +247,35 @@ class PrefixSums:
                 table.extend(map(mod, self._weighted[m : n + 1], range(m, n + 1)))
         elif n < 0:
             raise DomainError(f"prefix length must be >= 0, got {n}")
-        return table[: n + 1]
+        return table
+
+    def residue_matches(self, r: int, n: int) -> list[int]:
+        """Ascending term counts r < d <= n with W(d) mod d == r, for r >= 0
+        and an n whose residues the terms allow, from the residue index,
+        grown first to cover n."""
+        covered, runs = self._index
+        if covered < n:
+            with self._lock:
+                self._grow_index(n)
+                covered, runs = self._index
+        low, high = r << 32, r << 32 | n
+        found = []
+        for run in runs:
+            i = bisect_left(run, low)
+            found += map(_TERM_COUNT.__and__, run[i : bisect_right(run, high, i)])
+        return found
+
+    def _grow_index(self, n: int) -> None:
+        # term counts stay below 2**32: the memo could not hold that many W
+        covered, runs = self._index
+        if covered < n:
+            table = self.residue_table(n)
+            run = sorted(r << 32 | d for d, r in enumerate(table[covered + 1 : n + 1], covered + 1))
+            runs = list(runs)
+            while runs and len(runs[-1]) <= 2 * len(run):
+                run = runs.pop() + run
+                run.sort()
+            self._index = (n, (*runs, run))
 
     def readable(self, n: int) -> int:
         """The largest D <= n whose W(D) the terms allow: W(D) reads the first
@@ -218,15 +287,35 @@ class PrefixSums:
         """A table whose entry n, for 2 <= n < limit, counts the term counts
         d <= factor * n that ``readable`` allows with W(d) ≡ n (mod d).
         Entries never change, so the table grows under the lock to the limit
-        asked, over the new subjects only, and is published by one ``extend``:
-        a read that sees the length also sees final counts."""
+        asked, over the new subjects only, and is published by one ``extend``
+        after every member list of its factor has taken the new subjects: a
+        read that sees the length also sees final counts and members."""
         counts = self._counts.get(factor)
         if counts is None or len(counts) < limit:
             with self._lock:
                 counts = self._counts.setdefault(factor, [0, 0])
-                if len(counts) < limit:
-                    counts.extend(self._sieve(factor, len(counts), limit))
+                low = len(counts)
+                if low < limit:
+                    grown = self._sieve(factor, low, limit)
+                    for (f, cap), members in self._members.items():
+                        if f == factor:
+                            members.extend(_with_count(cap, grown, low))
+                    counts.extend(grown)
         return counts
+
+    def census(self, factor: int, cap: int, limit: int) -> list[int]:
+        """Ascending subjects 2 <= n < limit whose ``divisor_counts(factor,
+        limit)`` entry is cap: one bisect of the (factor, cap) member list,
+        built over the whole table on the first census that asks for it."""
+        self.divisor_counts(factor, limit)
+        members = self._members.get((factor, cap))
+        if members is None:
+            with self._lock:
+                members = self._members.get((factor, cap))
+                if members is None:
+                    counts = self._counts[factor]
+                    members = self._members[factor, cap] = _with_count(cap, counts[2:], 2)
+        return members[: bisect_left(members, limit)]
 
     def _sieve(self, factor: int, low: int, limit: int) -> list[int]:
         """Entries low..limit - 1 of the table, low >= 2.  Term count d divides

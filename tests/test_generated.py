@@ -1147,6 +1147,91 @@ class TestScansAgainstPerSubjectOracle:
             assert got == [want[r] for r in plan]
         assert len(generators._PRIME_SUMS._counts) == 3  # one shared memo took every census
 
+    def test_scans_and_censuses_from_four_threads(self, cold_memo):
+        # four threads share one cold primes memo: each scans at bounds that
+        # grow by one or by a jump, so the residue index grows in many small
+        # runs raced by the others, between censuses at factors 1, 2 and 6
+        plans = []
+        for slot in range(4):
+            rng = random.Random(slot)
+            bound, plan = 10 + slot, []
+            while bound < 500:
+                bound += rng.choice((1, 1, 2, 17))
+                plan.append(("divisors", rng.randint(1, bound + 5), bound))
+                if rng.random() < 0.2:
+                    plan.append(("census", rng.randint(2, 80), rng.choice((1, 2, 6)),
+                                 rng.randint(1, 4)))
+            plans.append(plan)
+
+        def answer(request):
+            if request[0] == "divisors":
+                return seq_divisors(request[1], UsualPrimes(), request[2]).witnesses
+            return exact_divisor_count_numbers(request[3], request[1], UsualPrimes(), request[2])
+
+        top = max(r[2] for plan in plans for r in plan if r[0] == "divisors")
+        cold_memo(UsualPrimes())  # warmed past every request, then read
+        seq_divisors(1, UsualPrimes(), top)
+        for factor in (1, 2, 6):
+            seq_primes_below(81, UsualPrimes(), factor)
+        want = [[answer(request) for request in plan] for plan in plans]
+        cold_memo(UsualPrimes())  # the threads' memo
+        results = [None] * len(plans)
+        start = threading.Barrier(len(plans))
+
+        def worker(slot):
+            start.wait(timeout=30)
+            results[slot] = [answer(request) for request in plans[slot]]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(i,)) for i in range(len(plans))]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert results == want
+        covered, runs = generators._PRIME_SUMS._index
+        assert sum(map(len, runs)) == covered == top
+        assert len(runs) <= covered.bit_length()  # runs at least halve in length
+
+    @given(g=st.one_of(st.sampled_from([UsualPrimes(), ZeroOne(), FurstPattern(), GeomProg(1, 2)]),
+                       st.lists(st.integers(-3, 3), max_size=6).map(lambda t: Explicit(tuple(t)))),
+           requests=st.lists(st.one_of(
+               st.tuples(st.just("divisors"), st.sampled_from(("grow", "jump", "shrink")),
+                         st.integers(1, 120), st.integers(1, 150)),
+               st.tuples(st.just("is_prime"), st.sampled_from(("grow", "jump", "shrink")),
+                         st.integers(1, 120), st.integers(1, 150)),
+               st.tuples(st.just("census"), st.integers(1, 6), st.integers(1, 4),
+                         st.integers(2, 60))), max_size=12))
+    def test_request_history_against_the_oracle(self, g, requests):
+        # one cold memo per example, read by every request in turn: scans at a
+        # bound that grows by one, jumps or shrinks, primality tests and
+        # censuses; results and errors (type and message) are the oracle's
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(generators, "_PRIME_SUMS", generators.PrefixSums(UsualPrimes()))
+            g = dataclasses.replace(g)
+            bound = 1
+            for kind, *args in requests:
+                if kind == "census":
+                    factor, cap, limit = args
+                    got = _outcome(exact_divisor_count_numbers, cap, limit, g, factor)
+                    want = _outcome(_oracle_census, cap, limit, g, factor)
+                else:
+                    move, step, a = args
+                    bound = {"grow": bound + 1, "jump": bound + step,
+                             "shrink": max(1, bound - step)}[move]
+                    if kind == "divisors":
+                        got = _outcome(lambda: seq_divisors(a, g, bound).witnesses)
+                        want = _outcome(_oracle_divisors, a, g, bound)
+                    else:
+                        got = _outcome(seq_is_prime, a, g, bound)
+                        want = _outcome(lambda: a > 1 and _oracle_divisor_count(a, g, bound, 2) == 2)
+                assert got == want, (g.spec(), kind, args, bound)
+
     def test_primes_below_small_limits_still_check_the_factor(self):
         for n in (-5, 0, 2):
             assert seq_primes_below(n, ArithProg(1, 2)) == []
@@ -1203,32 +1288,33 @@ class TestResidueTable:
         g = UsualPrimes()
         want = _oracle_divisors(317, g, 4000)
         assert seq_divisors(317, g, 4000).witnesses == want  # the warm-up
-        reads = {"weighted": 0, "items": [], "searched_from": []}
+        reads = {"weighted": 0, "items": []}
 
         class Logged(list):
             def __getitem__(self, i):
-                reads["items"].append(i)
+                reads["items"].extend(range(*i.indices(len(self))) if isinstance(i, slice) else [i])
                 return super().__getitem__(i)
 
-            def index(self, value, start, *stop):
-                reads["searched_from"].append(start)
-                return super().index(value, start, *stop)
+            def __iter__(self):
+                reads["items"].extend(range(len(self)))
+                return super().__iter__()
 
         sums = generators.PrefixSums
-        weighted, residues_upto = sums.weighted, sums.residues_upto
+        weighted = sums.weighted
 
         def counted_weighted(self, n):
             reads["weighted"] += 1
             return weighted(self, n)
 
         monkeypatch.setattr(sums, "weighted", counted_weighted)
-        monkeypatch.setattr(sums, "residues_upto", lambda self, n: Logged(residues_upto(self, n)))
+        memo = g.prefix_sums()
+        monkeypatch.setattr(memo, "_residues", Logged(memo._residues))
         report = seq_divisors(317, g, 4000)
         assert report.witnesses == want
         assert reads["weighted"] <= len(report.divisors)
-        # d <= 317 compares W(d) mod d with 317 mod d; every larger d is searched for
+        # d <= 317 compares W(d) mod d with 317 mod d; every larger d comes
+        # from the residue index, so no table entry past the subject is read
         assert sorted(set(reads["items"])) == list(range(1, 318))
-        assert reads["searched_from"] == [318] + [d + 1 for d in report.divisors if d > 317]
         assert any(d > 317 for d in report.divisors)
 
     @pytest.mark.parametrize("g", [ZeroOne(), UsualPrimes(), GeomProg(1, 2)],
