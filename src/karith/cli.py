@@ -5,7 +5,13 @@ json (canonical: sorted keys, no whitespace, no floating point, so parse +
 re-render is byte identical).  Exit codes: 0 success (including inexact
 quotients and empty results), 2 usage error (an option missing, conflicting
 or misspelled, or a --bfile or --out that cannot be opened), 3 domain error
-(a value out of the library's range) or malformed b-file, 4 fixture mismatch.
+(a value out of the library's range, a bound the library cannot prove and
+was not given, or a malformed b-file), 4 fixture mismatch.
+
+Bounds pass through unchanged: the library picks every default bound, a
+proven one, and refuses where it has none, so no command answers from a
+guess.  The JSON keys ``bound_defaulted`` and ``prime_limit_defaulted`` are
+therefore always false; they stay so that JSON consumers keep their keys.
 
 Each command imports the library modules it runs when it runs, so a
 ``python -m karith`` child loads only those: ``product`` never loads
@@ -28,8 +34,6 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_DOMAIN = 3
 EXIT_MISMATCH = 4
-#: bound factor guessed, with a warning, for sequences without a divisor lemma
-GUESSED_BOUND_FACTOR = 6
 
 
 def canon_json(obj) -> str:
@@ -63,16 +67,6 @@ def _render(args, record: dict, csv_lines: list[str] | None, plain: str) -> int:
     else:
         sys.stdout.write(payload)
     return EXIT_OK
-
-
-def _bound_factor(g: Generator, given: int | None) -> tuple[int | None, bool]:
-    """The caller's bound or factor, and False; for a generator without a
-    divisor lemma and none given, a warning, the guessed factor and True."""
-    if given is not None or g.divisor_lemma is not None:
-        return given, False
-    print(f"warning: no divisor bound is known for {g.spec()}; "
-          f"defaulting to {GUESSED_BOUND_FACTOR}*a scans", file=sys.stderr)
-    return GUESSED_BOUND_FACTOR, True
 
 
 # ---------------------------------------------------------------- product
@@ -115,13 +109,10 @@ def cmd_divisors(args) -> int:
     from .generated import divisors
 
     g = args.arith
-    bound, defaulted = _bound_factor(g, args.bound)
-    if defaulted:
-        bound *= abs(args.a)
-    report = divisors(args.a, g, search_bound=bound)
+    report = divisors(args.a, g, search_bound=args.bound)
     return _render(
         args,
-        {"arith": g.spec(), "bound_defaulted": defaulted, "command": "divisors",
+        {"arith": g.spec(), "bound_defaulted": False, "command": "divisors",
          "divisors": list(report.divisors), "search_bound": report.search_bound,
          "subject": report.subject, "witnesses": [list(w) for w in report.witnesses]},
         ["divisor,witness", *(f"{d},{b}" for d, b in report.witnesses)],
@@ -133,11 +124,10 @@ def cmd_primes(args) -> int:
     from .generated import primes_below
 
     g = args.arith
-    factor, defaulted = _bound_factor(g, args.bound_factor)
-    primes = primes_below(args.limit, g, bound_factor=factor)
+    primes = primes_below(args.limit, g, bound_factor=args.bound_factor)
     return _render(
         args,
-        {"arith": g.spec(), "bound_defaulted": defaulted, "command": "primes",
+        {"arith": g.spec(), "bound_defaulted": False, "command": "primes",
          "limit": args.limit, "primes": primes},
         ["prime", *map(str, primes)],
         " ".join(map(str, primes)),
@@ -204,16 +194,11 @@ def cmd_orbit(args) -> int:
 def cmd_coverage(args) -> int:
     from .coverage import seq_residual_set
 
-    g = args.arith
-    prime_limit, defaulted = args.prime_limit, False
-    if prime_limit is None:
-        prime_limit, defaulted = g.prime_limit(args.window)
-    factor, _ = _bound_factor(g, args.bound_factor)
-    report = seq_residual_set(g, args.window, prime_limit, bound_factor=factor)
+    report = seq_residual_set(args.arith, args.window, args.prime_limit, args.bound_factor)
     return _render(
         args,
         {"arithmetic": report.arithmetic, "command": "coverage",
-         "prime_limit_defaulted": defaulted, "primes": list(report.primes_used),
+         "prime_limit_defaulted": False, "primes": list(report.primes_used),
          "residual": list(report.residual),
          "window": [-report.window_half, report.window_half]},
         ["residual", *map(str, report.residual)],
@@ -235,10 +220,9 @@ def _sequence_terms(args) -> list[int]:
         return fn(args.count, g)
     if args.limit is None:
         args.parser.error(f"--limit is required for --kind {args.kind}")
-    factor, _ = _bound_factor(g, args.bound_factor)
     if args.kind == "primes":
-        return primes_below(args.limit, g, bound_factor=factor)
-    return exact_divisor_count_numbers(3, args.limit, g, bound_factor=factor)
+        return primes_below(args.limit, g, bound_factor=args.bound_factor)
+    return exact_divisor_count_numbers(3, args.limit, g, bound_factor=args.bound_factor)
 
 
 def cmd_sequence(args) -> int:
@@ -308,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
     census = argparse.ArgumentParser(add_help=False, parents=[arith])
     census.add_argument("--bound-factor", type=int,
                         help="per-candidate divisor scan bound factor (default: the sequence's "
-                             f"divisor factor, else {GUESSED_BOUND_FACTOR} with a warning)")
+                             "divisor factor; required for a sequence without one)")
     terms = argparse.ArgumentParser(add_help=False, parents=[census])
     terms.add_argument("--count", type=int, help="term count for squares/cubes")
     terms.add_argument("--limit", type=int, help="upper limit for primes/three-divisor")
@@ -330,7 +314,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("divisors", cmd_divisors, arith, "divisor report for an integer")
     p.add_argument("a", type=int)
-    p.add_argument("--bound", type=int, help="scan bound for generated arithmetics")
+    p.add_argument("--bound", type=int,
+                   help="divisor scan bound (default: the sequence's divisor factor "
+                        "times |a|; required for a sequence without one)")
 
     p = command("primes", cmd_primes, census, "primes below a limit")
     p.add_argument("limit", type=int)
@@ -347,7 +333,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("coverage", cmd_coverage, census, "residual of a window under prime multiples")
     p.add_argument("--window", type=int, required=True)
-    p.add_argument("--prime-limit", type=int)
+    p.add_argument("--prime-limit", type=int,
+                   help="cover with the primes below this (default: the proven limit, "
+                        "2N + 1 for a constant sequence; required for any other)")
 
     command("sequence", cmd_sequence, terms, "squares, cubes, primes, three-divisor numbers")
 

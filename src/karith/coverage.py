@@ -2,9 +2,11 @@
 
 For a fixed arithmetic, the multiples of a prime p form the progression
 { product(n, p) : n in Z }, which is linear in n with common difference p.
-Unioning them over the primes below ``Generator.prime_limit(N)`` and
-subtracting from a window [-N, N] leaves the residual set: {-1, 1} for even
-k, {0} for odd k, and richer sets in sequence-generated arithmetics.
+Unioning them over the primes below a prime limit and subtracting from a
+window [-N, N] leaves the residual set: {-1, 1} for even k, {0} for odd k,
+and richer sets in sequence-generated arithmetics.  The default limit is the
+proven one, ``Generator.prime_limit(N)``, which refuses a sequence it has no
+proof for, so a residual never rests on a guessed limit.
 
 A constant arithmetic at a prime limit of at least 2N + 1 takes its residual
 from that theorem (see ``seq_residual_set``); every other call marks each
@@ -88,8 +90,7 @@ def _mark_progression(
 def residual_set(k: int, window_half: int) -> CoverageReport:
     """Cover [-N, N] by all k-prime multiple sets and report the leftovers:
     {-1, 1} for even k, {0} for odd k, by seq_residual_set's theorem."""
-    g = Constant(k)
-    return seq_residual_set(g, window_half, g.prime_limit(window_half)[0])
+    return seq_residual_set(Constant(k), window_half)
 
 
 def locate_power_of_two_cover(h: int, k: int) -> tuple[int, int]:
@@ -113,21 +114,25 @@ def locate_power_of_two_cover(h: int, k: int) -> tuple[int, int]:
 def seq_residual_set(
     g: Generator,
     window_half: int,
-    prime_limit: int,
+    prime_limit: int | None = None,
     bound_factor: int | None = None,
 ) -> CoverageReport:
     """Residual of [-N, N] under the generated arithmetic's prime multiples.
 
-    The prime limit is caller-supplied (see Generator.prime_limit) and the
-    primes below it are recorded in the report.  An empty prime set leaves
-    the whole window residual.  Under K_LEMMA at a limit of at least 2N + 1
-    the residual is a theorem, not marked.  Even k: offsets are 0 mod p, so
-    p covers pZ, and each 2 <= |x| <= N has a prime factor p <= N.  Odd k:
-    the primes are 2**j, covering the x with v2(x) = j - 1, and each x != 0
-    has 2**(v2(x) + 1) <= 2N.  Larger primes reach no more of the window.
+    The prime limit defaults to ``g.prime_limit(N)``, a DomainError for a
+    sequence with no proven limit, and the primes below it are recorded in
+    the report; the bound factor goes to ``primes_below`` as given.  An
+    empty prime set leaves the whole window residual.  Under K_LEMMA at a
+    limit of at least 2N + 1 the residual is a theorem, not marked.  Even k:
+    offsets are 0 mod p, so p covers pZ, and each 2 <= |x| <= N has a prime
+    factor p <= N.  Odd k: the primes are 2**j, covering the x with
+    v2(x) = j - 1, and each x != 0 has 2**(v2(x) + 1) <= 2N.  Larger primes
+    reach no more of the window.
     """
     if window_half < 2:
         raise DomainError(f"window half-width must be at least 2, got {window_half}")
+    if prime_limit is None:
+        prime_limit = g.prime_limit(window_half)
     if prime_limit < 2:
         raise DomainError(f"prime limit must be at least 2, got {prime_limit}")
     primes = tuple(primes_below(prime_limit, g, bound_factor))

@@ -115,14 +115,15 @@ class Generator:
             return self.prefix_sums().weighted_upto(n)
         return list(accumulate(accumulate(self.term_range(1, n)), initial=0))
 
-    def prime_limit(self, window_half: int) -> tuple[int, bool]:
-        """Prime limit for covering [-N, N], and whether it is a guess: under
-        K_LEMMA a divisor of h divides D * h - c_r, so primes up to D * N +
-        max|c_r| = 2N suffice; for any other sequence 2N is only a default."""
+    def prime_limit(self, window_half: int) -> int:
+        """Proven prime limit for covering [-N, N]: under K_LEMMA a divisor of
+        h divides D * h - c_r, so primes below D * N + max|c_r| + 1 = 2N + 1
+        suffice.  No other sequence has a proven limit yet: DomainError."""
         if self.divisor_lemma != K_LEMMA:
-            return 2 * window_half, True
+            raise DomainError(f"no covering prime limit is known for {self.spec()}; "
+                              "pass a prime limit explicitly")
         _, factor, classes = K_LEMMA
-        return factor * window_half + max(map(abs, classes)) + 1, False
+        return factor * window_half + max(map(abs, classes)) + 1
 
     def prefix_sums(self) -> "PrefixSums":
         # One memo per instance (UsualPrimes returns its process-wide one), made

@@ -72,9 +72,10 @@ MANIFEST = load_manifest()
 @pytest.mark.parametrize("command,fixture", MANIFEST, ids=[c for c, _ in MANIFEST])
 def test_manifest_fixtures_diff_clean(command, fixture, capsys, monkeypatch):
     monkeypatch.chdir(FIXTURES.parents[1])  # manifest paths are repo-relative
-    code, out = run_cli(shlex.split(command), capsys)
-    assert code == 0
-    assert out == (EXPECTED / fixture).read_text()
+    code = main(shlex.split(command))
+    captured = capsys.readouterr()
+    assert (code, captured.err) == (0, "")  # no row warns
+    assert captured.out == (EXPECTED / fixture).read_text()
 
 
 class TestFormats:
@@ -176,7 +177,7 @@ class TestFormats:
         # a scan to bound 4 reads W(4), which takes the three terms given
         assert run_cli(shlex.split("divisors 3 --arith explicit:[1,2,3] --bound 4"),
                        capsys) == (0, "1 2\n")
-        assert main(shlex.split("divisors 10 --arith explicit:[1,2,3]")) == 3
+        assert main(shlex.split("divisors 10 --arith explicit:[1,2,3] --bound 60")) == 3
         assert capsys.readouterr().err.endswith(
             "domain error: explicit prefix has 3 terms, index 4 requested\n")
 
@@ -450,7 +451,7 @@ def test_cubic_divisors_past_six_a_need_no_warning(capsys):
     ("primes 60 --arith poly:1,0,1", "--bound-factor 12"),
     ("sequence --kind primes --arith poly:1,0,1 --limit 60", "--bound-factor 12"),
     ("sequence --kind three-divisor --arith poly:2,-1,0,3 --limit 40", "--bound-factor 60"),
-    ("coverage --arith poly:1,0,1 --window 5", "--bound-factor 12"),
+    ("coverage --arith poly:1,0,1 --window 5 --prime-limit 61", "--bound-factor 12"),
     ("divisors 30 --arith poly:0,0,-4", "--bound 360"),
 ])
 def test_polynomial_sequences_default_to_their_divisor_factor(command, flag, capsys):
@@ -461,13 +462,48 @@ def test_polynomial_sequences_default_to_their_divisor_factor(command, flag, cap
     assert run_json(command, capsys).get("bound_defaulted") in (None, False)
 
 
-def test_sequences_without_a_divisor_lemma_warn_and_guess(capsys):
-    assert main(shlex.split("divisors 20 --arith gp:1,2 --format json")) == 0
-    captured = capsys.readouterr()
-    assert captured.err == (
-        "warning: no divisor bound is known for gp:1,2; defaulting to 6*a scans\n")
-    record = json.loads(captured.out)
-    assert record["bound_defaulted"] is True and record["search_bound"] == 120
+NO_BOUND = "no divisor bound is known for {}; pass a bound explicitly"
+NO_PRIME_LIMIT = "no covering prime limit is known for {}; pass a prime limit explicitly"
+
+
+def test_sequences_without_a_divisor_lemma_need_a_bound(capsys):
+    assert run_failing("divisors 20 --arith gp:1,2 --format json", capsys) == (
+        3, NO_BOUND.format("gp:1,2"), None)
+    record = run_json("divisors 20 --arith gp:1,2 --bound 120", capsys)
+    assert record["bound_defaulted"] is False and record["search_bound"] == 120
+
+
+@pytest.mark.parametrize("command,message", [
+    # a guessed 6a bound printed 8 12 24 40 as fpattern primes and
+    # 5 10 11 14 15 18 22 28 30 36 as its three-divisor numbers: it has neither
+    ("primes 50 --arith fpattern", NO_BOUND.format("fpattern")),
+    ("sequence --kind three-divisor --limit 60 --arith fpattern", NO_BOUND.format("fpattern")),
+    ("divisors 5 --arith alt", NO_BOUND.format("alt")),
+    ("sequence --kind primes --limit 30 --arith zeroone", NO_BOUND.format("zeroone")),
+    ("oeis-check --kind primes --arith primes --limit 20 --bfile tests/fixtures/oeis/b000225.txt",
+     NO_BOUND.format("primes")),
+    # a guessed prime limit 2N = 24 left 9 residual, though the prime 27 covers it
+    ("coverage --arith ap:2,1 --window 12", NO_PRIME_LIMIT.format("ap:2,1")),
+    ("coverage --arith fpattern --window 12 --prime-limit 30", NO_BOUND.format("fpattern")),
+])
+def test_no_command_answers_from_a_guessed_bound(command, message, capsys, monkeypatch):
+    monkeypatch.chdir(FIXTURES.parents[1])  # the b-file path is repo-relative
+    assert run_failing(command, capsys) == (3, message, None)
+
+
+def test_a_given_prime_limit_covers_nine_under_ap21(capsys):
+    # brute force: in ap:2,1 (terms a_i = i + 1) d divides a when d divides
+    # a - W(d), W(d) the literal sum of (d - i) * a_i over i < d
+    def divides(d, a):
+        return (a - sum((d - i) * (i + 1) for i in range(1, d))) % d == 0
+
+    # the divisor lemma (1, 6, (0,)) puts every divisor of 27 at most 6 * 27,
+    # and it has two: 27 is a prime of the arithmetic
+    assert [d for d in range(1, 6 * 27 + 1) if divides(d, 27)] == [1, 81]
+    assert divides(27, 9)  # 9 is a multiple of the prime 27
+    record = run_json("coverage --arith ap:2,1 --window 12 --prime-limit 73", capsys)
+    assert 27 in record["primes"] and 9 not in record["residual"]
+    assert record["prime_limit_defaulted"] is False
 
 
 README = FIXTURES.parents[1] / "README.md"

@@ -387,7 +387,8 @@ def test_constant_offsets_match_the_product_route(spec):
     # seq_product route is the oracle
     g = parse_generator(spec)
     for window_half in (2, 37, 500):
-        report = seq_residual_set(g, window_half, g.prime_limit(window_half)[0])
+        assert g.prime_limit(window_half) == 2 * window_half + 1
+        report = seq_residual_set(g, window_half)
         primes, witnesses, residual = setdefault_oracle(g, window_half, 2 * window_half + 1)
         assert report.primes_used == primes
         assert report.offsets == tuple(seq_product(0, p, g) for p in primes)

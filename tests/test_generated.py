@@ -746,7 +746,7 @@ CONSTANT_SPELLINGS = [
 class TestRoutes:
     """``divisors``/``primes_below`` take the k-arithmetic's closed routes
     when every term is k, and ``prime_limit`` gives the covering lemma's
-    limit; any other generator scans."""
+    limit; any other generator scans and has no proven prime limit."""
 
     @pytest.mark.parametrize("k,spec", CONSTANT_SPELLINGS, ids=lambda v: str(v))
     def test_every_spelling_of_a_constant_is_the_k_arithmetic(self, k, spec):
@@ -757,7 +757,7 @@ class TestRoutes:
         for factor in (None, 1, 6):
             assert primes_below(60, g, factor) == k_primes_below(60, k)
         for n in (2, 5, 30):
-            assert g.prime_limit(n) == (2 * n + 1, False)
+            assert g.prime_limit(n) == 2 * n + 1
         for n in range(-20, 151):
             assert seq_product(7, n, g) == k_product(7, n, k), n
             if n:
@@ -774,7 +774,7 @@ class TestRoutes:
         for factor in (None, 1, 6):
             assert primes_below(60, g, factor) == k_primes_below(60, k)
         for n in (2, 5, 30):
-            assert g.prime_limit(n) == (2 * n + 1, False)
+            assert g.prime_limit(n) == 2 * n + 1
 
     @pytest.mark.parametrize("g", ALL_GENERATORS[1:], ids=lambda g: g.spec())
     def test_other_generators_scan(self, g):
@@ -783,7 +783,9 @@ class TestRoutes:
         for factor in (1, 6):
             assert primes_below(60, g, factor) == seq_primes_below(60, g, factor)
         for n in (2, 5, 30):
-            assert g.prime_limit(n) == (2 * n, True)
+            with pytest.raises(DomainError, match=r"^no covering prime limit is known for "
+                                                  r".*; pass a prime limit explicitly$"):
+                g.prime_limit(n)
 
     def test_only_non_constants_reach_the_scans(self, monkeypatch):
         # for even k the sieve and the closed census agree, so only a scan
@@ -844,6 +846,23 @@ class TestRoutes:
                         path.name != "generators.py" and isinstance(node, ast.Attribute)
                         and node.attr == "differences"):
                     found.append(f"{path.name}:{node.lineno}")
+        assert found == []
+
+    def test_cli_picks_no_bound(self):
+        # the library sets every default bound and refuses where it has none;
+        # the CLI passes --bound, --bound-factor and --prime-limit through, so
+        # it reads no lemma or limit, defines no bound-factor constant, and
+        # names prime_limit only as the parsed option, args.prime_limit
+        tree = ast.parse((Path(generators.__file__).parent / "cli.py").read_text())
+        found = []
+        for node in ast.walk(tree):
+            named = {getattr(node, key, None) for key in ("attr", "id", "name", "arg")}
+            named.discard(None)
+            if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "args":
+                named.discard("prime_limit")
+            if named & {"divisor_lemma", "prime_limit", "K_LEMMA", "_bound_factor"} or any(
+                    name.isupper() and "FACTOR" in name for name in named):
+                found.append(f"cli.py:{getattr(node, 'lineno', '?')} {sorted(named)}")
         assert found == []
 
     def test_one_class_answers_w(self):
