@@ -12,9 +12,11 @@ A sequence without a lemma needs a caller's bound and a subject a >= 1, and
 its report reads the residues W(d) mod d from the prefix-sum memo: a d <= a
 divides a when W(d) mod d == a mod d, which compares small integers in the
 live residue table (``PrefixSums.residue_table``), and a d > a exactly when
-W(d) mod d == a, which the residue index answers with two bisects per run
-(``PrefixSums.residue_matches``), so a warm scan reads nothing past a.
-Only the hits read W(d) again, for their witnesses.
+W(d) mod d == a, which the residue index, the term counts sorted by their
+residues in that same table, answers with two bisects per run
+(``PrefixSums.residue_matches``), so a warm scan reads past a only the
+entries its bisects probe.  Only the hits read W(d) again, for their
+witnesses, and ``seq_is_prime`` counts the divisors of that one report.
 ``divisors`` and ``primes_below`` pick the route: under ``K_LEMMA`` (every
 term k) they call the k-arithmetic's closed forms ``k_divisors`` and
 ``k_primes_below`` instead.
@@ -88,7 +90,8 @@ def _scanned_divisors(a: int, sums: PrefixSums, n: int) -> list[int]:
     """Ascending term counts d <= n that divide a >= 1, n within what the
     terms allow: d divides a when it divides a - W(d).  For d <= a that is
     W(d) mod d == a mod d, read from the live residue table; for d > a it is
-    W(d) mod d == a, which the residue index answers in O(log n) per run."""
+    W(d) mod d == a, which the residue index answers in O(log n) per run,
+    bisecting term counts keyed by that table."""
     table = sums.residue_table(n)
     found = [d for d in range(1, min(a, n) + 1) if table[d] == a % d]
     if a < n:
@@ -97,22 +100,17 @@ def _scanned_divisors(a: int, sums: PrefixSums, n: int) -> list[int]:
 
 
 def seq_is_prime(p: int, g: Generator, search_bound: int | None = None) -> bool:
-    """True when p > 1 has exactly two divisors within the search bound:
-    among the candidates of g's divisor lemma, as in seq_divisors, else
-    among all term counts."""
+    """True when p > 1 has exactly two divisors within the search bound, as
+    counted in ``seq_divisors``' report, whose default bound it keeps."""
     if p <= 1:
         return False
-    if g.divisor_lemma is not None:
+    if g.divisor_lemma is not None or search_bound is None:
         return len(seq_divisors(p, g, search_bound).divisors) == 2
-    if search_bound is None:
-        search_bound = _scan_factor(g) * p
-    if search_bound < 1:
-        raise DomainError(f"search bound must be positive, got {search_bound}")
     # a scan that stops at a third divisor may succeed within a prefix that a
     # read up to the bound would exhaust; one with fewer divisors reads on
     sums = g.prefix_sums()
     readable = sums.readable(search_bound)
-    hits = len(_scanned_divisors(p, sums, readable))
+    hits = len(seq_divisors(p, g, readable).divisors)
     if hits <= 2 and readable < search_bound:
         sums.residues_upto(search_bound)  # raises the prefix's error
     return hits == 2

@@ -146,10 +146,6 @@ class Generator:
         return self.spec()
 
 
-#: the low 32 bits of a residue-index entry W(d) mod d << 32 | d: the term count d
-_TERM_COUNT = (1 << 32) - 1
-
-
 def _with_count(cap: int, counts: list[int], low: int) -> list[int]:
     """The subjects low + i, ascending, whose count counts[i] is cap."""
     return list(compress(range(low, low + len(counts)), map(cap.__eq__, counts)))
@@ -180,16 +176,17 @@ class PrefixSums:
     bytes per entry on top of the memo (40 MB at 10⁶ term counts).
 
     The residue index inverts the table for divisor scans: the term counts
-    it covers, packed as W(d) mod d << 32 | d, in a few ascending runs, each
-    over a later stretch of term counts than the one before it.  A term
-    count d > a divides a exactly when W(d) mod d == a, so two bisects per
-    run find them all.  Only a scan that reaches past it grows it: the new
-    entries are sorted into a run of their own, which is merged with the
-    last run while that run is at most twice as long (two ascending runs:
-    one ``list.sort`` merge in C).  The runs halve in length, so there are
-    at most log2(n) of them, and a bound that grows by one costs O(log n)
-    amortized, not a re-sort.  Packed ints below 2**60 cost about 40 bytes
-    an entry, as the table does.
+    it covers, sorted by their entries in the live table, in a few runs,
+    each over a later stretch of term counts than the one before it.  The
+    sorts are stable, so each run ascends in (W(d) mod d, d).  A term count
+    d > a divides a exactly when W(d) mod d == a, so two bisects per run,
+    keyed by the table, find them all.  Only a scan that reaches past it
+    grows it: the new term counts are sorted into a run of their own, which
+    is merged with the last run while that run is at most twice as long
+    (two sorted runs: one ``list.sort`` merge in C).  The runs halve in
+    length, so there are at most log2(n) of them, and a bound that grows by
+    one costs O(log n) amortized, not a re-sort.  Its term counts cost
+    about 40 bytes an entry, as the table does.
 
     A census's divisor-count table, one per bound factor, costs 8 bytes per
     subject and reads residues up to factor * limit.  Beside it sits one
@@ -253,29 +250,26 @@ class PrefixSums:
     def residue_matches(self, r: int, n: int) -> list[int]:
         """Ascending term counts r < d <= n with W(d) mod d == r, for r >= 0
         and an n whose residues the terms allow, from the residue index,
-        grown first to cover n."""
-        covered, runs = self._index
-        if covered < n:
+        grown first to cover n.  The runs cover successive stretches, so
+        their matches in turn ascend, and those up to n are a prefix."""
+        if self._index[0] < n:
             with self._lock:
                 self._grow_index(n)
-                covered, runs = self._index
-        low, high = r << 32, r << 32 | n
-        found = []
-        for run in runs:
-            i = bisect_left(run, low)
-            found += map(_TERM_COUNT.__and__, run[i : bisect_right(run, high, i)])
-        return found
+        key, found = self._residues.__getitem__, []
+        for run in self._index[1]:
+            i = bisect_left(run, r, key=key)
+            found += run[i : bisect_right(run, r, i, key=key)]
+        return found[: bisect_right(found, n)]
 
     def _grow_index(self, n: int) -> None:
-        # term counts stay below 2**32: the memo could not hold that many W
         covered, runs = self._index
         if covered < n:
-            table = self.residue_table(n)
-            run = sorted(r << 32 | d for d, r in enumerate(table[covered + 1 : n + 1], covered + 1))
+            key = self.residue_table(n).__getitem__
+            run = sorted(range(covered + 1, n + 1), key=key)
             runs = list(runs)
             while runs and len(runs[-1]) <= 2 * len(run):
                 run = runs.pop() + run
-                run.sort()
+                run.sort(key=key)
             self._index = (n, (*runs, run))
 
     def readable(self, n: int) -> int:

@@ -1214,10 +1214,16 @@ class TestScansAgainstPerSubjectOracle:
         assert not any(t.is_alive() for t in threads)
         assert results == want
         covered, runs = generators._PRIME_SUMS._index
-        assert sum(map(len, runs)) == covered == top
+        residues, low = _oracle_residues(UsualPrimes(), top), 1
+        for run in runs:  # successive stretches of term counts, each by (W(d) mod d, d)
+            assert sorted(run) == list(range(low, low + len(run)))
+            assert run == sorted(run, key=lambda d: (residues[d], d))
+            low += len(run)
+        assert low - 1 == covered == top
         assert len(runs) <= covered.bit_length()  # runs at least halve in length
 
-    @given(g=st.one_of(st.sampled_from([UsualPrimes(), ZeroOne(), FurstPattern(), GeomProg(1, 2)]),
+    @given(g=st.one_of(st.sampled_from([UsualPrimes(), ZeroOne(), FurstPattern(), GeomProg(1, 2),
+                                        GeomProg(1, -2)]),
                        st.lists(st.integers(-3, 3), max_size=6).map(lambda t: Explicit(tuple(t)))),
            requests=st.lists(st.one_of(
                st.tuples(st.just("divisors"), st.sampled_from(("grow", "jump", "shrink")),
@@ -1332,9 +1338,32 @@ class TestResidueTable:
         assert report.witnesses == want
         assert reads["weighted"] <= len(report.divisors)
         # d <= 317 compares W(d) mod d with 317 mod d; every larger d comes
-        # from the residue index, so no table entry past the subject is read
-        assert sorted(set(reads["items"])) == list(range(1, 318))
+        # from the residue index, whose two bisects per run read the table
+        # only at their probes, never in a pass over the entries past 317
+        assert {i for i in reads["items"] if i <= 317} == set(range(1, 318))
+        probes = 2 * len(memo._index[1]) * (4000).bit_length()
+        assert len([i for i in reads["items"] if i > 317]) <= probes
         assert any(d > 317 for d in report.divisors)
+
+    @given(g=st.one_of(st.sampled_from([UsualPrimes(), GeomProg(1, -2), ZeroOne()]),
+                       st.tuples(st.integers(-9, -1), st.lists(st.integers(-9, 9), max_size=40))
+                       .map(lambda t: Explicit((t[0], *t[1])))),
+           requests=st.lists(st.tuples(st.sampled_from(("grow", "jump", "shrink")),
+                                       st.integers(1, 150), st.integers(0, 200)), max_size=12))
+    def test_residue_matches_against_the_oracle(self, g, requests):
+        # one fresh memo per example, its index grown by one, by a jump or not
+        # at all; each request also asks r = 0 (d divides W(d)) and r = n
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(generators, "_PRIME_SUMS", generators.PrefixSums(UsualPrimes()))
+            sums = dataclasses.replace(g).prefix_sums()
+            n = 1
+            for move, step, r in requests:
+                n = {"grow": n + 1, "jump": n + step, "shrink": max(0, n - step)}[move]
+                for residue in (r, 0, n):
+                    got = _outcome(sums.residue_matches, residue, n)
+                    want = _outcome(lambda: [d for d, w in enumerate(_oracle_residues(g, n))
+                                             if d > residue and w == residue])
+                    assert got == want, (g.spec(), move, residue, n)
 
     @pytest.mark.parametrize("g", [ZeroOne(), UsualPrimes(), GeomProg(1, 2)],
                              ids=lambda g: g.spec())
