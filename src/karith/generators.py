@@ -5,8 +5,8 @@ weighted partial sum W(n) = sum over i < n of (n - i) * a_i.  A generator
 whose terms are a polynomial in i sets ``differences`` = (a_1, Δa_1, Δ²a_1,
 ...), which only this module reads, and answers W(n) = sum over m of Δᵐa_1 *
 C(n, m + 2) at every integer n (``Generator.weighted``).  Other modules route
-on one fact, ``Generator.divisor_lemma``: every spelling of the constant
-sequence k (const:k, ap:k,0, poly:k, gp:k,1, and gp:0,r for k = 0) has
+on ``Generator.divisor_lemma`` and its ``sharp_factor``: every spelling of the
+constant sequence k (const:k, ap:k,0, poly:k, gp:k,1, and gp:0,r for k = 0) has
 ``K_LEMMA``, which sends it to the k-arithmetic's closed forms.
 Any other W is read from a memo of prefix sums, undefined below 1: one per
 generator instance, bar ``primes``, whose instances share one process-wide memo.
@@ -25,8 +25,8 @@ from __future__ import annotations
 import threading
 from bisect import bisect_left, bisect_right
 from itertools import accumulate, compress, islice
-from math import comb, lcm
-from operator import mod
+from math import comb, gcd, lcm
+from operator import floordiv, mod
 
 from .core import DomainError, _record, _sieved, nth_prime
 
@@ -46,6 +46,14 @@ class Generator:
     """Base for sequence generators; term(i) is defined for all i >= 1."""
     #: (a_1, Δa_1, Δ²a_1, ...) for polynomial terms, trailing zeros after a_1 cut; else None
     differences: tuple[int, ...] | None = None
+    #: (P, D, (c_0, ..., c_{P-1})) when D * W(d) ≡ c_r (mod d) for every term count
+    #: d ≡ r (mod P), else None.  Degree j gives (1, L, (0,)), L = lcm(2, ..., j + 2),
+    #: K_LEMMA for j = 0: W(d) sums Δᵐa_1 * C(d, m + 2) and i * C(d, i) = d * C(d - 1,
+    #: i - 1), so the least D with m + 2 | D * Δᵐa_1 for every m, E, holds too.
+    #: Candidates from E·|a|, default bound L·|a|, censuses sieve at min(F, E).
+    divisor_lemma: tuple[int, int, tuple[int, ...]] | None = None
+    #: E = lcm over m of (m + 2) / gcd(m + 2, Δᵐa_1) for polynomial terms (E | L), else None
+    sharp_factor: int | None = None
     #: number of terms a finite prefix holds, or None for an endless sequence
     prefix_length: int | None = None
 
@@ -73,14 +81,11 @@ class Generator:
     def spec(self) -> str:
         raise NotImplementedError
 
-    @property
-    def divisor_lemma(self) -> tuple[int, int, tuple[int, ...]] | None:
-        """(P, D, (c_0, ..., c_{P-1})) when D * W(d) ≡ c_r (mod d) for every term
-        count d ≡ r (mod P), else None.  Degree-j terms give (1, lcm(2, ..., j + 2),
-        (0,)), K_LEMMA for j = 0: W(d) sums multiples of C(d, i) for 2 <= i <= j + 2,
-        and i * C(d, i) = d * C(d - 1, i - 1)."""
-        diffs = self.differences
-        return None if diffs is None else (1, lcm(*range(2, len(diffs) + 2)), (0,))
+    def _set_differences(self, diffs: tuple[int, ...]) -> None:
+        """Set ``differences`` and the two facts read from them, once per instance."""
+        orders = range(2, len(diffs) + 2)  # m + 2 for each Δᵐa_1
+        self.__dict__.update(differences=diffs, divisor_lemma=(1, lcm(*orders), (0,)),
+                             sharp_factor=lcm(*map(floordiv, orders, map(gcd, orders, diffs))))
 
     def weighted(self, n: int) -> int:
         """W(n) = sum of Δᵐa_1 * C(n, m + 2) for polynomial terms, else the memo
@@ -136,11 +141,15 @@ class Generator:
         return sums
 
     def __getstate__(self):
-        # the memo holds a lock; copies and unpickled generators rebuild it,
-        # bar primes twins, which read the process-wide memo
-        state = dict(self.__dict__)
-        state.pop("_sums", None)
-        return state
+        # fields only: copies and unpickled generators rebuild the memo, which holds
+        # a lock (bar primes twins, which read the process-wide one), and the facts
+        rebuilt = ("_sums", "differences", "divisor_lemma", "sharp_factor")
+        return {name: value for name, value in self.__dict__.items() if name not in rebuilt}
+
+    def __setstate__(self, state):
+        self.__dict__.update(state)
+        if hasattr(self, "__post_init__"):
+            self.__post_init__()
 
     def __str__(self) -> str:
         return self.spec()
@@ -156,11 +165,11 @@ class PrefixSums:
     every ``primes`` instance at once), their residues, the divisor counts
     a census reads and two inverted reads of those.
 
-    Six reads: ``weighted(n)``, its bulk form ``weighted_upto(n)``, the
+    Eight reads: ``weighted(n)``, its bulk form ``weighted_upto(n)``, the
     residue table's ``residues_upto(n)`` and live ``residue_table(n)``, the
-    residue index's ``residue_matches(r, n)``, and the divisor-count table's
+    residue index's ``residue_matches(r, n)``, the divisor-count table's
     ``divisor_counts(factor, limit)`` with its member lists ``census(factor,
-    cap, limit)``.
+    cap, limit)``, and ``readable(n)``, how far the terms allow any of them.
     W(1) = 0 and W(n + 1) - W(n) = S(n), the sum of the first n terms, so
     the memo grows from its last two entries: one ``term_range`` read, then
     one ``accumulate`` pass for S from S(m - 1) = W(m) - W(m - 1) and one for
@@ -188,7 +197,7 @@ class PrefixSums:
     one costs O(log n) amortized, not a re-sort.  Its term counts cost
     about 40 bytes an entry, as the table does.
 
-    A census's divisor-count table, one per bound factor, costs 8 bytes per
+    A census's divisor-count table, one per factor sieved, costs 8 bytes per
     subject and reads residues up to factor * limit.  Beside it sits one
     member list per (factor, divisor count) asked for: the ascending
     subjects with that count, extended with the table, so a warm census is
@@ -342,7 +351,7 @@ class Constant(Generator):
     k: int
 
     def __post_init__(self):
-        object.__setattr__(self, "differences", (self.k,))
+        self._set_differences((self.k,))
 
     def term(self, i: int) -> int:
         return self.k
@@ -357,7 +366,7 @@ class ArithProg(Generator):
     d: int
 
     def __post_init__(self):
-        object.__setattr__(self, "differences", (self.a1, self.d) if self.d else (self.a1,))
+        self._set_differences((self.a1, self.d) if self.d else (self.a1,))
 
     def term(self, i: int) -> int:
         return self.a1 + (i - 1) * self.d
@@ -373,7 +382,7 @@ class GeomProg(Generator):
 
     def __post_init__(self):
         if self.r == 1 or self.a1 == 0:
-            object.__setattr__(self, "differences", (self.a1,))
+            self._set_differences((self.a1,))
 
     def term(self, i: int) -> int:
         if i >= 1:
@@ -401,7 +410,7 @@ class Polynomial(Generator):
             diffs.append(row[0])
             row = [b - a for a, b in zip(row, row[1:])]
         last = max((m for m, x in enumerate(diffs) if x), default=0)
-        object.__setattr__(self, "differences", tuple(diffs[: last + 1]))
+        self._set_differences(tuple(diffs[: last + 1]))
 
     def term(self, i: int) -> int:
         x = i - 1

@@ -88,6 +88,21 @@ def _answers(read, *args):
         return []
 
 
+#: (spec, L, E): the divisor lemma's factor L and the sharp factor E, None
+#: for a sequence without a lemma
+DIVISOR_FACTORS = [
+    ("const:3", 2, 2), ("const:0", 2, 1), ("ap:4,0", 2, 1), ("poly:5", 2, 2),
+    ("poly:5,0,0", 2, 2), ("gp:3,1", 2, 2), ("gp:0,7", 2, 1), ("ap:1,2", 6, 6),
+    ("ap:2,1", 6, 3), ("ap:1,3", 6, 2), ("ap:0,3", 6, 1), ("ap:-3,-2", 6, 6),
+    ("poly:0,3", 6, 1), ("poly:2,3", 6, 1), ("poly:1,2,0,0", 6, 6), ("poly:1,0,1", 12, 6),
+    ("poly:0,0,-4", 12, 3), ("poly:-6,-5,-4,1", 60, 30), ("poly:0,0,0,0,1", 60, 30),
+    ("poly:1,-3,2,0,-1,2", 420, 70), ("poly:1,-3,2,0,-1,2,1", 840, 210),
+    ("poly:1,0,0,0,0,0,1", 840, 42), ("gp:1,2", None, None), ("alt", None, None),
+    ("zeroone", None, None), ("fpattern", None, None), ("primes", None, None),
+    ("explicit:[1,2,3]", None, None),
+]
+
+
 class TestGenerators:
     def test_terms(self):
         assert [ArithProg(3, 4).term(i) for i in range(1, 5)] == [3, 7, 11, 15]
@@ -326,8 +341,11 @@ class TestGenerators:
         assert twin.prefix_sums().residues_upto(30) == g.prefix_sums().residues_upto(30)
         assert [twin.prefix_sums().weighted(n) for n in range(1, 31)] == [
             g.prefix_sums().weighted(n) for n in range(1, 31)]
-        assert twin.differences == g.differences
-        assert twin.divisor_lemma == g.divisor_lemma
+        # a pickle carries the fields alone, and a twin derives its facts again
+        assert not {"_sums", "differences", "divisor_lemma", "sharp_factor"} & set(g.__getstate__())
+        for h in (twin, copy.copy(g), copy.deepcopy(g)):
+            assert (h.differences, h.divisor_lemma, h.sharp_factor) \
+                == (g.differences, g.divisor_lemma, g.sharp_factor)
 
     def test_differences_are_a_fact_not_a_field(self):
         # ap:3,0 and gp:3,1 spell const:3's sequence yet stay distinct generators
@@ -347,26 +365,23 @@ class TestGenerators:
             assert h.differences is None, h.spec()
         assert "differences" not in {f.name for h in ALL_GENERATORS for f in dataclasses.fields(h)}
 
-    @pytest.mark.parametrize("spec,factor", [
-        ("const:3", 2), ("const:0", 2), ("ap:4,0", 2), ("poly:5", 2), ("poly:5,0,0", 2),
-        ("gp:3,1", 2), ("gp:0,7", 2), ("ap:1,2", 6), ("ap:0,3", 6), ("ap:-3,-2", 6),
-        ("poly:2,3", 6), ("poly:1,2,0,0", 6), ("poly:1,0,1", 12), ("poly:0,0,-4", 12),
-        ("poly:-6,-5,-4,1", 60), ("poly:0,0,0,0,1", 60), ("poly:1,-3,2,0,-1,2", 420),
-        ("poly:1,-3,2,0,-1,2,1", 840), ("gp:1,2", None), ("alt", None), ("zeroone", None),
-        ("fpattern", None), ("primes", None), ("explicit:[1,2,3]", None),
-    ])
-    def test_divisor_factor(self, spec, factor):
-        # the divisor lemma (1, lcm(2, ..., j + 2), (0,)) for terms of degree j,
-        # K_LEMMA for every spelling of a constant; no lemma without differences
+    @pytest.mark.parametrize("spec,factor,sharp", DIVISOR_FACTORS,
+                             ids=[f"{spec}-{factor}" for spec, factor, _ in DIVISOR_FACTORS])
+    def test_divisor_factor(self, spec, factor, sharp):
+        # the divisor lemma (1, L, (0,)) with L = lcm(2, ..., j + 2) for terms of
+        # degree j, K_LEMMA for every spelling of a constant, and beside it the
+        # sharp factor E, a divisor of L; no lemma without differences
         g = parse_generator(spec)
         if factor is None:
-            assert g.divisor_lemma is None
+            assert g.divisor_lemma is None and g.sharp_factor is None
             return
         assert g.divisor_lemma == (1, factor, (0,))
         assert (g.divisor_lemma == generators.K_LEMMA) == (factor == 2)
+        assert g.sharp_factor == sharp and factor % sharp == 0
         period, _, classes = g.divisor_lemma
         for d, w in zip(range(1, 501), _oracle_weighted(g)):  # D * W(d) ≡ c_r, from W itself
             assert (factor * w - classes[d % period]) % d == 0, d
+            assert sharp * w % d == 0, d
 
     def test_spec_roundtrip(self):
         # the empty polynomial prints poly:0, since poly: is no spec
@@ -638,6 +653,33 @@ class TestSeqDivisors:
         assert report.divisors == (1, 2, 4, 6, 10, 60)
         assert report.search_bound == 120
         assert seq_divisors(20, g).divisors[-1] == 600
+
+    @given(coeffs=st.lists(st.integers(-9, 9), min_size=1, max_size=7),
+           a=st.integers(-25, 25).filter(bool))
+    def test_sharp_factor_report_is_the_scan_to_l_a(self, coeffs, a):
+        # candidates from E * |a|, default bound L * |a|: the report is a
+        # literal scan to L * |a|, and every divisor divides E * a
+        g = Polynomial(tuple(coeffs))
+        bound = g.divisor_lemma[1] * abs(a)
+        report = seq_divisors(a, g)
+        assert report.search_bound == bound
+        assert report.witnesses == _oracle_divisors(a, g, bound)
+        assert all(g.sharp_factor * a % d == 0 for d in report.divisors)
+
+    def test_a_sharp_factor_of_2_is_not_the_k_lemma(self):
+        # ap:1,3 has E = 2, K_LEMMA's factor, but its lemma keeps L = 6, so
+        # divisors() scans it: the 1-arithmetic's closed form has its divisors
+        # but not its witnesses
+        g = parse_generator("ap:1,3")
+        assert g.sharp_factor == generators.K_LEMMA[1]
+        assert g.divisor_lemma == (1, 6, (0,)) != generators.K_LEMMA
+        for a in (-30, 7, 20, 36):
+            report = divisors(a, g)
+            assert report == seq_divisors(a, g)
+            assert report.search_bound == 6 * abs(a)
+            assert report.witnesses == _oracle_divisors(a, g, 6 * abs(a))
+            assert report.divisors == k_divisors(a, 1).divisors
+            assert report.witnesses != k_divisors(a, 1).witnesses
 
     def test_polynomial_defaults_need_no_bound(self):
         # every polynomial sequence has its divisor factor as default bound factor
@@ -1071,6 +1113,17 @@ class TestScansAgainstPerSubjectOracle:
                 == _oracle_census(count, 40, g, factor), count
         assert seq_primes_below(40, g) == _oracle_census(2, 40, g, factor)
 
+    def test_default_census_sieves_at_the_sharp_factor(self):
+        # L = 840 and E = 42: the census counts divisors d <= 840 n, yet every
+        # divisor of n divides 42 n, so its memo holds no term count past 42 * 399
+        g = Polynomial((1, 0, 0, 0, 0, 0, 1))
+        # the oracle reads the same terms from a prefix, which fails loudly if
+        # read past and is faster to read than the polynomial
+        prefix = Explicit(tuple(g.term(i) for i in range(1, 840 * 399)))
+        assert seq_primes_below(400, g) == _oracle_census(2, 400, prefix, 840)
+        assert len(g.prefix_sums()._weighted) - 1 <= 42 * 399
+        assert list(g.prefix_sums()._counts) == [42]
+
     @pytest.mark.parametrize("g", [g for g in ORACLE_GENERATORS if g.divisor_lemma],
                              ids=lambda g: g.spec())
     def test_is_prime_by_the_divisor_lemma(self, g):
@@ -1407,7 +1460,10 @@ class TestDivisorCountTable:
                     (count, limit, factor)
             assert seq_primes_below(limit, g, factor) == [
                 n for n in want[2, factor] if n < limit], (limit, factor)
-        assert sorted(g.prefix_sums()._counts) == sorted({f for _, f in requests})
+        # one count table per factor sieved: a polynomial's census sieves at
+        # min(F, E), its sharp factor E, since every divisor of n divides E * n
+        sharp = g.sharp_factor or max(f for _, f in requests)
+        assert sorted(g.prefix_sums()._counts) == sorted({min(f, sharp) for _, f in requests})
 
     def test_short_prefixes_cold_and_warm(self):
         for g in SHORT_PREFIXES:
