@@ -8,8 +8,8 @@ which reduces to the k-arithmetic when the sequence is constant.  A term
 count d divides a when d divides a - W(d).  Under g's divisor lemma (P, D,
 (c_r)) (``Generator.divisor_lemma``) such a d ≡ r (mod P) divides D * a - c_r,
 so a report tests those usual divisors, and D is the default bound factor.
-For polynomial terms, (1, L, (0,)) and E | L (``Generator.sharp_factor``):
-candidates from E·|a|, default bound L·|a|, censuses sieve at min(F, E).
+Polynomial terms take their candidates, and censuses their sieve factor,
+from the smaller ``Generator.sharp_factor``.
 A sequence without a lemma needs a caller's bound and a subject a >= 1, and
 its report reads the residues W(d) mod d from the prefix-sum memo: a d <= a
 divides a when W(d) mod d == a mod d, which compares small integers in the
@@ -37,8 +37,6 @@ O(answer), not O(limit).
 
 from __future__ import annotations
 
-from bisect import bisect_right
-
 from .core import (DivisorReport, DomainError, NotDivisible, _start_value, k_divisors,
                    k_primes_below, usual_divisors)
 from .generators import K_LEMMA, Generator, PrefixSums
@@ -65,8 +63,8 @@ def seq_quotient(a: int, b: int, g: Generator) -> int | NotDivisible:
 def seq_divisors(a: int, g: Generator, search_bound: int | None = None) -> DivisorReport:
     """Divisors d <= search_bound (default D * |a|) of a: under g's divisor
     lemma and any a with D * a != c_r, the usual divisors of |D * a - c_r|
-    that are ≡ r (mod P), of |E * a| for polynomials; else all term counts,
-    for a >= 1."""
+    that are ≡ r (mod P), D = E for polynomials; else all term counts, for
+    a >= 1."""
     lemma = g.divisor_lemma
     if lemma is None and a < 1:
         raise DomainError(f"divisor report needs a positive subject, got {a}")
@@ -79,11 +77,9 @@ def seq_divisors(a: int, g: Generator, search_bound: int | None = None) -> Divis
         raise DomainError(f"search bound must be positive, got {search_bound}")
     if lemma is None:
         divs = _scanned_divisors(a, g.prefix_sums(), search_bound)
-    elif g.sharp_factor is not None:  # every divisor of a divides E * a
-        divs = usual_divisors(abs(g.sharp_factor * a))
-        divs = divs[: bisect_right(divs, search_bound)]
     else:
         period, factor, classes = lemma
+        factor = g.sharp_factor or factor  # every divisor of a divides E * a
         divs = sorted(d for r, c in enumerate(classes) for d in usual_divisors(abs(factor * a - c))
                       if d % period == r and d <= search_bound)
     witnesses = []

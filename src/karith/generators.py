@@ -28,7 +28,7 @@ from itertools import accumulate, compress, islice
 from math import comb, gcd, lcm
 from operator import floordiv, mod
 
-from .core import DomainError, _record, _sieved, nth_prime
+from .core import DomainError, _record, _set, _sieved, nth_prime
 
 #: the divisor lemma of every constant sequence k: 2 * W(d) = k * d * (d - 1)
 K_LEMMA = (1, 2, (0,))
@@ -50,9 +50,9 @@ class Generator:
     #: d ≡ r (mod P), else None.  Degree j gives (1, L, (0,)), L = lcm(2, ..., j + 2),
     #: K_LEMMA for j = 0: W(d) sums Δᵐa_1 * C(d, m + 2) and i * C(d, i) = d * C(d - 1,
     #: i - 1), so the least D with m + 2 | D * Δᵐa_1 for every m, E, holds too.
-    #: Candidates from E·|a|, default bound L·|a|, censuses sieve at min(F, E).
     divisor_lemma: tuple[int, int, tuple[int, ...]] | None = None
-    #: E = lcm over m of (m + 2) / gcd(m + 2, Δᵐa_1) for polynomial terms (E | L), else None
+    #: E = lcm over m of (m + 2) / gcd(m + 2, Δᵐa_1) for polynomial terms (E | L), else
+    #: None.  Candidates from E·|a|, default bound L·|a|, censuses sieve at min(F, E).
     sharp_factor: int | None = None
     #: number of terms a finite prefix holds, or None for an endless sequence
     prefix_length: int | None = None
@@ -83,9 +83,14 @@ class Generator:
 
     def _set_differences(self, diffs: tuple[int, ...]) -> None:
         """Set ``differences`` and the two facts read from them, once per instance."""
+        _set(self, "differences", diffs)
+        if len(diffs) == 1:  # the constant a_1: E = 2 / gcd(2, a_1)
+            _set(self, "divisor_lemma", K_LEMMA)
+            _set(self, "sharp_factor", 2 // gcd(2, diffs[0]))
+            return
         orders = range(2, len(diffs) + 2)  # m + 2 for each Δᵐa_1
-        self.__dict__.update(differences=diffs, divisor_lemma=(1, lcm(*orders), (0,)),
-                             sharp_factor=lcm(*map(floordiv, orders, map(gcd, orders, diffs))))
+        _set(self, "divisor_lemma", (1, lcm(*orders), (0,)))
+        _set(self, "sharp_factor", lcm(*map(floordiv, orders, map(gcd, orders, diffs))))
 
     def weighted(self, n: int) -> int:
         """W(n) = sum of Δᵐa_1 * C(n, m + 2) for polynomial terms, else the memo
